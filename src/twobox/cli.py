@@ -13,12 +13,7 @@ import os
 import re
 import sys
 
-from .errors import (
-    ExpressionError,
-    ScenarioFileError,
-    ScenarioNotFoundError,
-    TwoBoxError,
-)
+from .errors import ExpressionError, ScenarioFileError, TwoBoxError
 from .hilbert import DEFAULT_TOLERANCE
 from .projectors import (
     HamiltonianSpec,
@@ -294,6 +289,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """The --tolerance value: a finite number above zero."""
+    try:
+        if 0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="twobox",
                      description="pre- and postselected computations for particles in two boxes")
@@ -308,7 +313,7 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--scenario", help="builtin scenario name")
     p_run.add_argument("--file", help="path to a scenario JSON file")
     p_run.add_argument("--format", choices=("table", "json"), default="table")
-    p_run.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+    p_run.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
                        help="zero threshold for verdicts and preconditions")
     p_run.set_defaults(handler=_cmd_run)
 
@@ -317,7 +322,7 @@ def _build_parser() -> _Parser:
                          help="an operator expression, or a path to a file with one per line")
     p_check.add_argument("--particles", type=int, default=3)
     p_check.add_argument("--format", choices=("table", "json"), default="table")
-    p_check.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p_check.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     p_check.set_defaults(handler=_cmd_check)
     return parser
 
@@ -347,8 +352,6 @@ def _resolve_run_target(args):
 
 
 def _cmd_run(args) -> int:
-    if args.tolerance <= 0:
-        raise ScenarioFileError("tolerance must be positive")
     scenario = _resolve_run_target(args)
     report = run_scenario(scenario, args.tolerance)
     if args.format == "json":
@@ -359,8 +362,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.tolerance <= 0:
-        raise ExpressionError("tolerance must be positive")
     source = args.expression
     if os.path.isfile(source):
         with open(source, encoding="utf-8") as handle:
@@ -418,18 +419,10 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (ScenarioFileError, ScenarioNotFoundError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TwoBoxError as exc:
+    except (_UsageError, TwoBoxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -198,10 +198,7 @@ def weak_value_sum(selection: PrePostSelection, ops: Sequence[Operator],
     if not ops:
         return 0j
     total = sum(weak_value(selection, op, tol) for op in ops)
-    combined = ops[0]
-    for op in ops[1:]:
-        combined = combined + op
-    via_sum = weak_value(selection, combined, tol)
+    via_sum = weak_value(selection, sum(ops[1:], start=ops[0]), tol)
     if abs(total - via_sum) > tol:
         raise ArithmeticError(
             f"weak value linearity cross-check failed: {total!r} vs {via_sum!r}")
@@ -234,9 +231,7 @@ def global_probability(selection: PrePostSelection, projectors: ProjectorSet,
     ops = _operators(projectors)
     if not ops:
         raise ValueError("global probability needs at least one projector")
-    combined = ops[0]
-    for op in ops[1:]:
-        combined = combined + op
+    combined = sum(ops[1:], start=ops[0])
     if not is_projector(combined, tol):
         raise IllegitimateQuestionError("not a legitimate question")
     return abs2(abl_amplitude(selection, combined))

@@ -1,10 +1,12 @@
-"""State vectors and dense operators for n particles, each in one of two boxes.
+"""State vectors and operators for n particles, each in one of two boxes.
 
 The single-particle space is two dimensional. n particles live on the
 2**n dimensional tensor product whose basis states carry letter strings
 such as "LRL": particle 1 is the leftmost letter and the most significant
-bit of the basis index, with L = 0 and R = 1. Everything is double
-precision and immutable after construction.
+bit of the basis index, with L = 0 and R = 1. An operator is stored as
+its diagonal when it is built as one (every correlation projector is) and
+as a dense matrix when it is given as one. Everything is double precision
+and immutable after construction.
 """
 
 from __future__ import annotations
@@ -73,18 +75,20 @@ def label_scheme(name: str) -> LabelScheme:
         raise ValueError(f"unknown label scheme {name!r}") from None
 
 
-def _as_amplitude_array(values: Sequence[complex] | np.ndarray) -> np.ndarray:
+def _as_array(values, ndim: int, what: str) -> np.ndarray:
+    """A read-only complex vector or square matrix of side 2**n, n <= MAX_PARTICLES."""
     arr = np.array(values, dtype=np.complex128, copy=True)
-    if arr.ndim != 1:
-        raise ValueError("amplitudes must form a one dimensional sequence")
+    if arr.ndim != ndim or len(set(arr.shape)) != 1:
+        shape = "a one dimensional sequence" if ndim == 1 else "a square matrix"
+        raise ValueError(f"{what} must form {shape}")
     dim = arr.shape[0]
     n = dim.bit_length() - 1
     if dim < 2 or 2**n != dim:
-        raise ValueError(f"amplitude count {dim} is not a power of two >= 2")
+        raise ValueError(f"{what} dimension {dim} is not a power of two >= 2")
     if n > MAX_PARTICLES:
         raise ValueError(f"{n} particles exceeds the supported maximum of {MAX_PARTICLES}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("amplitudes must be finite")
+        raise ValueError(f"{what} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -95,7 +99,7 @@ class _Vector:
     __slots__ = ("_amplitudes", "_labels")
 
     def __init__(self, amplitudes: Sequence[complex], labels: LabelScheme = BOX_LABELS):
-        object.__setattr__(self, "_amplitudes", _as_amplitude_array(amplitudes))
+        object.__setattr__(self, "_amplitudes", _as_array(amplitudes, 1, "amplitudes"))
         object.__setattr__(self, "_labels", labels)
 
     @property
@@ -186,37 +190,43 @@ KetLike = Union[Ket, UnnormalizedKet]
 
 
 class Operator:
-    """A dense linear operator on the n-particle space."""
+    """A linear operator on the n-particle space, stored as a dense matrix, or
+    as its diagonal when built by :meth:`from_diagonal`. Arithmetic among
+    diagonal operators stays on the diagonal."""
 
-    __slots__ = ("_entries", "_labels")
+    __slots__ = ("_data", "_labels")
 
     def __init__(self, entries, labels: LabelScheme = BOX_LABELS):
-        arr = np.array(entries, dtype=np.complex128, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("operator entries must form a square matrix")
-        dim = arr.shape[0]
-        n = dim.bit_length() - 1
-        if dim < 2 or 2**n != dim:
-            raise ValueError(f"operator dimension {dim} is not a power of two >= 2")
-        if n > MAX_PARTICLES:
-            raise ValueError(f"{n} particles exceeds the supported maximum of {MAX_PARTICLES}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("operator entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "_entries", arr)
+        object.__setattr__(self, "_data", _as_array(entries, 2, "operator entries"))
         object.__setattr__(self, "_labels", labels)
 
     @classmethod
+    def from_diagonal(cls, diagonal, labels: LabelScheme = BOX_LABELS) -> "Operator":
+        """The operator with this diagonal and zeros elsewhere, stored as the diagonal."""
+        op = cls.__new__(cls)
+        object.__setattr__(op, "_data", _as_array(diagonal, 1, "operator diagonal"))
+        object.__setattr__(op, "_labels", labels)
+        return op
+
+    @classmethod
+    def _of(cls, data: np.ndarray, labels: LabelScheme) -> "Operator":
+        # a diagonal (1-D) or dense (2-D) array, in the form it already has
+        return cls.from_diagonal(data, labels) if data.ndim == 1 else cls(data, labels)
+
+    @classmethod
     def identity(cls, n_particles: int, labels: LabelScheme = BOX_LABELS) -> "Operator":
-        return cls(np.eye(2**n_particles), labels)
+        return cls.from_diagonal(np.ones(2**n_particles), labels)
 
     @classmethod
     def zero(cls, n_particles: int, labels: LabelScheme = BOX_LABELS) -> "Operator":
-        return cls(np.zeros((2**n_particles, 2**n_particles)), labels)
+        return cls.from_diagonal(np.zeros(2**n_particles), labels)
 
     @property
     def entries(self) -> np.ndarray:
-        return self._entries
+        """The full matrix, read-only; built on each read for a diagonal operator."""
+        dense = self._data if self._data.ndim == 2 else np.diag(self._data)
+        dense.setflags(write=False)
+        return dense
 
     @property
     def labels(self) -> LabelScheme:
@@ -224,53 +234,61 @@ class Operator:
 
     @property
     def dim(self) -> int:
-        return self._entries.shape[0]
+        return self._data.shape[0]
 
     @property
     def n_particles(self) -> int:
         return self.dim.bit_length() - 1
 
     def dagger(self) -> "Operator":
-        return Operator(self._entries.conj().T, self._labels)
+        return Operator._of(self._data.conj().T, self._labels)
 
     def diagonal(self) -> np.ndarray:
-        return self._entries.diagonal().copy()
+        return (self._data if self._data.ndim == 1 else self._data.diagonal()).copy()
+
+    def max_entry(self) -> float:
+        """The largest entry magnitude, the max-entry norm of the matrix."""
+        return float(np.max(np.abs(self._data)))
 
     def with_labels(self, labels: LabelScheme) -> "Operator":
-        return Operator(self._entries, labels)
+        return Operator._of(self._data, labels)
 
-    def _require_same_dim(self, other: "Operator") -> None:
+    def _operands(self, other: "Operator") -> tuple[np.ndarray, np.ndarray]:
+        # both diagonals when both operators are diagonal, else both dense matrices
         if self.dim != other.dim:
             raise DimensionMismatchError(
                 f"operator dimensions differ: {self.dim} vs {other.dim}")
+        if self._data.ndim == other._data.ndim == 1:
+            return self._data, other._data
+        return self.entries, other.entries
 
     def __add__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
-        self._require_same_dim(other)
-        return Operator(self._entries + other._entries, self._labels)
+        a, b = self._operands(other)
+        return Operator._of(a + b, self._labels)
 
     def __sub__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
-        self._require_same_dim(other)
-        return Operator(self._entries - other._entries, self._labels)
+        a, b = self._operands(other)
+        return Operator._of(a - b, self._labels)
 
     def __neg__(self) -> "Operator":
-        return Operator(-self._entries, self._labels)
+        return Operator._of(-self._data, self._labels)
 
     def __mul__(self, scalar) -> "Operator":
         if not isinstance(scalar, (int, float, complex, np.number)):
             return NotImplemented
-        return Operator(self._entries * complex(scalar), self._labels)
+        return Operator._of(self._data * complex(scalar), self._labels)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
-        self._require_same_dim(other)
-        return Operator(self._entries @ other._entries, self._labels)
+        a, b = self._operands(other)
+        return Operator._of(a * b if a.ndim == 1 else a @ b, self._labels)
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
@@ -382,7 +400,8 @@ def apply(op: Operator, ket: KetLike) -> UnnormalizedKet:
     """Apply an operator to a state. The result is deliberately unnormalized."""
     if op.dim != ket.dim:
         raise DimensionMismatchError(f"operator dimension {op.dim} does not match state dimension {ket.dim}")
-    return UnnormalizedKet(op.entries @ ket.amplitudes, ket.labels)
+    image = op._data @ ket.amplitudes if op._data.ndim == 2 else op._data * ket.amplitudes
+    return UnnormalizedKet(image, ket.labels)
 
 
 def matrix_element(bra: KetLike, op: Operator, ket: KetLike) -> complex:
@@ -390,10 +409,14 @@ def matrix_element(bra: KetLike, op: Operator, ket: KetLike) -> complex:
     return inner(bra, apply(op, ket))
 
 
+def eigenstate_residual(op: Operator, ket: Ket, eigenvalue: complex) -> float:
+    """The Euclidean norm of op|ket> - eigenvalue|ket>."""
+    if not isinstance(ket, Ket):
+        raise TypeError("an eigenstate test expects a normalized Ket")
+    return float(np.linalg.norm(apply(op, ket).amplitudes - complex(eigenvalue) * ket.amplitudes))
+
+
 def is_eigenstate(op: Operator, ket: Ket, eigenvalue: complex,
                   tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether op|ket> equals eigenvalue|ket> within ``tol`` (Euclidean norm)."""
-    if not isinstance(ket, Ket):
-        raise TypeError("is_eigenstate expects a normalized Ket")
-    residual = apply(op, ket).amplitudes - complex(eigenvalue) * ket.amplitudes
-    return float(np.linalg.norm(residual)) <= tol
+    return eigenstate_residual(op, ket, eigenvalue) <= tol

@@ -1,19 +1,17 @@
 """Correlation projectors on the n-particle two-box space.
 
-Every projector here is diagonal in the box basis. They are assembled
-from products and sums of embedded single-particle box projectors, not
-by enumerating basis labels, so entries stay exactly 0 or 1.
+Every projector here is diagonal in the box basis, so each is built and
+stored as its 0/1 diagonal: one bit test per basis index, where bit
+n - k of the index is 1 exactly when particle k sits in box R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .hilbert import (
     BOX_LABELS,
     DEFAULT_TOLERANCE,
@@ -66,7 +64,11 @@ class ProjectorSpec:
         elif self.kind in ("pair_same", "pair_diff", "sd"):
             if self.n_particles < 2:
                 raise ValueError(f"{self.kind} needs at least two particles")
-            i, j = self.pair
+            try:
+                i, j = self.pair
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{self.kind} needs a pair of two particles, got {self.pair!r}") from None
             _check_particle(i, self.n_particles, "pair member")
             _check_particle(j, self.n_particles, "pair member")
             if i == j:
@@ -122,35 +124,26 @@ class ProjectorSpec:
         return "all_same"
 
 
-def _embedded_box(particle: int, box_index: int, n_particles: int) -> np.ndarray:
-    # identity on every slot except one single-particle box projector
-    single = np.zeros((2, 2))
-    single[box_index, box_index] = 1.0
-    mats = [single if k == particle else np.eye(2) for k in range(1, n_particles + 1)]
-    return reduce(np.kron, mats)
-
-
 def build_projector(spec: ProjectorSpec) -> Operator:
-    """Realize a :class:`ProjectorSpec` as a dense diagonal operator."""
+    """Realize a :class:`ProjectorSpec` as its 0/1 diagonal."""
     n = spec.n_particles
-    L = {k: _embedded_box(k, 0, n) for k in range(1, n + 1)}
-    R = {k: _embedded_box(k, 1, n) for k in range(1, n + 1)}
+    index = np.arange(2**n)
+
+    def bit(k: int) -> np.ndarray:  # 1 where particle k sits in R
+        return (index >> (n - k)) & 1
+
     if spec.kind == "box":
-        m = (L if spec.box == "L" else R)[spec.particle]
+        mask = bit(spec.particle) == "LR".index(spec.box)
     elif spec.kind == "pair_same":
-        i, j = spec.pair
-        m = L[i] @ L[j] + R[i] @ R[j]
+        mask = bit(spec.pair[0]) == bit(spec.pair[1])
     elif spec.kind == "pair_diff":
-        i, j = spec.pair
-        m = L[i] @ R[j] + R[i] @ L[j]
+        mask = bit(spec.pair[0]) != bit(spec.pair[1])
     elif spec.kind == "all_same":
-        m = reduce(np.matmul, (L[k] for k in range(1, n + 1)))
-        m = m + reduce(np.matmul, (R[k] for k in range(1, n + 1)))
+        mask = (index == 0) | (index == 2**n - 1)
     else:  # sd
         i, j = spec.pair
-        k = spec.other
-        m = L[i] @ L[j] @ R[k] + R[i] @ R[j] @ L[k]
-    return Operator(m, BOX_LABELS)
+        mask = (bit(i) == bit(j)) & (bit(spec.other) != bit(i))
+    return Operator.from_diagonal(mask, BOX_LABELS)
 
 
 def _format_number(x: float) -> str:
@@ -220,18 +213,14 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Operator:
     return total
 
 
-def _max_abs(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix))) if matrix.size else 0.0
-
-
 def is_hermitian(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the operator equals its own adjoint, max-entry norm."""
-    return _max_abs(op.entries - op.entries.conj().T) <= tol
+    return (op - op.dagger()).max_entry() <= tol
 
 
 def idempotency_defect(op: Operator) -> float:
     """Max-entry norm of op@op - op; zero for exact projectors."""
-    return _max_abs(op.entries @ op.entries - op.entries)
+    return (op @ op - op).max_entry()
 
 
 def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
@@ -241,10 +230,7 @@ def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
 
 def are_orthogonal(a: Operator, b: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether both products a@b and b@a vanish within ``tol``."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"operator dimensions differ: {a.dim} vs {b.dim}")
-    return (_max_abs(a.entries @ b.entries) <= tol
-            and _max_abs(b.entries @ a.entries) <= tol)
+    return (a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol
 
 
 def is_resolution_of_identity(projectors: Iterable[Operator],
@@ -257,18 +243,10 @@ def is_resolution_of_identity(projectors: Iterable[Operator],
     ops = list(projectors)
     if not ops:
         raise ValueError("resolution check needs at least one operator")
-    dim = ops[0].dim
-    for op in ops[1:]:
-        if op.dim != dim:
-            raise DimensionMismatchError("operators in the set have mixed dimensions")
-    if not all(is_projector(op, tol) for op in ops):
-        return False
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not are_orthogonal(ops[i], ops[j], tol):
-                return False
-    total = sum((op.entries for op in ops[1:]), start=ops[0].entries.copy())
-    return _max_abs(total - np.eye(dim)) <= tol
+    total = sum(ops[1:], start=ops[0])  # raises on mixed dimensions
+    return (all(is_projector(op, tol) for op in ops)
+            and all(are_orthogonal(a, b, tol) for i, a in enumerate(ops) for b in ops[i + 1:])
+            and (total - Operator.identity(total.n_particles)).max_entry() <= tol)
 
 
 def relabel_to_spin(value: Ket | UnnormalizedKet | Operator):

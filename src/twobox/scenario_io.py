@@ -16,7 +16,7 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from .errors import ScenarioFileError
-from .hilbert import abs2
+from .hilbert import MAX_PARTICLES, Ket, abs2
 from .projectors import HamiltonianSpec, ProjectorSpec
 from .scenarios import (
     AblAmplitudeQuery,
@@ -228,7 +228,7 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "name": {"type": "string", "minLength": 1},
-        "particles": {"type": "integer", "minimum": 1, "maximum": 12},
+        "particles": {"type": "integer", "minimum": 1, "maximum": MAX_PARTICLES},
         "labels": {"enum": ["box", "spin"]},
         "description": {"type": "string"},
         "notes": {"type": "array", "items": {"type": "string"}},
@@ -299,13 +299,18 @@ def _parse_opexpr(doc, particles: int) -> HamiltonianSpec:
     return HamiltonianSpec(((1 + 0j, _parse_projector(doc, particles)),), particles)
 
 
-def _parse_nstate(doc):
+def _parse_nstate(doc, path: str):
     if "product" in doc:
         return ProductState(tuple(_parse_state(s) for s in doc["product"]))
-    return ExplicitState(tuple(_as_complex(a) for a in doc["amplitudes"]))
+    amplitudes = tuple(_as_complex(a) for a in doc["amplitudes"])
+    try:
+        Ket(amplitudes)
+    except ValueError as exc:
+        raise ScenarioFileError(f"{path}: {exc}") from exc
+    return ExplicitState(amplitudes)
 
 
-def _parse_query(doc, particles: int):
+def _parse_query(doc, particles: int, path: str):
     qtype = doc["type"]
     claim = doc.get("claim")
     if qtype == "abl_amplitude":
@@ -327,7 +332,7 @@ def _parse_query(doc, particles: int):
     return PredicateQuery(
         check=doc["check"],
         operands=tuple(_parse_opexpr(o, particles) for o in doc["operators"]),
-        state=_parse_nstate(doc["state"]) if "state" in doc else None,
+        state=_parse_nstate(doc["state"], f"{path}.state") if "state" in doc else None,
         eigenvalue=_as_complex(eigenvalue) if eigenvalue is not None else None,
         claim=claim,
     )
@@ -346,10 +351,13 @@ def parse_scenario_document(doc) -> Scenario:
     particles = doc["particles"]
     queries = []
     for i, qdoc in enumerate(doc["queries"]):
+        path = f"$.queries[{i}]"
         try:
-            queries.append(_parse_query(qdoc, particles))
+            queries.append(_parse_query(qdoc, particles, path))
+        except ScenarioFileError:
+            raise
         except ValueError as exc:
-            raise ScenarioFileError(f"$.queries[{i}]: {exc}") from exc
+            raise ScenarioFileError(f"{path}: {exc}") from exc
     try:
         return Scenario(
             name=doc["name"],

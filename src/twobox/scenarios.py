@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Union
 
-import numpy as np
-
 from .engine import (
     MeasurementSet,
     PrePostSelection,
@@ -33,8 +31,7 @@ from .hilbert import (
     DEFAULT_TOLERANCE,
     Ket,
     Operator,
-    apply,
-    is_eigenstate,
+    eigenstate_residual,
     label_scheme,
     make_single_particle_state,
     canonical_state_name,
@@ -334,10 +331,8 @@ def _query_meta(query: Query, scheme) -> tuple[str, str, str]:
 
 
 def _build_product(product: ProjectorProduct, n_particles: int, finish) -> Operator:
-    if not product:
-        return finish(Operator.identity(n_particles))
-    op = reduce(lambda a, b: a @ b, (build_projector(spec) for spec in product))
-    return finish(op)
+    return finish(reduce(lambda a, b: a @ b, map(build_projector, product),
+                         Operator.identity(n_particles)))
 
 
 def _build_nstate(state: NParticleState, finish) -> Ket:
@@ -408,11 +403,9 @@ def _query_results(query: Query, selection: PrePostSelection, n: int,
                                    is_resolution_of_identity(ops, tol), tol))
         else:
             ket = _build_nstate(query.state, finish)
-            eigenvalue = complex(query.eigenvalue)
-            verdict = is_eigenstate(ops[0], ket, eigenvalue, tol)
-            residual = apply(ops[0], ket).amplitudes - eigenvalue * ket.amplitudes
-            results.append(_result("is_eigenstate", verdict, tol))
-            results.append(_result("residual_norm", float(np.linalg.norm(residual)), tol))
+            residual = eigenstate_residual(ops[0], ket, query.eigenvalue)
+            results.append(_result("is_eigenstate", residual <= tol, tol))
+            results.append(_result("residual_norm", residual, tol))
 
     return tuple(results), error
 

@@ -168,6 +168,15 @@ def test_run_error_paths(capsys, tmp_path):
     assert "tolerance must be positive" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "tiny"])
+@pytest.mark.parametrize("command", [["run", "pigeonhole3"], ["check", "all_same"]])
+def test_tolerance_must_be_finite_and_positive(capsys, command, value):
+    code, out, err = run_cli(capsys, *command, "--tolerance", value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument --tolerance: tolerance must be positive and finite, got {value!r}\n"
+
+
 def test_usage_errors_exit_one(capsys):
     code, out, err = run_cli(capsys)
     assert code == 1

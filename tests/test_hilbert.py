@@ -208,6 +208,25 @@ def test_operator_algebra():
         Operator(np.zeros((2, 3)))
     with pytest.raises(AttributeError):
         eye.entries = None
+    with pytest.raises(ValueError):
+        eye.entries[0, 0] = 2.0
+
+
+def test_diagonal_and_dense_forms_agree():
+    diag = Operator.from_diagonal([1.0, 2j, 0.0, -1.0])
+    dense = Operator(np.diag([1.0, 2j, 0.0, -1.0]))
+    other = Operator(np.arange(16).reshape(4, 4))
+    assert np.array_equal(diag.entries, dense.entries)
+    assert np.array_equal(diag.diagonal(), dense.diagonal())
+    assert diag.max_entry() == dense.max_entry() == 2.0
+    for combine in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y,
+                    lambda x, y: y @ x, lambda x, y: 3 * x.dagger() - y):
+        assert np.array_equal(combine(diag, other).entries, combine(dense, other).entries)
+        assert np.array_equal(combine(diag, diag).entries, combine(dense, dense).entries)
+    ket = UnnormalizedKet([1.0, 1.0, 1j, 2.0])
+    assert np.array_equal(apply(diag, ket).amplitudes, apply(dense, ket).amplitudes)
+    with pytest.raises(ValueError, match="power of two"):
+        Operator.from_diagonal([1.0, 0.0, 1.0])
 
 
 def test_operator_dagger():

@@ -1,15 +1,22 @@
 """Correlation projectors, weighted sums, and structural predicates."""
 
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from twobox import (
     DimensionMismatchError,
     HamiltonianSpec,
     Operator,
+    PrePostSelection,
     ProjectorSpec,
     SPIN_LABELS,
+    abl_amplitude,
     are_orthogonal,
     basis_state,
     build_hamiltonian,
@@ -18,7 +25,9 @@ from twobox import (
     is_hermitian,
     is_projector,
     is_resolution_of_identity,
+    make_single_particle_state,
     relabel_to_spin,
+    tensor,
 )
 
 
@@ -99,6 +108,12 @@ def test_spec_validation():
         ProjectorSpec.box_occupation(1, "M", 3)
     with pytest.raises(ValueError, match="n_particles"):
         ProjectorSpec.all_same(13)
+    for kind in ("pair_same", "pair_diff", "sd"):
+        with pytest.raises(ValueError, match="needs a pair of two particles"):
+            ProjectorSpec(kind, 3, other=3)
+    for malformed in ((1,), (1, 2, 3), 5):
+        with pytest.raises(ValueError, match="needs a pair of two particles"):
+            ProjectorSpec("pair_same", 3, pair=malformed)
 
 
 def test_hamiltonian_spec_labels():
@@ -183,3 +198,53 @@ def test_relabel_keeps_every_number():
     assert np.array_equal(relabel_to_spin(op).entries, op.entries)
     with pytest.raises(TypeError, match="cannot relabel"):
         relabel_to_spin(3)
+
+
+def spec_products(n):
+    """One to three projector specs on n particles, read as their product."""
+    return st.lists(st.sampled_from(sample_specs(n)), min_size=1, max_size=3)
+
+
+single_states = st.one_of(
+    st.sampled_from(sorted(oracle.NAMED)),
+    st.tuples(st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False),
+              st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False))
+    .filter(lambda pair: oracle.abs2(pair[0]) + oracle.abs2(pair[1]) > 1e-3),
+)
+
+
+def oracle_product_state(factors):
+    """Label -> amplitude for a product state, normalized factor by factor."""
+    pairs = []
+    for f in factors:
+        cL, cR = oracle.NAMED[f] if isinstance(f, str) else f
+        scale = math.sqrt(oracle.abs2(cL) + oracle.abs2(cR))
+        pairs.append((cL / scale, cR / scale))
+    return {lab: math.prod(p[0] if c == "L" else p[1] for p, c in zip(pairs, lab))
+            for lab in oracle.labels(len(factors))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=2, max_value=6))
+def test_diagonal_products_match_the_oracle_and_the_dense_twin(data, n):
+    first, second = data.draw(spec_products(n)), data.draw(spec_products(n))
+    pre_f = data.draw(st.lists(single_states, min_size=n, max_size=n))
+    post_f = data.draw(st.lists(single_states, min_size=n, max_size=n))
+    sel = PrePostSelection(tensor([make_single_particle_state(f) for f in pre_f]),
+                           tensor([make_single_particle_state(f) for f in post_f]))
+    o_pre, o_post = oracle_product_state(pre_f), oracle_product_state(post_f)
+
+    a, b = (reduce(lambda x, y: x @ y, map(build_projector, specs))
+            for specs in (first, second))
+    cond = oracle.product_condition(first)
+    assert a.diagonal().tolist() == [1.0 if cond(lab) else 0.0 for lab in oracle.labels(n)]
+    amplitude = abl_amplitude(sel, a)
+    assert abs(amplitude - oracle.bracket(o_post, cond, o_pre, n)) <= 1e-12
+
+    dense_a, dense_b = Operator(a.entries), Operator(b.entries)
+    assert abs(abl_amplitude(sel, dense_a) - amplitude) <= 1e-12
+    overlap = oracle.product_condition(first + second)
+    disjoint = not any(overlap(lab) for lab in oracle.labels(n))
+    assert are_orthogonal(a, b) == are_orthogonal(dense_a, dense_b) == disjoint
+    assert is_projector(a + b) == is_projector(dense_a + dense_b) == disjoint
+    assert is_projector(a) and is_projector(dense_a)

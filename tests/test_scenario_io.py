@@ -65,6 +65,13 @@ def test_semantic_violations_name_the_query():
         {"type": "abl_amplitude", "projector": {"kind": "pair_same", "pair": [1, 5]}}])
     with pytest.raises(ScenarioFileError, match=r"\$\.queries\[0\]: pair member 5 out of range"):
         parse_scenario_document(bad)
+    unnormalized = minimal_doc(particles=2, pre=["+", "+"], post=["+", "+"], queries=[
+        {"type": "predicate", "check": "eigenstate",
+         "operators": [{"kind": "all_same"}],
+         "state": {"amplitudes": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+         "eigenvalue": [1, 0]}])
+    with pytest.raises(ScenarioFileError, match=r"\$\.queries\[0\]\.state: .*not normalized"):
+        parse_scenario_document(unnormalized)
 
 
 def test_load_scenario_file_errors(tmp_path):

@@ -1,17 +1,26 @@
 """Builtin scenarios and the report machinery."""
 
+import time
+import tracemalloc
+
 import pytest
 
 import oracle
 from twobox import (
+    MAX_PARTICLES,
+    AblAmplitudeQuery,
     AblProbabilitiesQuery,
+    DetailedVsGlobalQuery,
     ExplicitState,
+    HamiltonianSpec,
     PredicateQuery,
     ProductState,
     ProjectorSpec,
     Scenario,
     ScenarioNotFoundError,
+    TransitionElementQuery,
     WeakValueQuery,
+    WeakValueSumQuery,
     builtin_scenarios,
     lookup_scenario,
     run_scenario,
@@ -257,3 +266,44 @@ def test_identity_product_target():
 def test_tolerance_is_recorded():
     report = run_scenario(lookup_scenario("pigeonhole3"), tol=1e-9)
     assert report.tolerance == 1e-9
+
+
+def test_every_query_type_runs_at_the_particle_limit():
+    # one dense 2**12 x 2**12 complex matrix alone takes 268 MB
+    n = MAX_PARTICLES
+    assert n == 12
+    same = lambda i, j: ProjectorSpec.pair_same(i, j, n)
+    sd = ProjectorSpec.sd(1, 2, 3, n)
+    every = ProjectorSpec.all_same(n)
+    ham = lambda *specs: HamiltonianSpec.of([(1, s) for s in specs])
+    scenario = Scenario(
+        name="limit", n_particles=n, pre=("+",) * n, post=("+i",) * n,
+        queries=(
+            AblAmplitudeQuery((same(1, 2),)),
+            AblProbabilitiesQuery(((same(1, 2),), (ProjectorSpec.pair_diff(1, 2, n),))),
+            WeakValueQuery((sd, same(4, 5))),
+            WeakValueSumQuery(((same(1, 2),), (same(2, 3),))),
+            DetailedVsGlobalQuery(((sd,), (every,))),
+            TransitionElementQuery(HamiltonianSpec.of([(0.5, same(1, 2)), (2j, every)])),
+            PredicateQuery("is_projector", (ham(same(1, 2), same(2, 3)),)),
+            PredicateQuery("orthogonal", (ham(sd), ham(every))),
+            PredicateQuery("resolution_of_identity", (ham(same(1, 2)), ham(same(1, 2)))),
+            PredicateQuery("eigenstate", (ham(every),), state=ProductState(("L",) * n),
+                           eigenvalue=1),
+        ),
+    )
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = run_scenario(scenario)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.has_errors()
+    assert elapsed < 1.0
+    assert peak < 16 * 2**20
+    assert report.records[0].results[0].vanishing  # pair sharing is never found
+    assert values(report.records[7])["orthogonal"] is True
+    assert values(report.records[8])["resolution_of_identity"] is False
+    assert values(report.records[9])["is_eigenstate"] is True
