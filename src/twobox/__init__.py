@@ -26,6 +26,8 @@ from .errors import (
     IllegitimateQuestionError,
     ImpossiblePostselectionError,
     IncompleteMeasurementError,
+    InvalidAmplitudesError,
+    LinearityCheckError,
     NotAProjectorError,
     OrthogonalSelectionError,
     ScenarioFileError,

@@ -14,6 +14,7 @@ amplitude of the summed projector, and the two genuinely differ.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -22,6 +23,7 @@ from .errors import (
     IllegitimateQuestionError,
     ImpossiblePostselectionError,
     IncompleteMeasurementError,
+    LinearityCheckError,
     NotAProjectorError,
     OrthogonalSelectionError,
 )
@@ -190,17 +192,27 @@ def weak_value_sum(selection: PrePostSelection, ops: Sequence[Operator],
     """Sum of weak values over ``ops``, cross-checked against linearity.
 
     The member weak values are summed directly and the weak value of
-    the summed operator is computed independently; the two routes must
-    agree within ``tol``. An empty list sums to zero. The members need
-    not commute and their sum need not be a projector.
+    the summed operator is computed independently. The two routes round
+    differently, so they must agree within rounding of the magnitudes
+    involved: (dimension + members) ulps of the summed largest operator
+    entries over |<post|pre>|. ``tol`` only guards the overlap, as in
+    :func:`weak_value`. An empty list sums to zero. The members need not
+    commute and their sum need not be a projector.
+
+    Raises
+    ------
+    LinearityCheckError
+        If the two routes disagree beyond that rounding bound.
     """
     ops = list(ops)
     if not ops:
         return 0j
     total = sum(weak_value(selection, op, tol) for op in ops)
     via_sum = weak_value(selection, sum(ops[1:], start=ops[0]), tol)
-    if abs(total - via_sum) > tol:
-        raise ArithmeticError(
+    scale = sum(op.max_entry() for op in ops) / abs(selection.overlap())
+    bound = (selection.dim + len(ops)) * sys.float_info.epsilon * scale
+    if abs(total - via_sum) > bound:
+        raise LinearityCheckError(
             f"weak value linearity cross-check failed: {total!r} vs {via_sum!r}")
     return total
 

@@ -9,6 +9,10 @@ class DimensionMismatchError(TwoBoxError, ValueError):
     """Operands live on spaces of different dimension."""
 
 
+class InvalidAmplitudesError(TwoBoxError, ValueError):
+    """Numbers that do not form a state or operator: wrong shape, not finite, not normalized."""
+
+
 class UnnormalizableStateError(TwoBoxError, ValueError):
     """A zero vector cannot be scaled to a unit state."""
 
@@ -31,6 +35,10 @@ class NotAProjectorError(TwoBoxError, ValueError):
 
 class IllegitimateQuestionError(TwoBoxError, ValueError):
     """The summed operator is not a projector, so the joint question is meaningless."""
+
+
+class LinearityCheckError(TwoBoxError, ArithmeticError):
+    """Two routes to the same weak-value sum disagree by more than rounding."""
 
 
 class ScenarioNotFoundError(TwoBoxError, LookupError):

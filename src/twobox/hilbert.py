@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnnormalizableStateError
+from .errors import DimensionMismatchError, InvalidAmplitudesError, UnnormalizableStateError
 
 DEFAULT_TOLERANCE = 1e-12
 MAX_PARTICLES = 12
@@ -80,15 +80,16 @@ def _as_array(values, ndim: int, what: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True)
     if arr.ndim != ndim or len(set(arr.shape)) != 1:
         shape = "a one dimensional sequence" if ndim == 1 else "a square matrix"
-        raise ValueError(f"{what} must form {shape}")
+        raise InvalidAmplitudesError(f"{what} must form {shape}")
     dim = arr.shape[0]
     n = dim.bit_length() - 1
     if dim < 2 or 2**n != dim:
-        raise ValueError(f"{what} dimension {dim} is not a power of two >= 2")
+        raise InvalidAmplitudesError(f"{what} dimension {dim} is not a power of two >= 2")
     if n > MAX_PARTICLES:
-        raise ValueError(f"{n} particles exceeds the supported maximum of {MAX_PARTICLES}")
+        raise InvalidAmplitudesError(
+            f"{n} particles exceeds the supported maximum of {MAX_PARTICLES}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite")
+        raise InvalidAmplitudesError(f"{what} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -162,7 +163,8 @@ class Ket(_Vector):
         super().__init__(amplitudes, labels)
         norm_sq = float(np.vdot(self._amplitudes, self._amplitudes).real)
         if abs(norm_sq - 1.0) > DEFAULT_TOLERANCE:
-            raise ValueError(f"state vector is not normalized (squared norm {norm_sq!r})")
+            raise InvalidAmplitudesError(
+                f"state vector is not normalized (squared norm {norm_sq!r})")
 
     @classmethod
     def normalized(cls, amplitudes, labels: LabelScheme = BOX_LABELS) -> "Ket":

@@ -147,7 +147,7 @@ def build_projector(spec: ProjectorSpec) -> Operator:
 
 
 def _format_number(x: float) -> str:
-    return str(int(x)) if x == int(x) else format(x, ".6g")
+    return str(int(x)) if x.is_integer() else format(x, ".6g")
 
 
 def _format_coefficient(z: complex) -> str:

@@ -1,9 +1,17 @@
 """JSON input and output: scenario files in, report documents out.
 
-Scenario files are validated against a JSON schema before anything is
+Scenario files are checked against ``SCENARIO_SCHEMA`` before anything is
 built, so malformed input fails with a schema path instead of a stack
-trace. Complex numbers travel as [re, im] pairs at full double
-precision, which makes rendered reports parse back into equal values.
+trace. The schema is the one description of the file format; a small
+interpreter in this module checks documents against it and stops at the
+first violation. It implements only the keywords the schema uses: type,
+enum, const, required, properties, additionalProperties (false only),
+items, prefixItems, minItems, minLength, minimum, maximum, oneOf and $ref
+into the root $defs; importing the module fails if the schema uses any
+other. "integer" means a JSON integer: an int that is not a bool, so
+``3.0`` is refused where an integer belongs. Complex numbers travel as
+[re, im] pairs at full double precision, which makes rendered reports
+parse back into equal values.
 """
 
 from __future__ import annotations
@@ -11,9 +19,6 @@ from __future__ import annotations
 import json
 import math
 from typing import Any
-
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .errors import ScenarioFileError
 from .hilbert import MAX_PARTICLES, Ket, abs2
@@ -248,7 +253,170 @@ SCENARIO_SCHEMA = {
     },
 }
 
-_VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
+
+# schema checking ------------------------------------------------------------------
+
+class _Violation(Exception):
+    """Where a document first breaks the schema; ``path`` runs innermost part first."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path: list = []
+
+
+_KEYWORDS = frozenset({"type", "enum", "const", "required", "properties",
+                       "additionalProperties", "items", "prefixItems", "minItems",
+                       "minLength", "minimum", "maximum", "oneOf", "$ref",
+                       "$schema", "$defs"})
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "number": (int, float)}
+_DEFS = {f"#/$defs/{name}": sub for name, sub in SCENARIO_SCHEMA["$defs"].items()}
+# keys whose const or enum tells the branches of a oneOf apart
+_TAGS = ("kind", "type")
+
+
+def _is_type(value, name: str) -> bool:
+    return isinstance(value, _TYPES[name]) and not isinstance(value, bool)
+
+
+def _check(value, schema: dict) -> None:
+    """Raise _Violation at the first keyword of ``schema`` that ``value`` breaks.
+
+    As in JSON Schema, a keyword about objects, arrays, strings or
+    numbers says nothing about a value of another type.
+    """
+    for keyword, arg in schema.items():
+        if keyword == "$ref":
+            _check(value, _DEFS[arg])
+        elif keyword == "oneOf":
+            _one_of(value, arg)
+        elif keyword == "type":
+            if not _is_type(value, arg):
+                raise _Violation(f"{value!r} is not of type {arg!r}")
+        elif keyword == "enum":
+            if value not in arg:
+                raise _Violation(f"{value!r} is not one of {arg!r}")
+        elif keyword == "const":
+            if value != arg:
+                raise _Violation(f"{arg!r} was expected")
+        elif isinstance(value, dict):
+            if keyword == "required":
+                for name in arg:
+                    if name not in value:
+                        raise _Violation(f"{name!r} is a required property")
+            elif keyword == "properties":
+                for key, item in value.items():
+                    if key in arg:
+                        _descend(item, arg[key], key)
+            elif keyword == "additionalProperties":
+                extra = [key for key in value if key not in schema.get("properties", ())]
+                if extra:
+                    raise _Violation("Additional properties are not allowed "
+                                     f"({', '.join(map(repr, extra))} unexpected)")
+        elif isinstance(value, list):
+            if keyword == "prefixItems":
+                for index, (item, sub) in enumerate(zip(value, arg)):
+                    _descend(item, sub, index)
+            elif keyword == "items":
+                start = len(schema.get("prefixItems", ()))
+                if arg is False and len(value) > start:
+                    raise _Violation(f"Expected at most {start} items but found {len(value)}")
+                for index in range(start, len(value) if arg is not False else 0):
+                    _descend(value[index], arg, index)
+            elif keyword == "minItems" and len(value) < arg:
+                raise _Violation(f"{value!r} is too short (minItems {arg})")
+        elif isinstance(value, str):
+            if keyword == "minLength" and len(value) < arg:
+                raise _Violation(f"{value!r} is too short (minLength {arg})")
+        elif _is_type(value, "number"):
+            if keyword == "minimum" and value < arg:
+                raise _Violation(f"{value!r} is less than the minimum of {arg!r}")
+            if keyword == "maximum" and value > arg:
+                raise _Violation(f"{value!r} is greater than the maximum of {arg!r}")
+
+
+def _descend(value, schema: dict, part) -> None:
+    try:
+        _check(value, schema)
+    except _Violation as violation:
+        violation.path.append(part)
+        raise
+
+
+def _may_match(value, branch: dict) -> bool:
+    """False when the branch's type, or its const/enum on a tag key, already rules it out."""
+    if "type" in branch and not _is_type(value, branch["type"]):
+        return False
+    if "$ref" in branch and not _may_match(value, _DEFS[branch["$ref"]]):
+        return False
+    if isinstance(value, dict):
+        props = branch.get("properties", {})
+        for tag in _TAGS:
+            rule = props.get(tag, {})
+            if tag in value and ("enum" in rule or "const" in rule):
+                if value[tag] not in rule.get("enum", (rule.get("const"),)):
+                    return False
+    return True
+
+
+def _one_of(value, branches) -> None:
+    failures = []
+    matched = 0
+    for branch in branches:
+        if not _may_match(value, branch):
+            continue
+        try:
+            _check(value, branch)
+            matched += 1
+        except _Violation as violation:
+            failures.append(violation)
+    if matched == 1:
+        return
+    if matched > 1:
+        raise _Violation(f"{value!r} is valid under more than one of the given schemas")
+    if failures:
+        # the branch that got furthest into the document names the offending part
+        raise max(failures, key=lambda violation: len(violation.path))
+    raise _Violation(f"{value!r} is not valid under any of the given schemas")
+
+
+def _unsupported(schema, where: str = "#"):
+    """Yield a description of every part of ``schema`` the interpreter would misread."""
+    for keyword, arg in schema.items():
+        at = f"{where}/{keyword}"
+        if keyword not in _KEYWORDS:
+            yield f"{at}: unknown keyword"
+        elif keyword == "type" and arg not in _TYPES:
+            yield f"{at}: unknown type {arg!r}"
+        elif keyword in ("enum", "const") and not all(
+                isinstance(v, str) for v in (arg if keyword == "enum" else [arg])):
+            yield f"{at}: only strings are compared"
+        elif keyword == "additionalProperties" and arg is not False:
+            yield f"{at}: only false is implemented"
+        elif keyword == "$ref" and arg not in _DEFS:
+            yield f"{at}: {arg!r} names no root $defs entry"
+        elif keyword in ("properties", "$defs"):
+            for name, sub in arg.items():
+                yield from _unsupported(sub, f"{at}/{name}")
+        elif keyword in ("prefixItems", "oneOf"):
+            for index, sub in enumerate(arg):
+                yield from _unsupported(sub, f"{at}/{index}")
+        elif keyword == "items" and arg is not False:
+            yield from _unsupported(arg, at)
+
+
+if _problems := list(_unsupported(SCENARIO_SCHEMA)):
+    raise TypeError("SCENARIO_SCHEMA uses what its validator does not implement: "
+                    + "; ".join(_problems))
+
+
+def _validate(doc) -> None:
+    """Raise ScenarioFileError at the first place ``doc`` breaks SCENARIO_SCHEMA."""
+    try:
+        _check(doc, SCENARIO_SCHEMA)
+    except _Violation as violation:
+        path = _format_path(reversed(violation.path))
+        raise ScenarioFileError(f"{path}: {violation}") from None
 
 
 def _format_path(path) -> str:
@@ -345,9 +513,7 @@ def parse_scenario_document(doc) -> Scenario:
     structural problems and with a query index on semantic ones, such
     as particle indices outside 1..particles.
     """
-    error = best_match(_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        raise ScenarioFileError(f"{_format_path(error.absolute_path)}: {error.message}")
+    _validate(doc)
     particles = doc["particles"]
     queries = []
     for i, qdoc in enumerate(doc["queries"]):

@@ -1,8 +1,10 @@
 """The command line front end, exercised in process through main()."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +132,26 @@ def test_run_file_with_failing_query_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(path))
     assert code == 2
     assert "error: orthogonal pre/postselection" in out
+
+
+def test_run_weak_value_sum_at_a_tiny_tolerance(capsys, tmp_path):
+    # the linearity cross-check misses by an ulp here; it must not fail at --tolerance 1e-20
+    doc = {
+        "name": "wv",
+        "particles": 3,
+        "pre": [{"cL": [0.6, 0.1], "cR": [0.3, -0.735]}, "+", "+i"],
+        "post": [{"cL": [0.2, 0.7], "cR": [-0.5, 0.469]}, "-i", "+"],
+        "queries": [{"type": "weak_value_sum",
+                     "projectors": [{"kind": "pair_same", "pair": [1, 2]},
+                                    {"kind": "pair_diff", "pair": [2, 3]},
+                                    {"kind": "box", "particle": 3, "box": "L"},
+                                    {"kind": "all_same"}]}],
+    }
+    path = tmp_path / "wv.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(path), "--tolerance", "1e-20")
+    assert (code, err) == (0, "")
+    assert "weak_value_sum = 4.52006 + 0.314665i" in out
 
 
 def test_run_error_paths(capsys, tmp_path):
@@ -274,3 +296,15 @@ def test_module_entry_point():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
     assert "pigeonhole3" in result.stdout
+
+
+def test_no_command_imports_jsonschema():
+    # scenario files are checked by the package's own validator
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import sys, twobox, twobox.cli; print('jsonschema' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

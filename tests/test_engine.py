@@ -11,12 +11,14 @@ from twobox import (
     ImpossiblePostselectionError,
     IncompleteMeasurementError,
     Ket,
+    LinearityCheckError,
     MeasurementSet,
     NotAProjectorError,
     Operator,
     OrthogonalSelectionError,
     PrePostSelection,
     ProjectorSpec,
+    TwoBoxError,
     abl_amplitude,
     abl_probabilities,
     basis_state,
@@ -175,6 +177,31 @@ def test_weak_value_sum_matches_member_sum():
         total = weak_value_sum(sel, ops)
         by_hand = sum(weak_value(sel, op) for op in ops)
         assert abs(total - by_hand) <= TOL
+
+
+def test_weak_value_sum_cross_check_scales_with_the_magnitudes(monkeypatch):
+    # the two routes differ in the last bit here; a 1e-20 tolerance must not turn
+    # that rounding into a failure, since tol only guards the overlap
+    pre = tensor([make_single_particle_state((0.6 + 0.1j, 0.3 - 0.735j)),
+                  make_single_particle_state("+"), make_single_particle_state("+i")])
+    post = tensor([make_single_particle_state((0.2 + 0.7j, -0.5 + 0.469j)),
+                   make_single_particle_state("-i"), make_single_particle_state("+")])
+    sel = PrePostSelection(pre, post)
+    ops = [build_projector(ProjectorSpec.pair_same(1, 2, 3)),
+           build_projector(ProjectorSpec.pair_diff(2, 3, 3)),
+           build_projector(ProjectorSpec.box_occupation(3, "L", 3)),
+           build_projector(ProjectorSpec.all_same(3))]
+    members = [weak_value(sel, op) for op in ops]
+    assert sum(members) != weak_value(sel, sum(ops[1:], start=ops[0]))
+    assert weak_value_sum(sel, ops, tol=1e-20) == sum(members)
+
+    # a real disagreement between the routes is a library error, not a bare ArithmeticError
+    import twobox.engine as engine
+    monkeypatch.setattr(engine, "weak_value",
+                        lambda selection, op, tol=TOL: weak_value(selection, op, tol) + 1e-9)
+    with pytest.raises(LinearityCheckError, match="linearity cross-check failed") as info:
+        weak_value_sum(sel, ops)
+    assert isinstance(info.value, TwoBoxError)
 
 
 def test_numerator_identity_on_random_selections():

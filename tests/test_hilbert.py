@@ -10,6 +10,7 @@ from twobox import (
     BOX_LABELS,
     DEFAULT_TOLERANCE,
     DimensionMismatchError,
+    InvalidAmplitudesError,
     Ket,
     Operator,
     SPIN_LABELS,
@@ -61,7 +62,7 @@ def test_zero_pair_is_rejected():
 
 
 def test_ket_requires_unit_norm():
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(InvalidAmplitudesError, match="not normalized"):
         Ket([1.0, 1.0])
     ket = Ket.normalized([1.0, 1.0])
     assert abs(ket.amplitudes[0] - S) <= TOL
@@ -73,11 +74,11 @@ def test_normalize_rejects_the_zero_vector():
 
 
 def test_amplitude_validation():
-    with pytest.raises(ValueError, match="power of two"):
+    with pytest.raises(InvalidAmplitudesError, match="power of two"):
         Ket([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(InvalidAmplitudesError, match="finite"):
         Ket([np.nan, 0.0])
-    with pytest.raises(ValueError, match="one dimensional"):
+    with pytest.raises(InvalidAmplitudesError, match="one dimensional"):
         Ket([[1.0, 0.0]])
 
 

@@ -1,12 +1,18 @@
 """Scenario files in, report documents out."""
 
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 import oracle
 from twobox import (
+    MAX_PARTICLES,
+    SCENARIO_SCHEMA,
     ProjectorSpec,
     ScenarioFileError,
     document_to_report,
@@ -17,6 +23,7 @@ from twobox import (
     report_to_document,
     run_scenario,
 )
+from twobox.scenario_io import _unsupported, _validate
 
 TOL = 1e-12
 
@@ -58,6 +65,50 @@ def test_schema_violations_carry_a_path():
         parse_scenario_document(minimal_doc(particles=0))
     with pytest.raises(ScenarioFileError, match=r"\$\.pre\[0\]"):
         parse_scenario_document(minimal_doc(pre=["sideways", "+", "+"]))
+    # a JSON integer is an int that is not a bool; 3.0 fails where it stands
+    with pytest.raises(ScenarioFileError, match=r"^\$\.particles: 3\.0 is not of type 'integer'"):
+        parse_scenario_document(minimal_doc(particles=3.0))
+    with pytest.raises(ScenarioFileError, match=r"^\$\.particles: True is not of type"):
+        parse_scenario_document(minimal_doc(particles=True))
+    pair = [{"type": "abl_amplitude", "projector": {"kind": "pair_same", "pair": [1.0, 2]}}]
+    with pytest.raises(ScenarioFileError,
+                       match=r"^\$\.queries\[0\]\.projector\.pair\[0\]: 1\.0 is not of type"):
+        parse_scenario_document(minimal_doc(queries=pair))
+    # inside a oneOf the branch chosen by kind or type names the deepest offending part
+    pair = [{"type": "abl_amplitude", "projector": {"kind": "sd", "pair": [1, "2"], "other": 3}}]
+    with pytest.raises(ScenarioFileError, match=r"^\$\.queries\[0\]\.projector\.pair\[1\]: "):
+        parse_scenario_document(minimal_doc(queries=pair))
+    long_pair = [{"type": "weak_value", "projector": [{"kind": "pair_diff", "pair": [1, 2, 3]}]}]
+    with pytest.raises(ScenarioFileError, match=r"^\$\.queries\[0\]\.projector\[0\]\.pair: "):
+        parse_scenario_document(minimal_doc(queries=long_pair))
+    with pytest.raises(ScenarioFileError, match=r"^\$\.queries\[0\]: .* not valid under any"):
+        parse_scenario_document(minimal_doc(queries=[{"type": "no_such_query"}]))
+    with pytest.raises(ScenarioFileError, match=r"^\$: Additional properties .*'extra' unexpected"):
+        parse_scenario_document(minimal_doc(extra=1))
+    with pytest.raises(ScenarioFileError, match=r"^\$\.name: '' is too short"):
+        parse_scenario_document(minimal_doc(name=""))
+    with pytest.raises(ScenarioFileError,
+                       match=rf"^\$\.particles: {MAX_PARTICLES + 1} is greater than the maximum"):
+        parse_scenario_document(minimal_doc(particles=MAX_PARTICLES + 1))
+    with pytest.raises(ScenarioFileError, match=r"^\$\.post: \[\] is too short"):
+        parse_scenario_document(minimal_doc(post=[]))
+
+
+def test_schema_uses_only_what_the_validator_implements():
+    assert list(_unsupported(SCENARIO_SCHEMA)) == []
+    problems = list(_unsupported({
+        "type": "object",
+        "properties": {"a": {"pattern": "x"}, "b": {"type": "boolean"},
+                       "c": {"enum": [1]}, "d": {"$ref": "#/$defs/absent"}},
+        "additionalProperties": {"type": "string"},
+    }))
+    assert problems == [
+        "#/properties/a/pattern: unknown keyword",
+        "#/properties/b/type: unknown type 'boolean'",
+        "#/properties/c/enum: only strings are compared",
+        "#/properties/d/$ref: '#/$defs/absent' names no root $defs entry",
+        "#/additionalProperties: only false is implemented",
+    ]
 
 
 def test_semantic_violations_name_the_query():
@@ -194,3 +245,173 @@ def test_unvalidated_semantic_errors_still_become_file_errors():
     doc = minimal_doc(pre=["+", "+"])
     with pytest.raises(ScenarioFileError, match="one state per particle"):
         parse_scenario_document(doc)
+
+
+# generated documents ----------------------------------------------------------------
+
+NAMED_STATES = ["L", "R", "+", "-", "+i", "-i", "plus", "minus", "plus_i", "minus_i"]
+COMPLEX = st.sampled_from([[1, 0], [0.5, -0.25], [0, 1.0], [-1, 2], [0.6, 0.1]])
+REFERENCE = Draft202012Validator(SCENARIO_SCHEMA)
+
+
+@st.composite
+def projectors(draw, n):
+    kinds = ["box"] + ["pair_same", "pair_diff", "all_same"] * (n >= 2) + ["sd"] * (n >= 3)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "box":
+        return {"kind": "box", "particle": draw(st.integers(1, n)),
+                "box": draw(st.sampled_from(["L", "R"]))}
+    if kind == "all_same":
+        return {"kind": "all_same"}
+    order = draw(st.permutations(range(1, n + 1)))
+    doc = {"kind": kind, "pair": list(order[:2])}
+    if kind == "sd":
+        doc["other"] = order[2]
+    return doc
+
+
+def members(n):
+    return st.one_of(projectors(n), st.lists(projectors(n), max_size=2))
+
+
+def terms(n, min_size=0):
+    term = st.fixed_dictionaries({"projector": projectors(n)}, optional={"coeff": COMPLEX})
+    return st.lists(term, min_size=min_size, max_size=2)
+
+
+def states():
+    return st.one_of(st.sampled_from(NAMED_STATES),
+                     st.fixed_dictionaries({"cL": COMPLEX, "cR": COMPLEX}))
+
+
+@st.composite
+def predicates(draw, n):
+    check = draw(st.sampled_from(["is_projector", "orthogonal", "resolution_of_identity",
+                                  "eigenstate"]))
+    opexpr = st.one_of(projectors(n), st.fixed_dictionaries({"terms": terms(n, 1)}))
+    count = {"orthogonal": 2, "resolution_of_identity": draw(st.integers(1, 3))}.get(check, 1)
+    doc = {"type": "predicate", "check": check,
+           "operators": [draw(opexpr) for _ in range(count)]}
+    if check == "eigenstate":
+        if draw(st.booleans()):
+            doc["state"] = {"product": draw(st.lists(states(), min_size=n, max_size=n))}
+        else:
+            basis = [[0, 0]] * 2**n
+            basis[draw(st.integers(0, 2**n - 1))] = [1, 0]
+            doc["state"] = {"amplitudes": basis}
+        doc["eigenvalue"] = draw(COMPLEX)
+    return doc
+
+
+@st.composite
+def scenario_documents(draw):
+    """A valid document asking each of the seven query types once, in random order."""
+    n = draw(st.integers(1, 4))
+    some = lambda: st.lists(members(n), min_size=1, max_size=3)
+    queries = [
+        {"type": "abl_amplitude", "projector": draw(members(n))},
+        {"type": "weak_value", "projector": draw(members(n))},
+        {"type": "abl_probabilities", "projectors": draw(some())},
+        {"type": "weak_value_sum", "projectors": draw(some())},
+        {"type": "detailed_vs_global", "members": draw(some())},
+        {"type": "transition_element", "hamiltonian": draw(terms(n))},
+        draw(predicates(n)),
+    ]
+    for query in queries:
+        if draw(st.booleans()):
+            query["claim"] = "a claim"
+    doc = {"name": "generated", "particles": n,
+           "pre": draw(st.lists(states(), min_size=n, max_size=n)),
+           "post": draw(st.lists(states(), min_size=n, max_size=n)),
+           "queries": draw(st.permutations(queries))}
+    optional = {"labels": st.sampled_from(["box", "spin"]), "description": st.just("d"),
+                "notes": st.lists(st.just("a note"), max_size=2)}
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    return doc
+
+
+def nodes(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from nodes(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from nodes(item, (*path, index))
+
+
+def is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the single-field mutations, each with the fields it applies to
+MUTATIONS = {
+    "type": lambda path, value: True,
+    "remove": lambda path, value: bool(path) and isinstance(path[-1], str),
+    "extra": lambda path, value: isinstance(value, dict),
+    "range": lambda path, value: is_int(value) or isinstance(value, (str, list)),
+    "long": lambda path, value: isinstance(value, list),
+    "float": lambda path, value: is_int(value),
+}
+
+
+def mutated(doc, path, kind, data):
+    """A copy of ``doc`` with the field at ``path`` mutated by ``kind``."""
+    doc = copy.deepcopy(doc)
+    if not path and kind == "type":
+        return data.draw(st.sampled_from([[], "x", 3, None]))
+    parent, key, value = None, None, doc
+    for part in path:
+        parent, key, value = value, part, value[part]
+    if kind == "remove":
+        del parent[key]
+    elif kind == "extra":
+        value["extra"] = 1
+    elif kind == "long":
+        value.append(copy.deepcopy(value[-1]) if value else 1)
+    elif kind == "range":
+        parent[key] = (value[:0] if not is_int(value)
+                       else data.draw(st.sampled_from([0, -1, MAX_PARTICLES + 1, 2**40])))
+    elif kind == "float":
+        parent[key] = float(value)
+    else:
+        parent[key] = data.draw(st.sampled_from([1.5, "x", True, None, [], {}, 7]))
+    return doc
+
+
+def at_integer_position(path):
+    return bool(path) and (path[-1] in ("particles", "particle", "other")
+                           or (len(path) >= 2 and path[-2] == "pair"))
+
+
+def accepts(doc):
+    try:
+        _validate(doc)
+    except ScenarioFileError:
+        return False
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=scenario_documents(), data=st.data())
+def test_validator_agrees_with_the_reference_implementation(doc, data):
+    assert accepts(doc) and REFERENCE.is_valid(doc)
+    kind = data.draw(st.sampled_from(sorted(MUTATIONS)))
+    path = data.draw(st.sampled_from(
+        [path for path, value in nodes(doc) if MUTATIONS[kind](path, value)]))
+    doc = mutated(doc, path, kind, data)
+    expected = REFERENCE.is_valid(doc)
+    # the reference counts 3.0 as an integer; here it is refused where an integer belongs
+    if kind == "float" and at_integer_position(path):
+        expected = False
+    assert accepts(doc) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=scenario_documents())
+def test_generated_reports_round_trip(doc):
+    report = run_scenario(parse_scenario_document(doc))
+    assert document_to_report(report_to_document(report)) == report
+    assert document_to_report(json.loads(render_report_json(report))) == report

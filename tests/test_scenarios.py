@@ -236,6 +236,27 @@ def test_failed_queries_become_error_records():
     assert report.records[1].error == "impossible postselection"
 
 
+def test_bad_explicit_states_in_code_become_error_records():
+    # files are refused at parse time; a Scenario built in code fails at run time
+    shared = HamiltonianSpec.of([(1, ProjectorSpec.pair_same(1, 2, 2))])
+    split = PredicateQuery("eigenstate", (shared,), state=ProductState(("L", "R")),
+                           eigenvalue=1)
+    for amplitudes, message in [((1, 0, 0, 1), "state vector is not normalized"),
+                                ((float("nan"), 0, 0, 1), "amplitudes must be finite")]:
+        scenario = Scenario(
+            name="explicit-in-code",
+            n_particles=2,
+            pre=("+", "+"),
+            post=("+", "+"),
+            queries=(PredicateQuery("eigenstate", (shared,),
+                                    state=ExplicitState(amplitudes), eigenvalue=1), split),
+        )
+        report = run_scenario(scenario)
+        assert report.records[0].results == ()
+        assert report.records[0].error.startswith(message)
+        assert report.records[1].error is None
+
+
 def test_custom_scenario_with_explicit_states():
     # an explicit coefficient pair behaves like its named equivalent
     scenario = Scenario(
