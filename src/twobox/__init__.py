@@ -27,6 +27,7 @@ from .errors import (
     ImpossiblePostselectionError,
     IncompleteMeasurementError,
     InvalidAmplitudesError,
+    InvalidArgumentError,
     LinearityCheckError,
     NotAProjectorError,
     OrthogonalSelectionError,

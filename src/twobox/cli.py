@@ -364,8 +364,11 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     source = args.expression
     if os.path.isfile(source):
-        with open(source, encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(source, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ExpressionError(f"cannot read expression file: {exc}") from exc
     else:
         text = source
     parsed = parse_operator_expressions(text, args.particles)

@@ -23,6 +23,7 @@ from .errors import (
     IllegitimateQuestionError,
     ImpossiblePostselectionError,
     IncompleteMeasurementError,
+    InvalidArgumentError,
     LinearityCheckError,
     NotAProjectorError,
     OrthogonalSelectionError,
@@ -70,7 +71,7 @@ class MeasurementSet:
                  labels: Sequence[str] | None = None):
         ops = tuple(projectors)
         if not ops:
-            raise ValueError("a measurement set needs at least one projector")
+            raise InvalidArgumentError("a measurement set needs at least one projector")
         dim = ops[0].dim
         for op in ops[1:]:
             if op.dim != dim:
@@ -80,7 +81,7 @@ class MeasurementSet:
         else:
             labels = tuple(str(s) for s in labels)
             if len(labels) != len(ops):
-                raise ValueError("labels and projectors must pair up one to one")
+                raise InvalidArgumentError("labels and projectors must pair up one to one")
         object.__setattr__(self, "_projectors", ops)
         object.__setattr__(self, "_labels", labels)
 
@@ -242,7 +243,7 @@ def global_probability(selection: PrePostSelection, projectors: ProjectorSet,
     """
     ops = _operators(projectors)
     if not ops:
-        raise ValueError("global probability needs at least one projector")
+        raise InvalidArgumentError("global probability needs at least one projector")
     combined = sum(ops[1:], start=ops[0])
     if not is_projector(combined, tol):
         raise IllegitimateQuestionError("not a legitimate question")

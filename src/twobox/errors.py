@@ -5,6 +5,11 @@ class TwoBoxError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+class InvalidArgumentError(TwoBoxError, ValueError):
+    """A library call got an argument it cannot use: an unknown name, an index
+    out of range, a malformed specification."""
+
+
 class DimensionMismatchError(TwoBoxError, ValueError):
     """Operands live on spaces of different dimension."""
 

@@ -7,17 +7,27 @@ bit of the basis index, with L = 0 and R = 1. An operator is stored as
 its diagonal when it is built as one (every correlation projector is) and
 as a dense matrix when it is given as one. Everything is double precision
 and immutable after construction.
+
+Arrays are checked where they enter: a caller's amplitudes or entries
+(``Ket``, ``UnnormalizedKet``, ``Operator``, ``Operator.from_diagonal``)
+are copied and checked in full, for shape, a power-of-two size, the
+``MAX_PARTICLES`` limit and finiteness. A result the library computes
+from checked values (operator arithmetic, ``apply``, a projector mask)
+keeps shape and size by construction, so it is only checked for
+finiteness, which overflow can lose, and marked read-only, not copied.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidAmplitudesError, UnnormalizableStateError
+from .errors import (DimensionMismatchError, InvalidAmplitudesError, InvalidArgumentError,
+                     UnnormalizableStateError)
 
 DEFAULT_TOLERANCE = 1e-12
 MAX_PARTICLES = 12
@@ -42,7 +52,7 @@ class LabelScheme:
 
     def basis_label(self, index: int, n_particles: int) -> str:
         if not 0 <= index < 2**n_particles:
-            raise ValueError(f"basis index {index} out of range for {n_particles} particles")
+            raise InvalidArgumentError(f"basis index {index} out of range for {n_particles} particles")
         bits = format(index, f"0{n_particles}b")
         return "".join(self.letters[int(b)] for b in bits)
 
@@ -72,7 +82,7 @@ def label_scheme(name: str) -> LabelScheme:
     try:
         return _SCHEMES[name]
     except KeyError:
-        raise ValueError(f"unknown label scheme {name!r}") from None
+        raise InvalidArgumentError(f"unknown label scheme {name!r}") from None
 
 
 def _as_array(values, ndim: int, what: str) -> np.ndarray:
@@ -94,6 +104,15 @@ def _as_array(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _computed(arr: np.ndarray, what: str) -> np.ndarray:
+    """A result computed from checked arrays, made read-only in place; only
+    finiteness can have been lost on the way."""
+    if not np.isfinite(arr).all():
+        raise InvalidAmplitudesError(f"{what} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 class _Vector:
     """Shared plumbing for the normalized and unnormalized state kinds."""
 
@@ -102,6 +121,14 @@ class _Vector:
     def __init__(self, amplitudes: Sequence[complex], labels: LabelScheme = BOX_LABELS):
         object.__setattr__(self, "_amplitudes", _as_array(amplitudes, 1, "amplitudes"))
         object.__setattr__(self, "_labels", labels)
+
+    @classmethod
+    def _of(cls, amplitudes: np.ndarray, labels: LabelScheme):
+        # a vector the library computed from checked values
+        vec = cls.__new__(cls)
+        object.__setattr__(vec, "_amplitudes", _computed(amplitudes, "amplitudes"))
+        object.__setattr__(vec, "_labels", labels)
+        return vec
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -127,7 +154,7 @@ class _Vector:
         return [self._labels.basis_label(i, n) for i in range(self.dim)]
 
     def with_labels(self, labels: LabelScheme) -> "_Vector":
-        return type(self)(self._amplitudes, labels)
+        return type(self)._of(self._amplitudes, labels)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -205,15 +232,16 @@ class Operator:
     @classmethod
     def from_diagonal(cls, diagonal, labels: LabelScheme = BOX_LABELS) -> "Operator":
         """The operator with this diagonal and zeros elsewhere, stored as the diagonal."""
-        op = cls.__new__(cls)
-        object.__setattr__(op, "_data", _as_array(diagonal, 1, "operator diagonal"))
-        object.__setattr__(op, "_labels", labels)
-        return op
+        return cls._of(_as_array(diagonal, 1, "operator diagonal"), labels)
 
     @classmethod
     def _of(cls, data: np.ndarray, labels: LabelScheme) -> "Operator":
-        # a diagonal (1-D) or dense (2-D) array, in the form it already has
-        return cls.from_diagonal(data, labels) if data.ndim == 1 else cls(data, labels)
+        # a diagonal (1-D) or dense (2-D) array the library computed, in the form it has
+        op = cls.__new__(cls)
+        what = "operator diagonal" if data.ndim == 1 else "operator entries"
+        object.__setattr__(op, "_data", _computed(data, what))
+        object.__setattr__(op, "_labels", labels)
+        return op
 
     @classmethod
     def identity(cls, n_particles: int, labels: LabelScheme = BOX_LABELS) -> "Operator":
@@ -309,14 +337,15 @@ _STATE_ALIASES = {
 
 _HALF_SQRT2 = math.sqrt(0.5)
 
-_NAMED_AMPLITUDES = {
+# shared read-only kets, checked once at import
+_NAMED_STATES = {name: Ket(amplitudes) for name, amplitudes in {
     "L": (1.0 + 0.0j, 0.0j),
     "R": (0.0j, 1.0 + 0.0j),
     "plus": (_HALF_SQRT2 + 0.0j, _HALF_SQRT2 + 0.0j),
     "minus": (_HALF_SQRT2 + 0.0j, -_HALF_SQRT2 + 0.0j),
     "plus_i": (_HALF_SQRT2 + 0.0j, _HALF_SQRT2 * 1.0j),
     "minus_i": (_HALF_SQRT2 + 0.0j, -_HALF_SQRT2 * 1.0j),
-}
+}.items()}
 
 
 def canonical_state_name(name: str) -> str:
@@ -325,7 +354,7 @@ def canonical_state_name(name: str) -> str:
         return _STATE_ALIASES[name]
     except KeyError:
         options = ", ".join(sorted(_STATE_ALIASES))
-        raise ValueError(f"unknown state name {name!r}; choose one of {options}") from None
+        raise InvalidArgumentError(f"unknown state name {name!r}; choose one of {options}") from None
 
 
 def make_single_particle_state(
@@ -343,12 +372,12 @@ def make_single_particle_state(
         as an unnormalizable state.
     """
     if isinstance(state, str):
-        cL, cR = _NAMED_AMPLITUDES[canonical_state_name(state)]
-        return Ket([cL, cR], labels)
+        ket = _NAMED_STATES[canonical_state_name(state)]
+        return ket if labels is ket.labels else ket.with_labels(labels)
     cL, cR = complex(state[0]), complex(state[1])
     norm_sq = abs2(cL) + abs2(cR)
     if not math.isfinite(norm_sq):
-        raise ValueError("coefficients must be finite")
+        raise InvalidAmplitudesError("coefficients must be finite")
     if norm_sq <= 0.0:
         raise UnnormalizableStateError("unnormalizable state")
     scale = math.sqrt(norm_sq)
@@ -363,7 +392,7 @@ def basis_state(label: str, labels: LabelScheme = BOX_LABELS) -> Ket:
         try:
             bit = labels.letters.index(letter)
         except ValueError:
-            raise ValueError(f"letter {letter!r} is not part of the {labels.name} scheme") from None
+            raise InvalidArgumentError(f"letter {letter!r} is not part of the {labels.name} scheme") from None
         index = index * 2 + bit
     amplitudes = np.zeros(2**n, dtype=np.complex128)
     amplitudes[index] = 1.0
@@ -378,14 +407,14 @@ def tensor(states: Sequence[KetLike]) -> KetLike:
     otherwise an :class:`UnnormalizedKet`.
     """
     if len(states) == 0:
-        raise ValueError("tensor needs at least one state")
+        raise InvalidArgumentError("tensor needs at least one state")
     scheme = states[0].labels
     for s in states[1:]:
         if s.labels.name != scheme.name:
-            raise ValueError("tensor factors carry mixed label schemes")
-    combined = states[0].amplitudes
-    for s in states[1:]:
-        combined = np.kron(combined, s.amplitudes)
+            raise InvalidArgumentError("tensor factors carry mixed label schemes")
+    # each entry is the one product a kron chain forms, so the result is the same
+    combined = reduce(lambda a, b: np.multiply.outer(a, b).ravel(),
+                      (s.amplitudes for s in states))
     if all(isinstance(s, Ket) for s in states):
         return Ket(combined, scheme)
     return UnnormalizedKet(combined, scheme)
@@ -398,17 +427,23 @@ def inner(bra: KetLike, ket: KetLike) -> complex:
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
-def apply(op: Operator, ket: KetLike) -> UnnormalizedKet:
-    """Apply an operator to a state. The result is deliberately unnormalized."""
+def _image(op: Operator, ket: KetLike) -> np.ndarray:
     if op.dim != ket.dim:
         raise DimensionMismatchError(f"operator dimension {op.dim} does not match state dimension {ket.dim}")
-    image = op._data @ ket.amplitudes if op._data.ndim == 2 else op._data * ket.amplitudes
-    return UnnormalizedKet(image, ket.labels)
+    return op._data @ ket.amplitudes if op._data.ndim == 2 else op._data * ket.amplitudes
+
+
+def apply(op: Operator, ket: KetLike) -> UnnormalizedKet:
+    """Apply an operator to a state. The result is deliberately unnormalized."""
+    return UnnormalizedKet._of(_image(op, ket), ket.labels)
 
 
 def matrix_element(bra: KetLike, op: Operator, ket: KetLike) -> complex:
     """The sandwiched element <bra|op|ket>."""
-    return inner(bra, apply(op, ket))
+    image = _computed(_image(op, ket), "amplitudes")
+    if bra.dim != ket.dim:
+        raise DimensionMismatchError(f"state dimensions differ: {bra.dim} vs {ket.dim}")
+    return complex(np.vdot(bra.amplitudes, image))
 
 
 def eigenstate_residual(op: Operator, ket: Ket, eigenvalue: complex) -> float:

@@ -12,6 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .hilbert import (
     BOX_LABELS,
     DEFAULT_TOLERANCE,
@@ -27,9 +28,9 @@ PROJECTOR_KINDS = ("box", "pair_same", "pair_diff", "all_same", "sd")
 
 def _check_particle(index: int, n_particles: int, what: str) -> None:
     if not isinstance(index, int) or isinstance(index, bool):
-        raise ValueError(f"{what} must be an integer, got {index!r}")
+        raise InvalidArgumentError(f"{what} must be an integer, got {index!r}")
     if not 1 <= index <= n_particles:
-        raise ValueError(f"{what} {index} out of range 1..{n_particles}")
+        raise InvalidArgumentError(f"{what} {index} out of range 1..{n_particles}")
 
 
 @dataclass(frozen=True)
@@ -54,38 +55,38 @@ class ProjectorSpec:
 
     def __post_init__(self):
         if self.kind not in PROJECTOR_KINDS:
-            raise ValueError(f"unknown projector kind {self.kind!r}")
+            raise InvalidArgumentError(f"unknown projector kind {self.kind!r}")
         if not isinstance(self.n_particles, int) or not 1 <= self.n_particles <= MAX_PARTICLES:
-            raise ValueError(f"n_particles must lie in 1..{MAX_PARTICLES}")
+            raise InvalidArgumentError(f"n_particles must lie in 1..{MAX_PARTICLES}")
         if self.kind == "box":
             _check_particle(self.particle, self.n_particles, "particle")
             if self.box not in ("L", "R"):
-                raise ValueError(f"box must be 'L' or 'R', got {self.box!r}")
+                raise InvalidArgumentError(f"box must be 'L' or 'R', got {self.box!r}")
         elif self.kind in ("pair_same", "pair_diff", "sd"):
             if self.n_particles < 2:
-                raise ValueError(f"{self.kind} needs at least two particles")
+                raise InvalidArgumentError(f"{self.kind} needs at least two particles")
             try:
                 i, j = self.pair
             except (TypeError, ValueError):
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"{self.kind} needs a pair of two particles, got {self.pair!r}") from None
             _check_particle(i, self.n_particles, "pair member")
             _check_particle(j, self.n_particles, "pair member")
             if i == j:
-                raise ValueError("pair members must be distinct")
+                raise InvalidArgumentError("pair members must be distinct")
             if i > j:
                 object.__setattr__(self, "pair", (j, i))
             else:
                 object.__setattr__(self, "pair", (i, j))
             if self.kind == "sd":
                 if self.n_particles < 3:
-                    raise ValueError("sd needs at least three particles")
+                    raise InvalidArgumentError("sd needs at least three particles")
                 _check_particle(self.other, self.n_particles, "other particle")
                 if self.other in self.pair:
-                    raise ValueError("the marked particle must differ from the pair")
+                    raise InvalidArgumentError("the marked particle must differ from the pair")
         elif self.kind == "all_same":
             if self.n_particles < 2:
-                raise ValueError("all_same needs at least two particles")
+                raise InvalidArgumentError("all_same needs at least two particles")
 
     @classmethod
     def box_occupation(cls, particle: int, box: str, n_particles: int) -> "ProjectorSpec":
@@ -143,7 +144,7 @@ def build_projector(spec: ProjectorSpec) -> Operator:
     else:  # sd
         i, j = spec.pair
         mask = (bit(i) == bit(j)) & (bit(spec.other) != bit(i))
-    return Operator.from_diagonal(mask, BOX_LABELS)
+    return Operator._of(mask.astype(np.complex128), BOX_LABELS)
 
 
 def _format_number(x: float) -> str:
@@ -177,10 +178,10 @@ class HamiltonianSpec:
             self, "terms",
             tuple((complex(c), p) for c, p in self.terms))
         if not isinstance(self.n_particles, int) or not 1 <= self.n_particles <= MAX_PARTICLES:
-            raise ValueError(f"n_particles must lie in 1..{MAX_PARTICLES}")
+            raise InvalidArgumentError(f"n_particles must lie in 1..{MAX_PARTICLES}")
         for _, p in self.terms:
             if p.n_particles != self.n_particles:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"term {p.label()} acts on {p.n_particles} particles, expected {self.n_particles}")
 
     @classmethod
@@ -189,7 +190,7 @@ class HamiltonianSpec:
         terms = tuple(terms)
         if n_particles is None:
             if not terms:
-                raise ValueError("empty term list needs an explicit n_particles")
+                raise InvalidArgumentError("empty term list needs an explicit n_particles")
             n_particles = terms[0][1].n_particles
         return cls(terms, n_particles)
 
@@ -242,7 +243,7 @@ def is_resolution_of_identity(projectors: Iterable[Operator],
     """
     ops = list(projectors)
     if not ops:
-        raise ValueError("resolution check needs at least one operator")
+        raise InvalidArgumentError("resolution check needs at least one operator")
     total = sum(ops[1:], start=ops[0])  # raises on mixed dimensions
     return (all(is_projector(op, tol) for op in ops)
             and all(are_orthogonal(a, b, tol) for i, a in enumerate(ops) for b in ops[i + 1:])

@@ -20,8 +20,8 @@ import json
 import math
 from typing import Any
 
-from .errors import ScenarioFileError
-from .hilbert import MAX_PARTICLES, Ket, abs2
+from .errors import InvalidAmplitudesError, ScenarioFileError
+from .hilbert import MAX_PARTICLES, Ket, abs2, make_single_particle_state
 from .projectors import HamiltonianSpec, ProjectorSpec
 from .scenarios import (
     AblAmplitudeQuery,
@@ -430,10 +430,15 @@ def _as_complex(pair) -> complex:
     return complex(pair[0], pair[1])
 
 
-def _parse_state(doc) -> Any:
+def _parse_state(doc, path: str) -> Any:
     if isinstance(doc, str):
         return doc
-    return (_as_complex(doc["cL"]), _as_complex(doc["cR"]))
+    pair = (_as_complex(doc["cL"]), _as_complex(doc["cR"]))
+    try:
+        make_single_particle_state(pair)
+    except InvalidAmplitudesError as exc:
+        raise ScenarioFileError(f"{path}: {exc}") from exc
+    return pair
 
 
 def _parse_projector(doc, particles: int) -> ProjectorSpec:
@@ -469,7 +474,8 @@ def _parse_opexpr(doc, particles: int) -> HamiltonianSpec:
 
 def _parse_nstate(doc, path: str):
     if "product" in doc:
-        return ProductState(tuple(_parse_state(s) for s in doc["product"]))
+        return ProductState(tuple(_parse_state(s, f"{path}.product[{k}]")
+                                  for k, s in enumerate(doc["product"])))
     amplitudes = tuple(_as_complex(a) for a in doc["amplitudes"])
     try:
         Ket(amplitudes)
@@ -528,8 +534,8 @@ def parse_scenario_document(doc) -> Scenario:
         return Scenario(
             name=doc["name"],
             n_particles=particles,
-            pre=tuple(_parse_state(s) for s in doc["pre"]),
-            post=tuple(_parse_state(s) for s in doc["post"]),
+            pre=tuple(_parse_state(s, f"$.pre[{k}]") for k, s in enumerate(doc["pre"])),
+            post=tuple(_parse_state(s, f"$.post[{k}]") for k, s in enumerate(doc["post"])),
             queries=tuple(queries),
             description=doc.get("description", ""),
             notes=tuple(doc.get("notes", ())),
@@ -544,7 +550,7 @@ def load_scenario_file(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFileError(f"cannot read scenario file: {exc}") from exc
     try:
         doc = json.loads(text)

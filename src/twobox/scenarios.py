@@ -26,7 +26,8 @@ from .engine import (
     weak_value,
     weak_value_sum,
 )
-from .errors import IllegitimateQuestionError, ScenarioNotFoundError, TwoBoxError
+from .errors import (IllegitimateQuestionError, InvalidArgumentError, ScenarioNotFoundError,
+                     TwoBoxError)
 from .hilbert import (
     DEFAULT_TOLERANCE,
     Ket,
@@ -125,18 +126,18 @@ class PredicateQuery:
 
     def __post_init__(self):
         if self.check not in PREDICATE_CHECKS:
-            raise ValueError(f"unknown predicate check {self.check!r}")
+            raise InvalidArgumentError(f"unknown predicate check {self.check!r}")
         counts = {"is_projector": 1, "orthogonal": 2, "eigenstate": 1}
         want = counts.get(self.check)
         if want is not None and len(self.operands) != want:
-            raise ValueError(f"{self.check} takes exactly {want} operand(s)")
+            raise InvalidArgumentError(f"{self.check} takes exactly {want} operand(s)")
         if self.check == "resolution_of_identity" and not self.operands:
-            raise ValueError("resolution_of_identity needs at least one operand")
+            raise InvalidArgumentError("resolution_of_identity needs at least one operand")
         if self.check == "eigenstate":
             if self.state is None or self.eigenvalue is None:
-                raise ValueError("eigenstate needs a state and an eigenvalue")
+                raise InvalidArgumentError("eigenstate needs a state and an eigenvalue")
         elif self.state is not None or self.eigenvalue is not None:
-            raise ValueError(f"{self.check} takes no state or eigenvalue")
+            raise InvalidArgumentError(f"{self.check} takes no state or eigenvalue")
 
 
 Query = Union[
@@ -175,7 +176,7 @@ def _validate_single_state_spec(spec: SingleStateSpec) -> None:
         canonical_state_name(spec)
         return
     if len(spec) != 2:
-        raise ValueError("an explicit single-particle state needs exactly two coefficients")
+        raise InvalidArgumentError("an explicit single-particle state needs exactly two coefficients")
     complex(spec[0]), complex(spec[1])
 
 
@@ -202,7 +203,7 @@ def _query_particle_counts(query: Query):
             dim = len(query.state.amplitudes)
             n = dim.bit_length() - 1
             if dim < 2 or 2**n != dim:
-                raise ValueError("explicit state length must be a power of two >= 2")
+                raise InvalidArgumentError("explicit state length must be a power of two >= 2")
             yield n
     else:
         raise TypeError(f"unknown query type {type(query).__name__}")
@@ -223,16 +224,16 @@ class Scenario:
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("a scenario needs a name")
+            raise InvalidArgumentError("a scenario needs a name")
         label_scheme(self.labels)
         if len(self.pre) != self.n_particles or len(self.post) != self.n_particles:
-            raise ValueError("pre and post must list one state per particle")
+            raise InvalidArgumentError("pre and post must list one state per particle")
         for spec in (*self.pre, *self.post):
             _validate_single_state_spec(spec)
         for query in self.queries:
             for count in _query_particle_counts(query):
                 if count != self.n_particles:
-                    raise ValueError(
+                    raise InvalidArgumentError(
                         f"query targets {count} particles but the scenario has {self.n_particles}")
 
 
@@ -331,8 +332,8 @@ def _query_meta(query: Query, scheme) -> tuple[str, str, str]:
 
 
 def _build_product(product: ProjectorProduct, n_particles: int, finish) -> Operator:
-    return finish(reduce(lambda a, b: a @ b, map(build_projector, product),
-                         Operator.identity(n_particles)))
+    ops = map(build_projector, product)
+    return finish(reduce(lambda a, b: a @ b, ops) if product else Operator.identity(n_particles))
 
 
 def _build_nstate(state: NParticleState, finish) -> Ket:

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twobox import ExpressionError, ProjectorSpec
+from twobox import ExpressionError, HamiltonianSpec, ProjectorSpec
 from twobox.cli import (
     format_complex,
     fraction_annotation,
@@ -190,6 +192,34 @@ def test_run_error_paths(capsys, tmp_path):
     assert "tolerance must be positive" in err
 
 
+@pytest.mark.parametrize("text, path", [
+    ('"pre": [{"cL": [NaN, 0], "cR": [1, 0]}, "+"], "post": ["+", "+"]', "$.pre[0]"),
+    ('"pre": ["+", "+"], "post": ["+", {"cL": [1e309, 0], "cR": [1, 0]}]', "$.post[1]"),
+    ('"pre": ["+", "+"], "post": ["+", "+"], "queries": [{"type": "predicate", '
+     '"check": "eigenstate", "operators": [{"kind": "all_same"}], "eigenvalue": [1, 0], '
+     '"state": {"product": ["+", {"cL": [1e308, 0], "cR": [1e308, 0]}]}}]',
+     "$.queries[0].state.product[1]"),
+])
+def test_run_refuses_non_finite_coefficients(capsys, tmp_path, text, path):
+    if '"queries"' not in text:
+        text += ', "queries": []'
+    doc = tmp_path / "nonfinite.json"
+    doc.write_text('{"name": "x", "particles": 2, ' + text + "}")
+    code, out, err = run_cli(capsys, "run", str(doc))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: coefficients must be finite\n"
+
+
+@pytest.mark.parametrize("command, name", [("run", "bad.json"), ("check", "bad.txt")])
+def test_undecodable_files_exit_one(capsys, tmp_path, command, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read ") and "can't decode byte 0xff" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "tiny"])
 @pytest.mark.parametrize("command", [["run", "pigeonhole3"], ["check", "all_same"]])
 def test_tolerance_must_be_finite_and_positive(capsys, command, value):
@@ -289,6 +319,36 @@ def test_expression_parser_rejections():
         parse_operator_expression("pair_same(1,", 3)
     with pytest.raises(ExpressionError, match="line 2"):
         parse_operator_expressions("all_same\npair_same(9,9)", 3)
+
+
+# what label() prints: at most 6 significant digits per part
+six_digits = st.builds(lambda m, e: float(f"{m}e{e}"),
+                       st.integers(-999999, 999999), st.integers(-12, 12))
+coefficients = st.one_of(st.just(1 + 0j), six_digits.map(complex),
+                         six_digits.map(lambda y: complex(0, y)),
+                         st.builds(complex, six_digits, six_digits))
+
+
+def projector_specs(n):
+    """Every kind of ProjectorSpec on n >= 2 particles."""
+    distinct = lambda k: st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    kinds = [st.just(ProjectorSpec.all_same(n)),
+             st.builds(ProjectorSpec.box_occupation, st.integers(1, n),
+                       st.sampled_from("LR"), st.just(n)),
+             distinct(2).map(lambda p: ProjectorSpec.pair_same(*p, n)),
+             distinct(2).map(lambda p: ProjectorSpec.pair_diff(*p, n))]
+    if n >= 3:
+        kinds.append(distinct(3).map(lambda t: ProjectorSpec.sd(*t, n)))
+    return st.one_of(kinds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6))
+def test_labels_parse_back_to_the_same_spec(data, n):
+    terms = data.draw(st.lists(st.tuples(coefficients, projector_specs(n)),
+                               min_size=1, max_size=4))
+    spec = HamiltonianSpec(tuple(terms), n)
+    assert parse_operator_expression(spec.label(), n) == spec
 
 
 def test_module_entry_point():

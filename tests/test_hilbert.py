@@ -1,9 +1,12 @@
 """States, operators, and the elementary bracket operations."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from twobox import (
@@ -27,6 +30,7 @@ from twobox import (
     matrix_element,
     tensor,
 )
+from twobox.hilbert import _NAMED_STATES
 
 TOL = 1e-12
 S = 1 / math.sqrt(2)
@@ -256,3 +260,70 @@ def test_repr_is_compact():
 
 def test_default_tolerance_value():
     assert DEFAULT_TOLERANCE == 1e-12
+
+
+def test_non_finite_coefficients_are_invalid_amplitudes():
+    for pair in [(float("nan"), 0), (float("inf"), 1), (1e308, 1e308)]:
+        with pytest.raises(InvalidAmplitudesError, match="coefficients must be finite"):
+            make_single_particle_state(pair)
+
+
+amplitude = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def factors(draw):
+    """Kets and unnormalized kets of 1-3 particles each, at most 8 particles in all."""
+    out, left = [], draw(st.integers(min_value=1, max_value=8))
+    while left:
+        n = draw(st.integers(min_value=1, max_value=min(3, left)))
+        left -= n
+        amps = draw(st.lists(amplitude, min_size=2**n, max_size=2**n)
+                    .filter(lambda a: sum(map(abs2, a)) > 1e-3))
+        out.append(Ket.normalized(amps) if draw(st.booleans()) else UnnormalizedKet(amps))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(factors())
+def test_tensor_is_the_kron_chain_bit_for_bit(states):
+    product = tensor(states)
+    assert np.array_equal(product.amplitudes,
+                          reduce(np.kron, (s.amplitudes for s in states)))
+    assert isinstance(product, Ket) == all(isinstance(s, Ket) for s in states)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_results_are_still_refused():
+    huge = Operator.from_diagonal([1e308, 1e308])
+    with pytest.raises(InvalidAmplitudesError, match="operator diagonal must be finite"):
+        huge + huge
+    with pytest.raises(InvalidAmplitudesError, match="operator diagonal must be finite"):
+        huge * 1e10
+    dense = Operator(huge.entries)
+    with pytest.raises(InvalidAmplitudesError, match="operator entries must be finite"):
+        dense - (-1) * dense
+    for op in (huge, dense):
+        with pytest.raises(InvalidAmplitudesError, match="^amplitudes must be finite$"):
+            matrix_element(basis_state("L"), op, UnnormalizedKet([10.0, 0.0]))
+        with pytest.raises(InvalidAmplitudesError, match="^amplitudes must be finite$"):
+            apply(op, UnnormalizedKet([10.0, 0.0]))
+    with pytest.raises(DimensionMismatchError, match="state dimensions differ"):
+        matrix_element(basis_state("LL"), huge, basis_state("L"))
+
+
+def test_computed_values_are_read_only():
+    diag = Operator.from_diagonal([1.0, 2j, 0.0, -1.0])
+    dense = Operator(np.arange(16).reshape(4, 4))
+    results = [diag.dagger(), diag.with_labels(SPIN_LABELS), -dense, dense.dagger()]
+    for a, b in [(diag, diag), (diag, dense), (dense, dense)]:
+        results += [a + b, a - b, a @ b, 2 * a, a * 1j]
+    for op in results:
+        assert not op._data.flags.writeable
+    ket = UnnormalizedKet([1.0, 1.0, 1j, 2.0])
+    images = [apply(diag, ket), apply(dense, ket), ket.with_labels(SPIN_LABELS),
+              *(make_single_particle_state(name) for name in _NAMED_STATES)]
+    for vec in images:
+        with pytest.raises(ValueError):
+            vec.amplitudes[0] = 0.0
+    assert make_single_particle_state("+") is make_single_particle_state("plus")

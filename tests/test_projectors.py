@@ -57,6 +57,12 @@ def test_diagonals_match_the_oracle_exactly():
             assert np.array_equal(op.entries, expected), spec.label()
 
 
+def test_projectors_are_read_only():
+    for spec in sample_specs(3):
+        data = build_projector(spec)._data
+        assert data.dtype == np.complex128 and not data.flags.writeable, spec.label()
+
+
 def test_every_kind_is_a_projector():
     for spec in sample_specs(3):
         op = build_projector(spec)

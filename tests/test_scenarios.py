@@ -19,6 +19,7 @@ from twobox import (
     Scenario,
     ScenarioNotFoundError,
     TransitionElementQuery,
+    TwoBoxError,
     WeakValueQuery,
     WeakValueSumQuery,
     builtin_scenarios,
@@ -197,6 +198,20 @@ def test_scenario_validation():
         Scenario("", 1, ("+",), ("+",), ())
     with pytest.raises(ValueError, match="unknown state name"):
         Scenario("x", 1, ("up",), ("+",), ())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ProjectorSpec.pair_same(1, 5, 3), "pair member 5 out of range 1..3"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), (), labels="polar"), "unknown label scheme"),
+    (lambda: Scenario("x", 2, ("+", "+"), ("+", "+"), (PredicateQuery(
+        "eigenstate", (HamiltonianSpec.of([(1, ProjectorSpec.all_same(2))]),),
+        state=ExplicitState((1, 0, 0)), eigenvalue=1),)),
+     "explicit state length must be a power of two"),
+])
+def test_bad_library_arguments_are_twobox_errors(build, message):
+    with pytest.raises(TwoBoxError, match=message) as caught:
+        build()
+    assert isinstance(caught.value, ValueError)
 
 
 def test_predicate_query_validation():
