@@ -16,6 +16,7 @@ import sys
 from .errors import ExpressionError, ScenarioFileError, TwoBoxError
 from .hilbert import DEFAULT_TOLERANCE
 from .projectors import (
+    PROJECTOR_KINDS,
     HamiltonianSpec,
     ProjectorSpec,
     are_orthogonal,
@@ -117,8 +118,6 @@ _TOKEN_RE = re.compile(r"""
   | (?P<space>\s+)
 """, re.VERBOSE)
 
-_ATOM_NAMES = ("box", "pair_same", "pair_diff", "all_same", "sd")
-
 
 class _Tokens:
     """Token stream over a single operator expression with column tracking."""
@@ -199,8 +198,8 @@ def _parse_signed_scalar(tokens: _Tokens) -> complex:
 
 def _parse_atom(tokens: _Tokens, particles: int) -> ProjectorSpec:
     kind, text, pos = tokens.next("name")
-    if text not in _ATOM_NAMES:
-        options = ", ".join(_ATOM_NAMES)
+    if text not in PROJECTOR_KINDS:
+        options = ", ".join(PROJECTOR_KINDS)
         raise ExpressionError(f"column {pos}: unknown operator {text!r}; choose from {options}")
     try:
         if text == "all_same":
@@ -246,10 +245,10 @@ def parse_operator_expression(text: str, particles: int) -> HamiltonianSpec:
         item = tokens.peek()
         if item is None:
             raise ExpressionError(f"column {len(text) + 1}: expected an operator term")
-        if item[0] == "name" and item[1] in _ATOM_NAMES:
+        if item[0] == "name" and item[1] in PROJECTOR_KINDS:
             coeff = complex(sign)
         elif item[0] == "name" and item[1] != "i":
-            options = ", ".join(_ATOM_NAMES)
+            options = ", ".join(PROJECTOR_KINDS)
             raise ExpressionError(
                 f"column {item[2]}: unknown operator {item[1]!r}; choose from {options}")
         else:

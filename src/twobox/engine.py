@@ -34,7 +34,10 @@ from .projectors import is_projector, is_resolution_of_identity
 
 def vanishes(value: complex, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether a reported number counts as zero at the given tolerance."""
-    return abs(value) <= tol
+    try:
+        return abs(value) <= tol
+    except OverflowError:  # finite parts whose magnitude exceeds the float range
+        return False
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,10 @@ def _as_array(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+# for arithmetic whose result _computed checks: numpy need not warn of overflow too
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
 def _computed(arr: np.ndarray, what: str) -> np.ndarray:
     """A result computed from checked arrays, made read-only in place; only
     finiteness can have been lost on the way."""
@@ -292,12 +296,14 @@ class Operator:
             return self._data, other._data
         return self.entries, other.entries
 
+    @_quiet
     def __add__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
         a, b = self._operands(other)
         return Operator._of(a + b, self._labels)
 
+    @_quiet
     def __sub__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
@@ -307,6 +313,7 @@ class Operator:
     def __neg__(self) -> "Operator":
         return Operator._of(-self._data, self._labels)
 
+    @_quiet
     def __mul__(self, scalar) -> "Operator":
         if not isinstance(scalar, (int, float, complex, np.number)):
             return NotImplemented
@@ -314,6 +321,7 @@ class Operator:
 
     __rmul__ = __mul__
 
+    @_quiet
     def __matmul__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
@@ -427,6 +435,7 @@ def inner(bra: KetLike, ket: KetLike) -> complex:
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
+@_quiet
 def _image(op: Operator, ket: KetLike) -> np.ndarray:
     if op.dim != ket.dim:
         raise DimensionMismatchError(f"operator dimension {op.dim} does not match state dimension {ket.dim}")

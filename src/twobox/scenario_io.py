@@ -18,25 +18,19 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, get_args
 
-from .errors import InvalidAmplitudesError, ScenarioFileError
+from .errors import InvalidAmplitudesError, ScenarioFileError, UnnormalizableStateError
 from .hilbert import MAX_PARTICLES, Ket, abs2, make_single_particle_state
 from .projectors import HamiltonianSpec, ProjectorSpec
 from .scenarios import (
-    AblAmplitudeQuery,
-    AblProbabilitiesQuery,
-    DetailedVsGlobalQuery,
     ExplicitState,
-    PredicateQuery,
     ProductState,
+    Query,
     QueryRecord,
     ResultValue,
     Scenario,
     ScenarioReport,
-    TransitionElementQuery,
-    WeakValueQuery,
-    WeakValueSumQuery,
 )
 
 _COMPLEX_PAIR = {
@@ -427,31 +421,26 @@ def _format_path(path) -> str:
 
 
 def _as_complex(pair) -> complex:
-    return complex(pair[0], pair[1])
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError:  # a JSON integer beyond the float range
+        raise InvalidAmplitudesError("coefficients must lie within the float range") from None
 
 
 def _parse_state(doc, path: str) -> Any:
     if isinstance(doc, str):
         return doc
-    pair = (_as_complex(doc["cL"]), _as_complex(doc["cR"]))
     try:
+        pair = (_as_complex(doc["cL"]), _as_complex(doc["cR"]))
         make_single_particle_state(pair)
-    except InvalidAmplitudesError as exc:
+    except (InvalidAmplitudesError, UnnormalizableStateError) as exc:
         raise ScenarioFileError(f"{path}: {exc}") from exc
     return pair
 
 
 def _parse_projector(doc, particles: int) -> ProjectorSpec:
-    kind = doc["kind"]
-    if kind == "box":
-        return ProjectorSpec.box_occupation(doc["particle"], doc["box"], particles)
-    if kind == "pair_same":
-        return ProjectorSpec.pair_same(doc["pair"][0], doc["pair"][1], particles)
-    if kind == "pair_diff":
-        return ProjectorSpec.pair_diff(doc["pair"][0], doc["pair"][1], particles)
-    if kind == "sd":
-        return ProjectorSpec.sd(doc["pair"][0], doc["pair"][1], doc["other"], particles)
-    return ProjectorSpec.all_same(particles)
+    return ProjectorSpec(doc["kind"], particles, particle=doc.get("particle"), box=doc.get("box"),
+                         pair=doc.get("pair"), other=doc.get("other"))
 
 
 def _parse_member(doc, particles: int) -> tuple[ProjectorSpec, ...]:
@@ -476,40 +465,35 @@ def _parse_nstate(doc, path: str):
     if "product" in doc:
         return ProductState(tuple(_parse_state(s, f"{path}.product[{k}]")
                                   for k, s in enumerate(doc["product"])))
-    amplitudes = tuple(_as_complex(a) for a in doc["amplitudes"])
     try:
+        amplitudes = tuple(_as_complex(a) for a in doc["amplitudes"])
         Ket(amplitudes)
     except ValueError as exc:
         raise ScenarioFileError(f"{path}: {exc}") from exc
     return ExplicitState(amplitudes)
 
 
+_QUERY_TYPES = {cls.tag: cls for cls in get_args(Query)}
+
+# each key a query document may hold, in the order the keys are read: the
+# query field it fills and its reader (value, particle count, query's $-path)
+_QUERY_FIELDS = {
+    "projector": ("projector", lambda doc, n, path: _parse_member(doc, n)),
+    "projectors": ("projectors", lambda docs, n, path: tuple(_parse_member(d, n) for d in docs)),
+    "members": ("members", lambda docs, n, path: tuple(_parse_member(d, n) for d in docs)),
+    "hamiltonian": ("hamiltonian", lambda docs, n, path: _parse_terms(docs, n)),
+    "check": ("check", lambda doc, n, path: doc),
+    "operators": ("operands", lambda docs, n, path: tuple(_parse_opexpr(d, n) for d in docs)),
+    "state": ("state", lambda doc, n, path: _parse_nstate(doc, f"{path}.state")),
+    "eigenvalue": ("eigenvalue", lambda doc, n, path: _as_complex(doc)),
+    "claim": ("claim", lambda doc, n, path: doc),
+}
+
+
 def _parse_query(doc, particles: int, path: str):
-    qtype = doc["type"]
-    claim = doc.get("claim")
-    if qtype == "abl_amplitude":
-        return AblAmplitudeQuery(_parse_member(doc["projector"], particles), claim)
-    if qtype == "weak_value":
-        return WeakValueQuery(_parse_member(doc["projector"], particles), claim)
-    if qtype == "abl_probabilities":
-        return AblProbabilitiesQuery(
-            tuple(_parse_member(m, particles) for m in doc["projectors"]), claim)
-    if qtype == "weak_value_sum":
-        return WeakValueSumQuery(
-            tuple(_parse_member(m, particles) for m in doc["projectors"]), claim)
-    if qtype == "detailed_vs_global":
-        return DetailedVsGlobalQuery(
-            tuple(_parse_member(m, particles) for m in doc["members"]), claim)
-    if qtype == "transition_element":
-        return TransitionElementQuery(_parse_terms(doc["hamiltonian"], particles), claim)
-    eigenvalue = doc.get("eigenvalue")
-    return PredicateQuery(
-        check=doc["check"],
-        operands=tuple(_parse_opexpr(o, particles) for o in doc["operators"]),
-        state=_parse_nstate(doc["state"], f"{path}.state") if "state" in doc else None,
-        eigenvalue=_as_complex(eigenvalue) if eigenvalue is not None else None,
-        claim=claim,
-    )
+    fields = {name: read(doc[key], particles, path)
+              for key, (name, read) in _QUERY_FIELDS.items() if key in doc}
+    return _QUERY_TYPES[doc["type"]](**fields)
 
 
 def parse_scenario_document(doc) -> Scenario:

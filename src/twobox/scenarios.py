@@ -5,6 +5,14 @@ postselection, a label scheme, and an ordered list of queries. Running
 one produces an immutable report in which every amplitude carries a
 vanishing verdict, every record echoes its query, and failed queries
 carry the error text instead of silently disappearing.
+
+Each query type is one frozen dataclass holding all it means: class
+attributes ``tag`` (its file ``type``) and ``kind``, ``particle_counts()``,
+``target(scheme)`` for its record, and ``results(selection, tol)``, which
+yields ``(name, value)`` pairs. A new query type is such a class in
+``Query`` plus a branch of the scenario schema. If ``results`` raises a
+TwoBoxError, the record carries its message: an IllegitimateQuestionError
+keeps the results yielded before it, any other error discards them.
 """
 
 from __future__ import annotations
@@ -49,7 +57,6 @@ from .projectors import (
     is_projector,
     are_orthogonal,
     is_resolution_of_identity,
-    relabel_to_spin,
 )
 
 SingleStateSpec = Union[str, tuple[complex, complex]]
@@ -75,40 +82,112 @@ class ExplicitState:
 NParticleState = Union[ProductState, ExplicitState]
 
 
+# the query classes below these two bases add no fields, so they keep the
+# generated __init__, __repr__ and __eq__, which name the subclass
 @dataclass(frozen=True)
-class AblAmplitudeQuery:
+class _OneProduct:
     projector: ProjectorProduct
     claim: str | None = None
+    kind = "presence"
+
+    def particle_counts(self):
+        return (spec.n_particles for spec in self.projector)
+
+    def target(self, scheme) -> str:
+        return _product_label(self.projector)
+
+
+class AblAmplitudeQuery(_OneProduct):
+    tag = "abl_amplitude"
+
+    def results(self, selection: PrePostSelection, tol: float):
+        op = _build_product(self.projector, selection.n_particles)
+        yield "amplitude", abl_amplitude(selection, op)
+
+
+class WeakValueQuery(_OneProduct):
+    tag = "weak_value"
+
+    def results(self, selection: PrePostSelection, tol: float):
+        op = _build_product(self.projector, selection.n_particles)
+        yield "weak_value", weak_value(selection, op, tol)
+        yield "amplitude", abl_amplitude(selection, op)
+        yield "overlap", selection.overlap()
 
 
 @dataclass(frozen=True)
-class AblProbabilitiesQuery:
+class _ProductSet:
     projectors: tuple[ProjectorProduct, ...]
     claim: str | None = None
+    kind = "presence"
+
+    def particle_counts(self):
+        return (spec.n_particles for product in self.projectors for spec in product)
+
+    def target(self, scheme) -> str:
+        return _set_label(self.projectors)
 
 
-@dataclass(frozen=True)
-class WeakValueQuery:
-    projector: ProjectorProduct
-    claim: str | None = None
+class AblProbabilitiesQuery(_ProductSet):
+    tag = "abl_probabilities"
+
+    def results(self, selection: PrePostSelection, tol: float):
+        labels = [_product_label(p) for p in self.projectors]
+        ops = [_build_product(p, selection.n_particles) for p in self.projectors]
+        outcome = abl_probabilities(selection, MeasurementSet(ops, labels), tol)
+        for label, amp, prob in zip(labels, outcome.amplitudes, outcome.probabilities):
+            yield f"amplitude[{label}]", amp
+            yield f"probability[{label}]", prob
+        yield "normalization", outcome.normalization
 
 
-@dataclass(frozen=True)
-class WeakValueSumQuery:
-    projectors: tuple[ProjectorProduct, ...]
-    claim: str | None = None
+class WeakValueSumQuery(_ProductSet):
+    tag = "weak_value_sum"
+
+    def results(self, selection: PrePostSelection, tol: float):
+        ops = [_build_product(p, selection.n_particles) for p in self.projectors]
+        for product, op in zip(self.projectors, ops):
+            yield f"weak_value[{_product_label(product)}]", weak_value(selection, op, tol)
+        yield "weak_value_sum", weak_value_sum(selection, ops, tol)
 
 
 @dataclass(frozen=True)
 class DetailedVsGlobalQuery:
     members: tuple[ProjectorProduct, ...]
     claim: str | None = None
+    tag = "detailed_vs_global"
+    kind = "presence"
+
+    def particle_counts(self):
+        return (spec.n_particles for product in self.members for spec in product)
+
+    def target(self, scheme) -> str:
+        return _set_label(self.members)
+
+    def results(self, selection: PrePostSelection, tol: float):
+        ops = [_build_product(p, selection.n_particles) for p in self.members]
+        for product, op in zip(self.members, ops):
+            yield f"amplitude[{_product_label(product)}]", abl_amplitude(selection, op)
+        yield "detailed", detailed_probability(selection, ops, tol)
+        yield "global", global_probability(selection, ops, tol)
 
 
 @dataclass(frozen=True)
 class TransitionElementQuery:
     hamiltonian: HamiltonianSpec
     claim: str | None = None
+    tag = "transition_element"
+    kind = "transition"
+
+    def particle_counts(self):
+        return (self.hamiltonian.n_particles,)
+
+    def target(self, scheme) -> str:
+        return self.hamiltonian.label()
+
+    def results(self, selection: PrePostSelection, tol: float):
+        op = build_hamiltonian(self.hamiltonian)
+        yield "transition_element", transition_element(selection, op)
 
 
 PREDICATE_CHECKS = ("is_projector", "orthogonal", "resolution_of_identity", "eigenstate")
@@ -123,6 +202,8 @@ class PredicateQuery:
     state: NParticleState | None = None
     eigenvalue: complex | None = None
     claim: str | None = None
+    tag = "predicate"
+    kind = "predicate"
 
     def __post_init__(self):
         if self.check not in PREDICATE_CHECKS:
@@ -139,6 +220,46 @@ class PredicateQuery:
         elif self.state is not None or self.eigenvalue is not None:
             raise InvalidArgumentError(f"{self.check} takes no state or eigenvalue")
 
+    def particle_counts(self):
+        for operand in self.operands:
+            yield operand.n_particles
+        if isinstance(self.state, ProductState):
+            yield len(self.state.factors)
+        elif isinstance(self.state, ExplicitState):
+            dim = len(self.state.amplitudes)
+            n = dim.bit_length() - 1
+            if dim < 2 or 2**n != dim:
+                raise InvalidArgumentError("explicit state length must be a power of two >= 2")
+            yield n
+
+    def target(self, scheme) -> str:
+        labels = [op.label() for op in self.operands]
+        if self.check == "is_projector":
+            return labels[0]
+        if self.check == "orthogonal":
+            return f"{labels[0]} vs {labels[1]}"
+        if self.check == "resolution_of_identity":
+            return "{" + ", ".join(labels) + "}"
+        return (f"{labels[0]} on {_nstate_display(self.state, scheme)} "
+                f"with eigenvalue {_format_coefficient(complex(self.eigenvalue))}")
+
+    def results(self, selection: PrePostSelection, tol: float):
+        ops = [build_hamiltonian(operand) for operand in self.operands]
+        if self.check == "is_projector":
+            yield "is_projector", is_projector(ops[0], tol)
+            yield "hermitian", is_hermitian(ops[0], tol)
+            yield "idempotency_defect", idempotency_defect(ops[0])
+        elif self.check == "orthogonal":
+            yield "orthogonal", are_orthogonal(ops[0], ops[1], tol)
+        elif self.check == "resolution_of_identity":
+            yield "resolution_of_identity", is_resolution_of_identity(ops, tol)
+        else:
+            ket = (tensor([make_single_particle_state(f) for f in self.state.factors])
+                   if isinstance(self.state, ProductState) else Ket(self.state.amplitudes))
+            residual = eigenstate_residual(ops[0], ket, self.eigenvalue)
+            yield "is_eigenstate", residual <= tol
+            yield "residual_norm", residual
+
 
 Query = Union[
     AblAmplitudeQuery,
@@ -150,26 +271,6 @@ Query = Union[
     PredicateQuery,
 ]
 
-_QUERY_TAGS = {
-    AblAmplitudeQuery: "abl_amplitude",
-    AblProbabilitiesQuery: "abl_probabilities",
-    WeakValueQuery: "weak_value",
-    WeakValueSumQuery: "weak_value_sum",
-    DetailedVsGlobalQuery: "detailed_vs_global",
-    TransitionElementQuery: "transition_element",
-    PredicateQuery: "predicate",
-}
-
-_QUERY_KINDS = {
-    "abl_amplitude": "presence",
-    "abl_probabilities": "presence",
-    "weak_value": "presence",
-    "weak_value_sum": "presence",
-    "detailed_vs_global": "presence",
-    "transition_element": "transition",
-    "predicate": "predicate",
-}
-
 
 def _validate_single_state_spec(spec: SingleStateSpec) -> None:
     if isinstance(spec, str):
@@ -178,35 +279,6 @@ def _validate_single_state_spec(spec: SingleStateSpec) -> None:
     if len(spec) != 2:
         raise InvalidArgumentError("an explicit single-particle state needs exactly two coefficients")
     complex(spec[0]), complex(spec[1])
-
-
-def _query_particle_counts(query: Query):
-    if isinstance(query, (AblAmplitudeQuery, WeakValueQuery)):
-        for spec in query.projector:
-            yield spec.n_particles
-    elif isinstance(query, (AblProbabilitiesQuery, WeakValueSumQuery)):
-        for product in query.projectors:
-            for spec in product:
-                yield spec.n_particles
-    elif isinstance(query, DetailedVsGlobalQuery):
-        for product in query.members:
-            for spec in product:
-                yield spec.n_particles
-    elif isinstance(query, TransitionElementQuery):
-        yield query.hamiltonian.n_particles
-    elif isinstance(query, PredicateQuery):
-        for operand in query.operands:
-            yield operand.n_particles
-        if isinstance(query.state, ProductState):
-            yield len(query.state.factors)
-        elif isinstance(query.state, ExplicitState):
-            dim = len(query.state.amplitudes)
-            n = dim.bit_length() - 1
-            if dim < 2 or 2**n != dim:
-                raise InvalidArgumentError("explicit state length must be a power of two >= 2")
-            yield n
-    else:
-        raise TypeError(f"unknown query type {type(query).__name__}")
 
 
 @dataclass(frozen=True)
@@ -231,7 +303,9 @@ class Scenario:
         for spec in (*self.pre, *self.post):
             _validate_single_state_spec(spec)
         for query in self.queries:
-            for count in _query_particle_counts(query):
+            if not isinstance(query, Query):
+                raise InvalidArgumentError(f"unknown query type {type(query).__name__}")
+            for count in query.particle_counts():
                 if count != self.n_particles:
                     raise InvalidArgumentError(
                         f"query targets {count} particles but the scenario has {self.n_particles}")
@@ -307,108 +381,9 @@ def _nstate_display(state: NParticleState, scheme) -> str:
     return f"[{parts}]"
 
 
-def _query_meta(query: Query, scheme) -> tuple[str, str, str]:
-    tag = _QUERY_TAGS[type(query)]
-    kind = _QUERY_KINDS[tag]
-    if isinstance(query, (AblAmplitudeQuery, WeakValueQuery)):
-        target = _product_label(query.projector)
-    elif isinstance(query, (AblProbabilitiesQuery, WeakValueSumQuery)):
-        target = _set_label(query.projectors)
-    elif isinstance(query, DetailedVsGlobalQuery):
-        target = _set_label(query.members)
-    elif isinstance(query, TransitionElementQuery):
-        target = query.hamiltonian.label()
-    else:
-        if query.check == "is_projector":
-            target = query.operands[0].label()
-        elif query.check == "orthogonal":
-            target = f"{query.operands[0].label()} vs {query.operands[1].label()}"
-        elif query.check == "resolution_of_identity":
-            target = "{" + ", ".join(op.label() for op in query.operands) + "}"
-        else:
-            target = (f"{query.operands[0].label()} on {_nstate_display(query.state, scheme)} "
-                      f"with eigenvalue {_format_coefficient(complex(query.eigenvalue))}")
-    return tag, kind, target
-
-
-def _build_product(product: ProjectorProduct, n_particles: int, finish) -> Operator:
+def _build_product(product: ProjectorProduct, n_particles: int) -> Operator:
     ops = map(build_projector, product)
-    return finish(reduce(lambda a, b: a @ b, ops) if product else Operator.identity(n_particles))
-
-
-def _build_nstate(state: NParticleState, finish) -> Ket:
-    if isinstance(state, ProductState):
-        ket = tensor([make_single_particle_state(f) for f in state.factors])
-    else:
-        ket = Ket(state.amplitudes)
-    return finish(ket)
-
-
-def _query_results(query: Query, selection: PrePostSelection, n: int,
-                   finish, tol: float):
-    """Compute the result tuple for one query; may itself record a partial error."""
-    results: list[ResultValue] = []
-    error: str | None = None
-
-    if isinstance(query, AblAmplitudeQuery):
-        op = _build_product(query.projector, n, finish)
-        results.append(_result("amplitude", abl_amplitude(selection, op), tol))
-
-    elif isinstance(query, AblProbabilitiesQuery):
-        labels = [_product_label(p) for p in query.projectors]
-        ops = [_build_product(p, n, finish) for p in query.projectors]
-        outcome = abl_probabilities(selection, MeasurementSet(ops, labels), tol)
-        for label, amp, prob in zip(labels, outcome.amplitudes, outcome.probabilities):
-            results.append(_result(f"amplitude[{label}]", amp, tol))
-            results.append(_result(f"probability[{label}]", prob, tol))
-        results.append(_result("normalization", outcome.normalization, tol))
-
-    elif isinstance(query, WeakValueQuery):
-        op = _build_product(query.projector, n, finish)
-        results.append(_result("weak_value", weak_value(selection, op, tol), tol))
-        results.append(_result("amplitude", abl_amplitude(selection, op), tol))
-        results.append(_result("overlap", selection.overlap(), tol))
-
-    elif isinstance(query, WeakValueSumQuery):
-        labels = [_product_label(p) for p in query.projectors]
-        ops = [_build_product(p, n, finish) for p in query.projectors]
-        for label, op in zip(labels, ops):
-            results.append(_result(f"weak_value[{label}]", weak_value(selection, op, tol), tol))
-        results.append(_result("weak_value_sum", weak_value_sum(selection, ops, tol), tol))
-
-    elif isinstance(query, DetailedVsGlobalQuery):
-        labels = [_product_label(p) for p in query.members]
-        ops = [_build_product(p, n, finish) for p in query.members]
-        for label, op in zip(labels, ops):
-            results.append(_result(f"amplitude[{label}]", abl_amplitude(selection, op), tol))
-        results.append(_result("detailed", detailed_probability(selection, ops, tol), tol))
-        try:
-            results.append(_result("global", global_probability(selection, ops, tol), tol))
-        except IllegitimateQuestionError as exc:
-            error = str(exc)
-
-    elif isinstance(query, TransitionElementQuery):
-        op = finish(build_hamiltonian(query.hamiltonian))
-        results.append(_result("transition_element", transition_element(selection, op), tol))
-
-    else:  # PredicateQuery
-        ops = [finish(build_hamiltonian(operand)) for operand in query.operands]
-        if query.check == "is_projector":
-            results.append(_result("is_projector", is_projector(ops[0], tol), tol))
-            results.append(_result("hermitian", is_hermitian(ops[0], tol), tol))
-            results.append(_result("idempotency_defect", idempotency_defect(ops[0]), tol))
-        elif query.check == "orthogonal":
-            results.append(_result("orthogonal", are_orthogonal(ops[0], ops[1], tol), tol))
-        elif query.check == "resolution_of_identity":
-            results.append(_result("resolution_of_identity",
-                                   is_resolution_of_identity(ops, tol), tol))
-        else:
-            ket = _build_nstate(query.state, finish)
-            residual = eigenstate_residual(ops[0], ket, query.eigenvalue)
-            results.append(_result("is_eigenstate", residual <= tol, tol))
-            results.append(_result("residual_norm", residual, tol))
-
-    return tuple(results), error
+    return reduce(lambda a, b: a @ b, ops) if product else Operator.identity(n_particles)
 
 
 def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOLERANCE) -> ScenarioReport:
@@ -416,26 +391,27 @@ def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOLERANCE) -> Scenario
 
     Identical inputs always produce equal reports. A query that raises a
     domain error becomes a record with the error text; the remaining
-    queries still run.
+    queries still run, and partial results follow the rule in the
+    module docstring.
     """
     scheme = label_scheme(scenario.labels)
-    spin = scenario.labels == "spin"
-
-    def finish(value):
-        return relabel_to_spin(value) if spin else value
-
-    pre = finish(tensor([make_single_particle_state(f) for f in scenario.pre]))
-    post = finish(tensor([make_single_particle_state(f) for f in scenario.post]))
+    pre = tensor([make_single_particle_state(f) for f in scenario.pre])
+    post = tensor([make_single_particle_state(f) for f in scenario.post])
     selection = PrePostSelection(pre, post)
 
     records = []
     for index, query in enumerate(scenario.queries):
-        tag, kind, target = _query_meta(query, scheme)
+        target = query.target(scheme)
+        results, error = [], None
         try:
-            results, error = _query_results(query, selection, scenario.n_particles, finish, tol)
+            for name, value in query.results(selection, tol):
+                results.append(_result(name, value, tol))
+        except IllegitimateQuestionError as exc:
+            error = str(exc)
         except TwoBoxError as exc:
-            results, error = (), str(exc)
-        records.append(QueryRecord(index, tag, kind, target, query.claim, results, error))
+            results, error = [], str(exc)
+        records.append(QueryRecord(index, query.tag, query.kind, target, query.claim,
+                                   tuple(results), error))
 
     return ScenarioReport(
         scenario=scenario.name,

@@ -210,6 +210,74 @@ def test_run_refuses_non_finite_coefficients(capsys, tmp_path, text, path):
     assert err == f"error: {path}: coefficients must be finite\n"
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("text, message", [
+    ('"pre": [{"cL": [HUGE, 0], "cR": [1, 0]}, "+"], "post": ["+", "+"]',
+     "$.pre[0]: coefficients must lie within the float range"),
+    ('"pre": ["+", "+"], "post": ["+", {"cL": [1, 0], "cR": [0, HUGE]}]',
+     "$.post[1]: coefficients must lie within the float range"),
+    ('"pre": ["+", "+"], "post": ["+", "+"], "queries": [{"type": "transition_element", '
+     '"hamiltonian": [{"coeff": [HUGE, 0], "projector": {"kind": "all_same"}}]}]',
+     "$.queries[0]: coefficients must lie within the float range"),
+    ('"pre": ["+", "+"], "post": ["+", "+"], "queries": [{"type": "predicate", '
+     '"check": "eigenstate", "operators": [{"kind": "all_same"}], "eigenvalue": [1, HUGE], '
+     '"state": {"product": ["L", "L"]}}]',
+     "$.queries[0]: coefficients must lie within the float range"),
+    ('"pre": ["+", "+"], "post": ["+", "+"], "queries": [{"type": "predicate", '
+     '"check": "eigenstate", "operators": [{"kind": "all_same"}], "eigenvalue": [1, 0], '
+     '"state": {"amplitudes": [[HUGE, 0], [0, 0], [0, 0], [0, 0]]}}]',
+     "$.queries[0].state: coefficients must lie within the float range"),
+    ('"pre": [{"cL": [0, 0], "cR": [0, 0]}, "+"], "post": ["+", "+"]',
+     "$.pre[0]: unnormalizable state"),
+])
+def test_run_refuses_unusable_coefficients_with_a_path(capsys, tmp_path, text, message):
+    if '"queries"' not in text:
+        text += ', "queries": []'
+    doc = tmp_path / "unusable.json"
+    doc.write_text('{"name": "x", "particles": 2, ' + text.replace("HUGE", HUGE) + "}")
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(capsys, "run", str(doc), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_run_reports_a_finite_value_beyond_float_magnitude(capsys, tmp_path, fmt):
+    # |1.7e308 (1+i)| overflows; the value is finite, so it is reported and does not vanish
+    doc = {"name": "big", "particles": 1, "pre": ["L"], "post": ["L"],
+           "queries": [{"type": "transition_element", "hamiltonian": [
+               {"coeff": [1.7e308, 1.7e308],
+                "projector": {"kind": "box", "particle": 1, "box": "L"}}]}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        value = json.loads(out)["queries"][0]["results"][0]
+        assert value["value"] == [1.7e308, 1.7e308]
+        assert value["vanishing"] is False
+        assert value["magnitude"] == float("inf")
+    else:
+        assert "transition_element = 1.7e+308 + 1.7e+308i\n" in out + "\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_is_reported_on_one_line(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "check", "1e308*pair_same(1,2) + 1e308*pair_same(1,2)")
+    assert (code, out, err) == (1, "", "error: operator diagonal must be finite\n")
+    doc = {"name": "overflow", "particles": 2, "pre": ["+", "+"], "post": ["+", "+"],
+           "queries": [{"type": "transition_element", "hamiltonian": [
+               {"coeff": [1e308, 0], "projector": {"kind": "pair_same", "pair": [1, 2]}},
+               {"coeff": [1e308, 0], "projector": {"kind": "all_same"}}]}]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, err) == (2, "")
+    assert "error: operator diagonal must be finite" in out
+
+
 @pytest.mark.parametrize("command, name", [("run", "bad.json"), ("check", "bad.txt")])
 def test_undecodable_files_exit_one(capsys, tmp_path, command, name):
     path = tmp_path / name

@@ -293,7 +293,7 @@ def test_tensor_is_the_kron_chain_bit_for_bit(states):
     assert isinstance(product, Ket) == all(isinstance(s, Ket) for s in states)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_results_are_still_refused():
     huge = Operator.from_diagonal([1e308, 1e308])
     with pytest.raises(InvalidAmplitudesError, match="operator diagonal must be finite"):

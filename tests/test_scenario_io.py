@@ -1,8 +1,10 @@
 """Scenario files in, report documents out."""
 
 import copy
+import dataclasses
 import json
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from twobox import (
     run_scenario,
 )
 from twobox.scenario_io import _unsupported, _validate
+from twobox.scenarios import Query
 
 TOL = 1e-12
 
@@ -92,6 +95,35 @@ def test_schema_violations_carry_a_path():
         parse_scenario_document(minimal_doc(particles=MAX_PARTICLES + 1))
     with pytest.raises(ScenarioFileError, match=r"^\$\.post: \[\] is too short"):
         parse_scenario_document(minimal_doc(post=[]))
+
+
+# one valid query document per query type, without its "type"
+QUERY_EXAMPLES = {
+    "abl_amplitude": {"projector": {"kind": "all_same"}},
+    "weak_value": {"projector": [{"kind": "box", "particle": 1, "box": "L"}]},
+    "abl_probabilities": {"projectors": [{"kind": "pair_same", "pair": [1, 2]}]},
+    "weak_value_sum": {"projectors": [{"kind": "pair_diff", "pair": [1, 2]}]},
+    "detailed_vs_global": {"members": [[{"kind": "sd", "pair": [1, 2], "other": 3}]]},
+    "transition_element": {"hamiltonian": []},
+    "predicate": {"check": "is_projector", "operators": [{"kind": "all_same"}]},
+}
+
+
+def test_every_query_type_is_one_record_and_one_schema_branch():
+    schema_tags = set()
+    for branch in SCENARIO_SCHEMA["$defs"]["query"]["oneOf"]:
+        rule = branch["properties"]["type"]
+        schema_tags.update(rule.get("enum", [rule.get("const")]))
+    records = typing.get_args(Query)
+    assert schema_tags == {cls.tag for cls in records} == set(QUERY_EXAMPLES)
+    assert len(records) == len(schema_tags)
+    for cls in records:
+        # tag and kind are class attributes, so repr and equality see the fields only
+        assert not {"tag", "kind"} & {f.name for f in dataclasses.fields(cls)}
+        query = {"type": cls.tag, **QUERY_EXAMPLES[cls.tag]}
+        scenario = parse_scenario_document(minimal_doc(queries=[query]))
+        assert type(scenario.queries[0]) is cls
+        assert run_scenario(scenario).records[0].query_type == cls.tag
 
 
 def test_schema_uses_only_what_the_validator_implements():

@@ -207,6 +207,7 @@ def test_scenario_validation():
         "eigenstate", (HamiltonianSpec.of([(1, ProjectorSpec.all_same(2))]),),
         state=ExplicitState((1, 0, 0)), eigenvalue=1),)),
      "explicit state length must be a power of two"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), ("pair_same(1,2)",)), "unknown query type str"),
 ])
 def test_bad_library_arguments_are_twobox_errors(build, message):
     with pytest.raises(TwoBoxError, match=message) as caught:
