@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -53,10 +54,13 @@ def fraction_annotation(z: complex, tol: float = DEFAULT_TOLERANCE,
                         max_denominator: int = 64) -> str | None:
     """An exact-fraction tag such as "(= (1+i)/8)" when one matches within tol.
 
-    Only small denominators are recognized; integers need no tag and
-    unmatched values get none.
+    Only small denominators are recognized; integers need no tag, and
+    unmatched values get none, as do values that are not finite or too
+    large to scale by the denominators.
     """
     z = complex(z)
+    if not all(math.isfinite(part * max_denominator) for part in (z.real, z.imag)):
+        return None
     for den in range(1, max_denominator + 1):
         p = round(z.real * den)
         q = round(z.imag * den)

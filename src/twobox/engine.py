@@ -10,6 +10,14 @@ numerator is exactly the conditional amplitude. Subset questions come
 in two flavors: the detailed (incoherent) probability adds squared
 member amplitudes, the global (coherent) probability squares the
 amplitude of the summed projector, and the two genuinely differ.
+
+The public functions take built operators and any states; they serve
+library callers and are the reference in the tests. A scenario run
+computes the same quantities factor by factor on its product selection
+(:mod:`twobox.scenarios`). Both go through the rules written once here
+over plain amplitudes: the ABL normalization (``_abl_result``), the
+weak-value denominator (``_weak_denominator``) and the linearity bound
+(``_linearity_checked``).
 """
 
 from __future__ import annotations
@@ -167,7 +175,16 @@ def abl_probabilities(selection: PrePostSelection, measurement: MeasurementSet,
             f"measurement dimension {measurement.dim} does not match the selection dimension {selection.dim}")
     if not is_resolution_of_identity(measurement.projectors, tol):
         raise IncompleteMeasurementError("incomplete measurement")
-    amplitudes = tuple(abl_amplitude(selection, op) for op in measurement)
+    return _abl_result([abl_amplitude(selection, op) for op in measurement], tol)
+
+
+def _abl_result(amplitudes: Sequence[complex], tol: float) -> AblResult:
+    """The ABL rule on the outcome amplitudes of a complete measurement.
+
+    Raises ImpossiblePostselectionError when the squared amplitudes sum
+    to at most tol**2.
+    """
+    amplitudes = tuple(amplitudes)
     weights = [abs2(a) for a in amplitudes]
     normalization = sum(weights)
     if normalization <= tol * tol:
@@ -185,10 +202,15 @@ def weak_value(selection: PrePostSelection, op: Operator,
     OrthogonalSelectionError
         If |<post|pre>| <= tol, where the quotient is undefined.
     """
-    denominator = selection.overlap()
-    if abs(denominator) <= tol:
-        raise OrthogonalSelectionError("orthogonal pre/postselection")
+    denominator = _weak_denominator(selection.overlap(), tol)
     return abl_amplitude(selection, op) / denominator
+
+
+def _weak_denominator(overlap: complex, tol: float) -> complex:
+    """<post|pre> as the denominator of weak values, refused when |<post|pre>| <= tol."""
+    if abs(overlap) <= tol:
+        raise OrthogonalSelectionError("orthogonal pre/postselection")
+    return overlap
 
 
 def weak_value_sum(selection: PrePostSelection, ops: Sequence[Operator],
@@ -214,8 +236,15 @@ def weak_value_sum(selection: PrePostSelection, ops: Sequence[Operator],
     total = sum(weak_value(selection, op, tol) for op in ops)
     via_sum = weak_value(selection, sum(ops[1:], start=ops[0]), tol)
     scale = sum(op.max_entry() for op in ops) / abs(selection.overlap())
-    bound = (selection.dim + len(ops)) * sys.float_info.epsilon * scale
-    if abs(total - via_sum) > bound:
+    return _linearity_checked(total, via_sum, scale, selection.dim + len(ops))
+
+
+def _linearity_checked(total: complex, via_sum: complex, scale: float, ulps: int) -> complex:
+    """``total`` once it agrees with ``via_sum`` within ``ulps`` ulps of ``scale``.
+
+    Raises LinearityCheckError otherwise.
+    """
+    if abs(total - via_sum) > ulps * sys.float_info.epsilon * scale:
         raise LinearityCheckError(
             f"weak value linearity cross-check failed: {total!r} vs {via_sum!r}")
     return total

@@ -376,18 +376,24 @@ def make_single_particle_state(
     state : str or (complex, complex)
         One of the names L, R, plus, minus, plus_i, minus_i (short
         aliases "+", "-", "+i", "-i" also work), or an explicit
-        (cL, cR) pair which is normalized. A zero pair is rejected
-        as an unnormalizable state.
+        (cL, cR) pair of finite numbers, which is normalized whatever
+        its magnitude. A zero pair is rejected as an unnormalizable
+        state.
     """
     if isinstance(state, str):
         ket = _NAMED_STATES[canonical_state_name(state)]
         return ket if labels is ket.labels else ket.with_labels(labels)
     cL, cR = complex(state[0]), complex(state[1])
-    norm_sq = abs2(cL) + abs2(cR)
-    if not math.isfinite(norm_sq):
+    parts = (cL.real, cL.imag, cR.real, cR.imag)
+    if not all(map(math.isfinite, parts)):
         raise InvalidAmplitudesError("coefficients must be finite")
-    if norm_sq <= 0.0:
-        raise UnnormalizableStateError("unnormalizable state")
+    norm_sq = abs2(cL) + abs2(cR)
+    if not 0.0 < norm_sq < math.inf:  # over- or underflow: scale by the larger part first
+        big = max(map(abs, parts))
+        if big == 0.0:
+            raise UnnormalizableStateError("unnormalizable state")
+        cL, cR = complex(cL.real / big, cL.imag / big), complex(cR.real / big, cR.imag / big)
+        norm_sq = abs2(cL) + abs2(cR)
     scale = math.sqrt(norm_sq)
     return Ket([cL / scale, cR / scale], labels)
 
@@ -458,7 +464,7 @@ def matrix_element(bra: KetLike, op: Operator, ket: KetLike) -> complex:
 def eigenstate_residual(op: Operator, ket: Ket, eigenvalue: complex) -> float:
     """The Euclidean norm of op|ket> - eigenvalue|ket>."""
     if not isinstance(ket, Ket):
-        raise TypeError("an eigenstate test expects a normalized Ket")
+        raise InvalidArgumentError("an eigenstate test expects a normalized Ket")
     return float(np.linalg.norm(apply(op, ket).amplitudes - complex(eigenvalue) * ket.amplitudes))
 
 

@@ -2,13 +2,18 @@
 
 Every projector here is diagonal in the box basis, so each is built and
 stored as its 0/1 diagonal: one bit test per basis index, where bit
-n - k of the index is 1 exactly when particle k sits in box R.
+n - k of the index is 1 exactly when particle k sits in box R. The same
+bit tests (``_holds``) give a product of specs its amplitude between two
+product states without any 2**n array, summing over the labels of the
+particles the specs touch only (``_product_amplitude``), and give the
+0/1 masks on which scenario runs check their preconditions exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -125,30 +130,76 @@ class ProjectorSpec:
         return "all_same"
 
 
+def _holds(spec: ProjectorSpec, index, n: int):
+    """Whether ``spec`` holds at basis index ``index`` of n particles: an int,
+    or an integer array for a whole diagonal at once."""
+    if spec.kind == "all_same":
+        return (index == 0) | (index == 2**n - 1)
+    if spec.kind == "box":
+        return (index >> (n - spec.particle)) & 1 == "LR".index(spec.box)
+    i, j = spec.pair
+    bit_i, bit_j = (index >> (n - i)) & 1, (index >> (n - j)) & 1  # 1 where in R
+    if spec.kind == "pair_same":
+        return bit_i == bit_j
+    if spec.kind == "pair_diff":
+        return bit_i != bit_j
+    return (bit_i == bit_j) & ((index >> (n - spec.other)) & 1 != bit_i)  # sd
+
+
 def build_projector(spec: ProjectorSpec) -> Operator:
     """Realize a :class:`ProjectorSpec` as its 0/1 diagonal."""
     n = spec.n_particles
-    index = np.arange(2**n)
-
-    def bit(k: int) -> np.ndarray:  # 1 where particle k sits in R
-        return (index >> (n - k)) & 1
-
-    if spec.kind == "box":
-        mask = bit(spec.particle) == "LR".index(spec.box)
-    elif spec.kind == "pair_same":
-        mask = bit(spec.pair[0]) == bit(spec.pair[1])
-    elif spec.kind == "pair_diff":
-        mask = bit(spec.pair[0]) != bit(spec.pair[1])
-    elif spec.kind == "all_same":
-        mask = (index == 0) | (index == 2**n - 1)
-    else:  # sd
-        i, j = spec.pair
-        mask = (bit(i) == bit(j)) & (bit(spec.other) != bit(i))
+    mask = _holds(spec, np.arange(2**n), n)
     return Operator._of(mask.astype(np.complex128), BOX_LABELS)
 
 
+def _product_mask(product: Sequence[ProjectorSpec], n_particles: int) -> np.ndarray:
+    """The 0/1 diagonal of a product of specs, as booleans; the empty product
+    is the identity."""
+    index = np.arange(2**n_particles)
+    mask = np.ones(2**n_particles, dtype=bool)
+    for spec in product:
+        mask &= _holds(spec, index, n_particles)
+    return mask
+
+
+def _product_amplitude(product: Sequence[ProjectorSpec],
+                       weights: Sequence[Sequence[complex]]) -> complex:
+    """<post|P|pre> for the product P of specs between two product states.
+
+    ``weights[k - 1]`` holds c_k(b) = conj(post_k[b]) pre_k[b] for b = L, R.
+    The sum over basis states factorizes: only the labels of the particles
+    the specs touch are summed over, kept by the bit tests of
+    :func:`build_projector`, and every other particle k contributes
+    c_k(L) + c_k(R). ``all_same`` holds only on the two uniform labels.
+    The empty product gives <post|pre>.
+    """
+    n = len(weights)
+    rest = 1
+    if any(spec.kind == "all_same" for spec in product):
+        labels = [(0, math.prod(w[0] for w in weights)),
+                  (2**n - 1, math.prod(w[1] for w in weights))]
+    else:
+        touched = {k for spec in product
+                   for k in (spec.particle, spec.other, *(spec.pair or ())) if k is not None}
+        labels = [(0, 1)]
+        for k, (c_left, c_right) in enumerate(weights, start=1):
+            if k in touched:
+                r_bit = 1 << (n - k)
+                labels = ([(index, w * c_left) for index, w in labels]
+                          + [(index | r_bit, w * c_right) for index, w in labels])
+            else:
+                rest *= c_left + c_right
+    for spec in product:
+        labels = [(index, w) for index, w in labels if _holds(spec, index, n)]
+    return sum((w for _, w in labels), 0j) * rest
+
+
 def _format_number(x: float) -> str:
-    return str(int(x)) if x.is_integer() else format(x, ".6g")
+    # integers print in full below 2**53 and in shortest round-trip form above
+    if x.is_integer():
+        return str(int(x)) if abs(x) < 2**53 else repr(x)
+    return format(x, ".6g")
 
 
 def _format_coefficient(z: complex) -> str:
@@ -250,10 +301,28 @@ def is_resolution_of_identity(projectors: Iterable[Operator],
             and (total - Operator.identity(total.n_particles)).max_entry() <= tol)
 
 
+def _masks_resolve_identity(masks: Sequence[np.ndarray], tol: float) -> bool:
+    """:func:`is_resolution_of_identity` for the diagonal operators with these
+    0/1 masks, computed exactly on their integer sum, which misses the
+    identity by max |count - 1|. Every other defect is no larger: a 0/1
+    diagonal has hermitian and idempotency defects 0, and two masks that
+    overlap have a product with entry 1 where the count is 2 or more."""
+    counts = np.sum(masks, axis=0)
+    return max(counts.max() - 1, 1 - counts.min()) <= tol
+
+
+def _mask_sum_is_projector(masks: Sequence[np.ndarray], tol: float) -> bool:
+    """:func:`is_projector` for the sum of the diagonal operators with these
+    0/1 masks, computed exactly: its idempotency defect is max |count^2 - count|,
+    and its hermitian defect, 0, is no larger."""
+    counts = np.sum(masks, axis=0)
+    return (counts * (counts - 1)).max() <= tol
+
+
 def relabel_to_spin(value: Ket | UnnormalizedKet | Operator):
     """Present a box-labeled value in spin language: L as up, R as down,
     the box superpositions as x and y spin states. Amplitudes and entries
     are carried over untouched."""
     if isinstance(value, (Ket, UnnormalizedKet, Operator)):
         return value.with_labels(SPIN_LABELS)
-    raise TypeError(f"cannot relabel {type(value).__name__}")
+    raise InvalidArgumentError(f"cannot relabel {type(value).__name__}")

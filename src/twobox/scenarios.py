@@ -13,6 +13,17 @@ yields ``(name, value)`` pairs. A new query type is such a class in
 ``Query`` plus a branch of the scenario schema. If ``results`` raises a
 TwoBoxError, the record carries its message: an IllegitimateQuestionError
 keeps the results yielded before it, any other error discards them.
+
+Which path runs: the selection of a scenario is a product state, so every
+query built from projector specs (all but ``predicate``) is computed factor
+by factor (``projectors._product_amplitude``) with no 2**n operator, and its
+preconditions (completeness, projector-ness) are checked exactly on the
+specs' 0/1 masks. Beyond the masks, a 2**n vector is formed only for the
+cross-check of a weak-value sum (conj(post)*pre) and for a transition element
+whose coefficient sums overflow: that one is built as an operator, so its
+refusal reads as in :mod:`twobox.engine`. Predicates always use built
+operators. The values match the operator route of :mod:`twobox.engine` up to
+rounding in the last bits.
 """
 
 from __future__ import annotations
@@ -22,24 +33,22 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Union
 
+import numpy as np
+
 from .engine import (
-    MeasurementSet,
     PrePostSelection,
-    abl_amplitude,
-    abl_probabilities,
-    detailed_probability,
-    global_probability,
+    _abl_result,
+    _linearity_checked,
+    _weak_denominator,
     transition_element,
     vanishes,
-    weak_value,
-    weak_value_sum,
 )
-from .errors import (IllegitimateQuestionError, InvalidArgumentError, ScenarioNotFoundError,
-                     TwoBoxError)
+from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, InvalidArgumentError,
+                     NotAProjectorError, ScenarioNotFoundError, TwoBoxError)
 from .hilbert import (
     DEFAULT_TOLERANCE,
     Ket,
-    Operator,
+    abs2,
     eigenstate_residual,
     label_scheme,
     make_single_particle_state,
@@ -50,8 +59,11 @@ from .projectors import (
     HamiltonianSpec,
     ProjectorSpec,
     _format_coefficient,
+    _mask_sum_is_projector,
+    _masks_resolve_identity,
+    _product_amplitude,
+    _product_mask,
     build_hamiltonian,
-    build_projector,
     idempotency_defect,
     is_hermitian,
     is_projector,
@@ -82,6 +94,36 @@ class ExplicitState:
 NParticleState = Union[ProductState, ExplicitState]
 
 
+class _ProductSelection:
+    """The product pre- and postselection of a run, kept particle by particle.
+
+    ``weights[k - 1]`` holds c_k(b) = conj(post_k[b]) pre_k[b] for b = L, R,
+    so every spec-built amplitude factorizes (``_product_amplitude``) and
+    <post|pre> is the product of c_k(L) + c_k(R). The 2**n vectors are built
+    only for a query that needs them.
+    """
+
+    def __init__(self, pre: list[Ket], post: list[Ket]):
+        self.pre, self.post = pre, post
+        self.n_particles = len(pre)
+        self._weight_rows = np.conj([k.amplitudes for k in post]) * [k.amplitudes for k in pre]
+        self.weights = self._weight_rows.tolist()
+        self.overlap = _product_amplitude((), self.weights)
+
+    def amplitude(self, product: ProjectorProduct) -> complex:
+        return _product_amplitude(product, self.weights)
+
+    def masks(self, products) -> list[np.ndarray]:
+        return [_product_mask(p, self.n_particles) for p in products]
+
+    def weight_vector(self) -> np.ndarray:
+        """conj(post) * pre entry by entry, formed factor by factor."""
+        return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), self._weight_rows)
+
+    def vectors(self) -> PrePostSelection:
+        return PrePostSelection(tensor(self.pre), tensor(self.post))
+
+
 # the query classes below these two bases add no fields, so they keep the
 # generated __init__, __repr__ and __eq__, which name the subclass
 @dataclass(frozen=True)
@@ -100,19 +142,19 @@ class _OneProduct:
 class AblAmplitudeQuery(_OneProduct):
     tag = "abl_amplitude"
 
-    def results(self, selection: PrePostSelection, tol: float):
-        op = _build_product(self.projector, selection.n_particles)
-        yield "amplitude", abl_amplitude(selection, op)
+    def results(self, selection: _ProductSelection, tol: float):
+        yield "amplitude", selection.amplitude(self.projector)
 
 
 class WeakValueQuery(_OneProduct):
     tag = "weak_value"
 
-    def results(self, selection: PrePostSelection, tol: float):
-        op = _build_product(self.projector, selection.n_particles)
-        yield "weak_value", weak_value(selection, op, tol)
-        yield "amplitude", abl_amplitude(selection, op)
-        yield "overlap", selection.overlap()
+    def results(self, selection: _ProductSelection, tol: float):
+        denominator = _weak_denominator(selection.overlap, tol)
+        amplitude = selection.amplitude(self.projector)
+        yield "weak_value", amplitude / denominator
+        yield "amplitude", amplitude
+        yield "overlap", selection.overlap
 
 
 @dataclass(frozen=True)
@@ -131,10 +173,13 @@ class _ProductSet:
 class AblProbabilitiesQuery(_ProductSet):
     tag = "abl_probabilities"
 
-    def results(self, selection: PrePostSelection, tol: float):
+    def results(self, selection: _ProductSelection, tol: float):
+        if not self.projectors:
+            raise InvalidArgumentError("a measurement set needs at least one projector")
+        if not _masks_resolve_identity(selection.masks(self.projectors), tol):
+            raise IncompleteMeasurementError("incomplete measurement")
+        outcome = _abl_result([selection.amplitude(p) for p in self.projectors], tol)
         labels = [_product_label(p) for p in self.projectors]
-        ops = [_build_product(p, selection.n_particles) for p in self.projectors]
-        outcome = abl_probabilities(selection, MeasurementSet(ops, labels), tol)
         for label, amp, prob in zip(labels, outcome.amplitudes, outcome.probabilities):
             yield f"amplitude[{label}]", amp
             yield f"probability[{label}]", prob
@@ -144,11 +189,23 @@ class AblProbabilitiesQuery(_ProductSet):
 class WeakValueSumQuery(_ProductSet):
     tag = "weak_value_sum"
 
-    def results(self, selection: PrePostSelection, tol: float):
-        ops = [_build_product(p, selection.n_particles) for p in self.projectors]
-        for product, op in zip(self.projectors, ops):
-            yield f"weak_value[{_product_label(product)}]", weak_value(selection, op, tol)
-        yield "weak_value_sum", weak_value_sum(selection, ops, tol)
+    def results(self, selection: _ProductSelection, tol: float):
+        if not self.projectors:
+            yield "weak_value_sum", 0j
+            return
+        denominator = _weak_denominator(selection.overlap, tol)
+        total = 0
+        for product in self.projectors:
+            value = selection.amplitude(product) / denominator
+            total += value
+            yield f"weak_value[{_product_label(product)}]", value
+        # cross-check: the summed masks against conj(post)*pre, label by label
+        masks = selection.masks(self.projectors)
+        via_sum = complex(np.dot(np.sum(masks, axis=0), selection.weight_vector())) / denominator
+        # each largest entry, as in engine.weak_value_sum: 1 unless the mask is empty
+        scale = sum(1 for mask in masks if mask.any()) / abs(denominator)
+        yield "weak_value_sum", _linearity_checked(total, via_sum, scale,
+                                                   2**selection.n_particles + len(masks))
 
 
 @dataclass(frozen=True)
@@ -164,12 +221,19 @@ class DetailedVsGlobalQuery:
     def target(self, scheme) -> str:
         return _set_label(self.members)
 
-    def results(self, selection: PrePostSelection, tol: float):
-        ops = [_build_product(p, selection.n_particles) for p in self.members]
-        for product, op in zip(self.members, ops):
-            yield f"amplitude[{_product_label(product)}]", abl_amplitude(selection, op)
-        yield "detailed", detailed_probability(selection, ops, tol)
-        yield "global", global_probability(selection, ops, tol)
+    def results(self, selection: _ProductSelection, tol: float):
+        amplitudes = [selection.amplitude(p) for p in self.members]
+        for product, amplitude in zip(self.members, amplitudes):
+            yield f"amplitude[{_product_label(product)}]", amplitude
+        masks = selection.masks(self.members)
+        if not all(_mask_sum_is_projector([mask], tol) for mask in masks):
+            raise NotAProjectorError("non-projector member")
+        yield "detailed", sum(abs2(a) for a in amplitudes)
+        if not masks:
+            raise InvalidArgumentError("global probability needs at least one projector")
+        if not _mask_sum_is_projector(masks, tol):
+            raise IllegitimateQuestionError("not a legitimate question")
+        yield "global", abs2(sum(amplitudes))
 
 
 @dataclass(frozen=True)
@@ -185,9 +249,15 @@ class TransitionElementQuery:
     def target(self, scheme) -> str:
         return self.hamiltonian.label()
 
-    def results(self, selection: PrePostSelection, tol: float):
-        op = build_hamiltonian(self.hamiltonian)
-        yield "transition_element", transition_element(selection, op)
+    def results(self, selection: _ProductSelection, tol: float):
+        terms = self.hamiltonian.terms
+        if (math.isfinite(sum(abs(c.real) for c, _ in terms))
+                and math.isfinite(sum(abs(c.imag) for c, _ in terms))):
+            # no entry of the built operator could overflow, so it would refuse nothing
+            value = sum((c * selection.amplitude((spec,)) for c, spec in terms), 0j)
+        else:
+            value = transition_element(selection.vectors(), build_hamiltonian(self.hamiltonian))
+        yield "transition_element", value
 
 
 PREDICATE_CHECKS = ("is_projector", "orthogonal", "resolution_of_identity", "eigenstate")
@@ -243,7 +313,7 @@ class PredicateQuery:
         return (f"{labels[0]} on {_nstate_display(self.state, scheme)} "
                 f"with eigenvalue {_format_coefficient(complex(self.eigenvalue))}")
 
-    def results(self, selection: PrePostSelection, tol: float):
+    def results(self, selection: _ProductSelection, tol: float):
         ops = [build_hamiltonian(operand) for operand in self.operands]
         if self.check == "is_projector":
             yield "is_projector", is_projector(ops[0], tol)
@@ -381,11 +451,6 @@ def _nstate_display(state: NParticleState, scheme) -> str:
     return f"[{parts}]"
 
 
-def _build_product(product: ProjectorProduct, n_particles: int) -> Operator:
-    ops = map(build_projector, product)
-    return reduce(lambda a, b: a @ b, ops) if product else Operator.identity(n_particles)
-
-
 def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOLERANCE) -> ScenarioReport:
     """Execute every query of a scenario and collect an immutable report.
 
@@ -395,9 +460,8 @@ def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOLERANCE) -> Scenario
     module docstring.
     """
     scheme = label_scheme(scenario.labels)
-    pre = tensor([make_single_particle_state(f) for f in scenario.pre])
-    post = tensor([make_single_particle_state(f) for f in scenario.post])
-    selection = PrePostSelection(pre, post)
+    selection = _ProductSelection([make_single_particle_state(f) for f in scenario.pre],
+                                  [make_single_particle_state(f) for f in scenario.post])
 
     records = []
     for index, query in enumerate(scenario.queries):

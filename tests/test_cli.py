@@ -43,6 +43,9 @@ def test_fraction_annotation():
     assert fraction_annotation(2.0 + 0j) is None  # integers carry no tag
     assert fraction_annotation(0.1234567 + 0j) is None
     assert fraction_annotation(1 / 64 + 0j) == "(= 1/64)"
+    for value in (complex("inf"), complex(0.5, float("inf")), complex("nan"),
+                  complex(1.7e308, 0.5)):
+        assert fraction_annotation(value) is None
 
 
 def test_list_command(capsys):
@@ -197,7 +200,7 @@ def test_run_error_paths(capsys, tmp_path):
     ('"pre": ["+", "+"], "post": ["+", {"cL": [1e309, 0], "cR": [1, 0]}]', "$.post[1]"),
     ('"pre": ["+", "+"], "post": ["+", "+"], "queries": [{"type": "predicate", '
      '"check": "eigenstate", "operators": [{"kind": "all_same"}], "eigenvalue": [1, 0], '
-     '"state": {"product": ["+", {"cL": [1e308, 0], "cR": [1e308, 0]}]}}]',
+     '"state": {"product": ["+", {"cL": [1e309, 0], "cR": [1, 0]}]}}]',
      "$.queries[0].state.product[1]"),
 ])
 def test_run_refuses_non_finite_coefficients(capsys, tmp_path, text, path):
@@ -261,6 +264,25 @@ def test_run_reports_a_finite_value_beyond_float_magnitude(capsys, tmp_path, fmt
         assert value["magnitude"] == float("inf")
     else:
         assert "transition_element = 1.7e+308 + 1.7e+308i\n" in out + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_run_renders_a_value_beyond_the_float_range(capsys, tmp_path, fmt):
+    # (1.7e308 (1+i)) <post|box(1,L)|pre> is 1.7e308 sqrt(2), which rounds to inf
+    doc = {"name": "inf", "particles": 1, "pre": ["L"], "post": [{"cL": [1, 1], "cR": [0, 0]}],
+           "queries": [{"type": "transition_element", "hamiltonian": [
+               {"coeff": [1.7e308, 1.7e308],
+                "projector": {"kind": "box", "particle": 1, "box": "L"}}]}]}
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        value = json.loads(out)["queries"][0]["results"][0]
+        assert value["value"] == [float("inf"), 0.0]
+        assert value["vanishing"] is False
+    else:
+        assert "    transition_element = inf\n" in out
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -389,12 +411,17 @@ def test_expression_parser_rejections():
         parse_operator_expressions("all_same\npair_same(9,9)", 3)
 
 
-# what label() prints: at most 6 significant digits per part
+# what label() prints: at most 6 significant digits per part, or an integral
+# magnitude of 2**53 and more in shortest round-trip form
 six_digits = st.builds(lambda m, e: float(f"{m}e{e}"),
                        st.integers(-999999, 999999), st.integers(-12, 12))
-coefficients = st.one_of(st.just(1 + 0j), six_digits.map(complex),
-                         six_digits.map(lambda y: complex(0, y)),
-                         st.builds(complex, six_digits, six_digits))
+huge = st.builds(lambda x, sign: sign * x,
+                 st.floats(min_value=2.0**53, max_value=sys.float_info.max),
+                 st.sampled_from([1, -1]))
+parts = st.one_of(six_digits, huge)
+coefficients = st.one_of(st.just(1 + 0j), parts.map(complex),
+                         parts.map(lambda y: complex(0, y)),
+                         st.builds(complex, parts, parts))
 
 
 def projector_specs(n):

@@ -14,6 +14,7 @@ from twobox import (
     DEFAULT_TOLERANCE,
     DimensionMismatchError,
     InvalidAmplitudesError,
+    InvalidArgumentError,
     Ket,
     Operator,
     SPIN_LABELS,
@@ -240,7 +241,7 @@ def test_operator_dagger():
 
 
 def test_is_eigenstate_requires_a_normalized_ket():
-    with pytest.raises(TypeError, match="normalized Ket"):
+    with pytest.raises(InvalidArgumentError, match="normalized Ket"):
         is_eigenstate(Operator.identity(1), UnnormalizedKet([2.0, 0.0]), 1.0)
     assert is_eigenstate(Operator.identity(2), basis_state("LR"), 1.0)
     assert not is_eigenstate(Operator.identity(2), basis_state("LR"), 0.0)
@@ -263,9 +264,31 @@ def test_default_tolerance_value():
 
 
 def test_non_finite_coefficients_are_invalid_amplitudes():
-    for pair in [(float("nan"), 0), (float("inf"), 1), (1e308, 1e308)]:
+    for pair in [(float("nan"), 0), (float("inf"), 1), (1e308, complex(0, float("inf")))]:
         with pytest.raises(InvalidAmplitudesError, match="coefficients must be finite"):
             make_single_particle_state(pair)
+
+
+def test_finite_pairs_normalize_whatever_their_magnitude():
+    # the squared norm of these overflows or underflows
+    for pair, expected in [((1e308, 1e308), (S, S)), ((1e-200, 0), (1, 0)),
+                           ((1e-170, 1e-170), (S, S)), ((-1e308j, 1e-300), (-1j, 0))]:
+        ket = make_single_particle_state(pair)
+        assert np.allclose(ket.amplitudes, expected, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.complex_numbers(max_magnitude=1e150, allow_nan=False),
+                 st.complex_numbers(max_magnitude=1e150, allow_nan=False))
+       .filter(lambda pair: abs2(pair[0]) + abs2(pair[1]) > 0))
+def test_pairs_with_a_representable_squared_norm_keep_their_bits(pair):
+    cL, cR = map(complex, pair)
+    scale = math.sqrt(abs2(cL) + abs2(cR))
+    try:
+        expected = Ket([cL / scale, cR / scale]).amplitudes
+    except InvalidAmplitudesError:  # a subnormal squared norm loses the normalization
+        return
+    assert make_single_particle_state(pair).amplitudes.tobytes() == expected.tobytes()
 
 
 amplitude = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 import oracle
 from twobox import (
+    AblAmplitudeQuery,
     DimensionMismatchError,
     HamiltonianSpec,
+    InvalidArgumentError,
     Operator,
     PrePostSelection,
     ProjectorSpec,
     SPIN_LABELS,
+    Scenario,
     abl_amplitude,
     are_orthogonal,
     basis_state,
@@ -27,8 +30,10 @@ from twobox import (
     is_resolution_of_identity,
     make_single_particle_state,
     relabel_to_spin,
+    run_scenario,
     tensor,
 )
+from twobox.projectors import _mask_sum_is_projector, _masks_resolve_identity, _product_mask
 
 
 def sample_specs(n):
@@ -130,6 +135,9 @@ def test_hamiltonian_spec_labels():
     assert HamiltonianSpec.of([(0.5, same)]).label() == "0.5*pair_same(1,2)"
     assert HamiltonianSpec.of([(2j, same)]).label() == "2i*pair_same(1,2)"
     assert HamiltonianSpec.of([(1 + 2j, same)]).label() == "(1+2i)*pair_same(1,2)"
+    assert HamiltonianSpec.of([(2.0**53 - 1, same)]).label() == "9007199254740991*pair_same(1,2)"
+    assert HamiltonianSpec.of([(complex(1.7e308, -2.0**60), same)]).label() == \
+        "(1.7e+308-1.152921504606847e+18i)*pair_same(1,2)"
     assert HamiltonianSpec((), 3).label() == "0"
 
 
@@ -202,7 +210,7 @@ def test_relabel_keeps_every_number():
     assert spun.basis_labels()[2] == "↑⇓↑"
     op = build_projector(ProjectorSpec.pair_same(1, 2, 2))
     assert np.array_equal(relabel_to_spin(op).entries, op.entries)
-    with pytest.raises(TypeError, match="cannot relabel"):
+    with pytest.raises(InvalidArgumentError, match="cannot relabel"):
         relabel_to_spin(3)
 
 
@@ -254,3 +262,64 @@ def test_diagonal_products_match_the_oracle_and_the_dense_twin(data, n):
     assert are_orthogonal(a, b) == are_orthogonal(dense_a, dense_b) == disjoint
     assert is_projector(a + b) == is_projector(dense_a + dense_b) == disjoint
     assert is_projector(a) and is_projector(dense_a)
+
+
+def specs_on(n):
+    return sample_specs(n) if n >= 2 else [ProjectorSpec.box_occupation(1, b, 1) for b in "LR"]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_factorized_amplitudes_match_the_oracle_and_the_mask_path(n, data):
+    product = tuple(data.draw(st.lists(st.sampled_from(specs_on(n)), max_size=3)))
+    pre_f = data.draw(st.lists(single_states, min_size=n, max_size=n))
+    post_f = data.draw(st.lists(single_states, min_size=n, max_size=n))
+    report = run_scenario(Scenario("factorized", n, tuple(pre_f), tuple(post_f),
+                                   (AblAmplitudeQuery(product), AblAmplitudeQuery(()))))
+    amplitude, overlap = (record.results[0].value for record in report.records)
+
+    o_pre, o_post = oracle_product_state(pre_f), oracle_product_state(post_f)
+    assert abs(amplitude - oracle.bracket(o_post, oracle.product_condition(product), o_pre, n)) <= 1e-12
+    assert abs(overlap - oracle.overlap(o_post, o_pre, n)) <= 1e-12
+
+    sel = PrePostSelection(tensor([make_single_particle_state(f) for f in pre_f]),
+                           tensor([make_single_particle_state(f) for f in post_f]))
+    mask_op = reduce(lambda a, b: a @ b, map(build_projector, product), Operator.identity(n))
+    assert abs(amplitude - abl_amplitude(sel, mask_op)) <= 1e-12
+    assert abs(overlap - sel.overlap()) <= 1e-12
+
+
+@st.composite
+def measurement_products(draw, n):
+    """Products that often resolve the identity, with members dropped, doubled or added."""
+    i, j = draw(st.permutations(range(1, n + 1)))[:2]
+    complete = draw(st.sampled_from([
+        [(ProjectorSpec.box_occupation(i, "L", n),), (ProjectorSpec.box_occupation(i, "R", n),)],
+        [(ProjectorSpec.pair_same(i, j, n),), (ProjectorSpec.pair_diff(i, j, n),)],
+        [(ProjectorSpec.box_occupation(i, a, n), ProjectorSpec.box_occupation(j, b, n))
+         for a in "LR" for b in "LR"],
+    ]))
+    extra = st.lists(st.sampled_from(sample_specs(n)), max_size=2).map(tuple)
+    change = draw(st.sampled_from(["none", "drop", "double", "add"]))
+    if change == "drop":
+        complete.pop()
+    elif change == "double":
+        complete.append(complete[0])
+    elif change == "add":
+        complete.append(draw(extra))
+    return complete
+
+
+@pytest.mark.parametrize("tol", [-1.0, 1e-300, 1e-12, 0.5, 1.0, 2.0])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=2, max_value=5))
+def test_exact_mask_checks_give_the_operator_verdicts(tol, data, n):
+    products = data.draw(measurement_products(n))
+    masks = [_product_mask(p, n) for p in products]
+    ops = [reduce(lambda a, b: a @ b, map(build_projector, p), Operator.identity(n))
+           for p in products]
+    assert [op.diagonal().real.tolist() for op in ops] == [m.astype(float).tolist() for m in masks]
+    assert _masks_resolve_identity(masks, tol) == is_resolution_of_identity(ops, tol)
+    assert _mask_sum_is_projector(masks, tol) == is_projector(sum(ops[1:], start=ops[0]), tol)
+    assert _mask_sum_is_projector(masks[:1], tol) == is_projector(ops[0], tol)

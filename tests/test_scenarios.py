@@ -2,10 +2,12 @@
 
 import time
 import tracemalloc
+from functools import reduce
 
 import pytest
 
 import oracle
+from twobox import scenarios
 from twobox import (
     MAX_PARTICLES,
     AblAmplitudeQuery,
@@ -13,6 +15,10 @@ from twobox import (
     DetailedVsGlobalQuery,
     ExplicitState,
     HamiltonianSpec,
+    IllegitimateQuestionError,
+    MeasurementSet,
+    Operator,
+    PrePostSelection,
     PredicateQuery,
     ProductState,
     ProjectorSpec,
@@ -20,12 +26,26 @@ from twobox import (
     ScenarioNotFoundError,
     TransitionElementQuery,
     TwoBoxError,
+    UnnormalizedKet,
     WeakValueQuery,
     WeakValueSumQuery,
+    abl_amplitude,
+    abl_probabilities,
+    build_hamiltonian,
+    build_projector,
     builtin_scenarios,
+    detailed_probability,
+    global_probability,
     lookup_scenario,
+    make_single_particle_state,
+    relabel_to_spin,
     run_scenario,
+    tensor,
+    transition_element,
+    weak_value,
+    weak_value_sum,
 )
+from twobox.hilbert import eigenstate_residual
 
 TOL = 1e-12
 
@@ -208,6 +228,9 @@ def test_scenario_validation():
         state=ExplicitState((1, 0, 0)), eigenvalue=1),)),
      "explicit state length must be a power of two"),
     (lambda: Scenario("x", 1, ("+",), ("+",), ("pair_same(1,2)",)), "unknown query type str"),
+    (lambda: relabel_to_spin(3), "cannot relabel int"),
+    (lambda: eigenstate_residual(Operator.identity(1), UnnormalizedKet([2.0, 0.0]), 1),
+     "expects a normalized Ket"),
 ])
 def test_bad_library_arguments_are_twobox_errors(build, message):
     with pytest.raises(TwoBoxError, match=message) as caught:
@@ -344,3 +367,88 @@ def test_every_query_type_runs_at_the_particle_limit():
     assert values(report.records[7])["orthogonal"] is True
     assert values(report.records[8])["resolution_of_identity"] is False
     assert values(report.records[9])["is_eigenstate"] is True
+
+
+def operator_api_results(query, sel, tol):
+    """What a spec-built query yields when computed with built operators."""
+    n = sel.n_particles
+    build = lambda product: reduce(lambda a, b: a @ b, map(build_projector, product),
+                                   Operator.identity(n))
+    if isinstance(query, AblAmplitudeQuery):
+        yield "amplitude", abl_amplitude(sel, build(query.projector))
+    elif isinstance(query, WeakValueQuery):
+        yield "weak_value", weak_value(sel, build(query.projector), tol)
+        yield "amplitude", abl_amplitude(sel, build(query.projector))
+        yield "overlap", sel.overlap()
+    elif isinstance(query, AblProbabilitiesQuery):
+        outcome = abl_probabilities(sel, MeasurementSet(list(map(build, query.projectors))), tol)
+        for amp, prob in zip(outcome.amplitudes, outcome.probabilities):
+            yield "amplitude", amp
+            yield "probability", prob
+        yield "normalization", outcome.normalization
+    elif isinstance(query, WeakValueSumQuery):
+        ops = list(map(build, query.projectors))
+        for op in ops:
+            yield "weak_value", weak_value(sel, op, tol)
+        yield "weak_value_sum", weak_value_sum(sel, ops, tol)
+    elif isinstance(query, DetailedVsGlobalQuery):
+        ops = list(map(build, query.members))
+        for op in ops:
+            yield "amplitude", abl_amplitude(sel, op)
+        yield "detailed", detailed_probability(sel, ops, tol)
+        yield "global", global_probability(sel, ops, tol)
+    else:
+        yield "transition_element", transition_element(sel, build_hamiltonian(query.hamiltonian))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 1e-300, 1e-12, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("pre, post", [(("+", "+", "+"), ("+i", "+i", "+i")),
+                                       (((1, 2j), "-", "L"), ("+", (0.6, -0.8), (1, 1j))),
+                                       (("L", "L", "+"), ("L", "+", (1, -0.999)))])
+def test_spec_built_queries_agree_with_the_operator_api(pre, post, tol):
+    box = lambda p, b: ProjectorSpec.box_occupation(p, b, 3)
+    same, diff = ProjectorSpec.pair_same(1, 2, 3), ProjectorSpec.pair_diff(1, 2, 3)
+    sd = ProjectorSpec.sd(1, 2, 3, 3)
+    every = ProjectorSpec.all_same(3)
+    queries = (
+        AblAmplitudeQuery((same, box(3, "R"))),
+        AblAmplitudeQuery((every, box(2, "L"))),
+        WeakValueQuery((sd,)),
+        AblProbabilitiesQuery(((same,), (diff,))),
+        AblProbabilitiesQuery(((same,), (diff,), (box(1, "L"),))),
+        AblProbabilitiesQuery(((box(1, "L"),),)),
+        WeakValueSumQuery(((same,), (ProjectorSpec.pair_same(2, 3, 3),), (every,))),
+        WeakValueSumQuery(()),
+        DetailedVsGlobalQuery(((box(1, "L"), box(2, "L")), (box(1, "R"), box(2, "R")))),
+        DetailedVsGlobalQuery(((same,), (ProjectorSpec.pair_same(2, 3, 3),))),
+        DetailedVsGlobalQuery(()),
+        TransitionElementQuery(HamiltonianSpec.of([(0.5, same), (2j, every), (-1, sd)])),
+    )
+    report = run_scenario(Scenario("both-paths", 3, pre, post, queries), tol)
+    sel = PrePostSelection(tensor([make_single_particle_state(f) for f in pre]),
+                           tensor([make_single_particle_state(f) for f in post]))
+    for record, query in zip(report.records, queries):
+        expected, error = [], None
+        try:
+            for name, value in operator_api_results(query, sel, tol):
+                expected.append(value)
+        except IllegitimateQuestionError as exc:
+            error = str(exc)
+        except TwoBoxError as exc:
+            expected, error = [], str(exc)
+        assert record.error == error, record.target
+        assert len(record.results) == len(expected), record.target
+        for result, value in zip(record.results, expected):
+            assert abs(result.value - value) <= 1e-12 * max(1, abs(value)), result.name
+
+
+def test_weak_value_sum_cross_checks_the_factorized_amplitudes(monkeypatch):
+    exact = scenarios._product_amplitude
+    monkeypatch.setattr(scenarios, "_product_amplitude",
+                        lambda product, weights: exact(product, weights) * (1 + 1e-9 * len(product)))
+    pair = lambda i, j: (ProjectorSpec.pair_same(i, j, 3),)
+    scenario = Scenario("skewed", 3, ("+",) * 3, ("+",) * 3,
+                        (WeakValueSumQuery((pair(1, 2), pair(2, 3))),))
+    record = run_scenario(scenario).records[0]
+    assert record.results == ()
+    assert record.error.startswith("weak value linearity cross-check failed")
