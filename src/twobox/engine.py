@@ -200,15 +200,19 @@ def weak_value(selection: PrePostSelection, op: Operator,
     Raises
     ------
     OrthogonalSelectionError
-        If |<post|pre>| <= tol, where the quotient is undefined.
+        If <post|pre> is zero or |<post|pre>| <= tol, where the quotient
+        is undefined or meaningless.
     """
     denominator = _weak_denominator(selection.overlap(), tol)
     return abl_amplitude(selection, op) / denominator
 
 
 def _weak_denominator(overlap: complex, tol: float) -> complex:
-    """<post|pre> as the denominator of weak values, refused when |<post|pre>| <= tol."""
-    if abs(overlap) <= tol:
+    """<post|pre> as the denominator of weak values, refused when zero or |<post|pre>| <= tol.
+
+    Zero is refused whatever ``tol``, since a library caller may pass a negative one.
+    """
+    if overlap == 0 or abs(overlap) <= tol:
         raise OrthogonalSelectionError("orthogonal pre/postselection")
     return overlap
 

@@ -388,13 +388,18 @@ def make_single_particle_state(
     if not all(map(math.isfinite, parts)):
         raise InvalidAmplitudesError("coefficients must be finite")
     norm_sq = abs2(cL) + abs2(cR)
-    if not 0.0 < norm_sq < math.inf:  # over- or underflow: scale by the larger part first
-        big = max(map(abs, parts))
-        if big == 0.0:
-            raise UnnormalizableStateError("unnormalizable state")
-        cL, cR = complex(cL.real / big, cL.imag / big), complex(cR.real / big, cR.imag / big)
-        norm_sq = abs2(cL) + abs2(cR)
-    scale = math.sqrt(norm_sq)
+    if 0.0 < norm_sq < math.inf:
+        scale = math.sqrt(norm_sq)
+        try:
+            return Ket([cL / scale, cR / scale], labels)
+        except InvalidAmplitudesError:  # a subnormal squared norm keeps too few digits
+            pass
+    # over- or underflow, or too few digits: scale by the larger part first
+    big = max(map(abs, parts))
+    if big == 0.0:
+        raise UnnormalizableStateError("unnormalizable state")
+    cL, cR = complex(cL.real / big, cL.imag / big), complex(cR.real / big, cR.imag / big)
+    scale = math.sqrt(abs2(cL) + abs2(cR))
     return Ket([cL / scale, cR / scale], labels)
 
 

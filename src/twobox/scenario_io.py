@@ -1,17 +1,16 @@
 """JSON input and output: scenario files in, report documents out.
 
-Scenario files are checked against ``SCENARIO_SCHEMA`` before anything is
-built, so malformed input fails with a schema path instead of a stack
-trace. The schema is the one description of the file format; a small
-interpreter in this module checks documents against it and stops at the
-first violation. It implements only the keywords the schema uses: type,
-enum, const, required, properties, additionalProperties (false only),
-items, prefixItems, minItems, minLength, minimum, maximum, oneOf and $ref
-into the root $defs; importing the module fails if the schema uses any
-other. "integer" means a JSON integer: an int that is not a bool, so
-``3.0`` is refused where an integer belongs. Complex numbers travel as
-[re, im] pairs at full double precision, which makes rendered reports
-parse back into equal values.
+``SCENARIO_SCHEMA`` is the published description of the file format. It
+is not interpreted at run time: the readers in this module check each
+field as they read it, dispatching on a projector's ``kind`` and a
+query's ``type``, and stop at the first violation with its ``$``-path
+and the wording of a JSON Schema validator, so malformed input fails
+with a path instead of a stack trace. A differential test against
+jsonschema holds the schema and the readers to each other. "integer"
+means a JSON integer: an int that is not a bool, so ``3.0`` is refused
+where an integer belongs. Complex numbers travel as [re, im] pairs at
+full double precision, which makes rendered reports parse back into
+equal values.
 """
 
 from __future__ import annotations
@@ -33,6 +32,12 @@ from .scenarios import (
     ScenarioReport,
 )
 
+# the enumerations the schema and the readers share
+_STATE_NAMES = ["L", "R", "+", "-", "+i", "-i", "plus", "minus", "plus_i", "minus_i"]
+_BOXES = ["L", "R"]
+_LABELS = ["box", "spin"]
+_CHECKS = ["is_projector", "orthogonal", "resolution_of_identity", "eigenstate"]
+
 _COMPLEX_PAIR = {
     "type": "array",
     "prefixItems": [{"type": "number"}, {"type": "number"}],
@@ -42,8 +47,7 @@ _COMPLEX_PAIR = {
 
 _STATE = {
     "oneOf": [
-        {"enum": ["L", "R", "+", "-", "+i", "-i",
-                  "plus", "minus", "plus_i", "minus_i"]},
+        {"enum": _STATE_NAMES},
         {
             "type": "object",
             "required": ["cL", "cR"],
@@ -64,7 +68,7 @@ _PROJECTOR = {
             "properties": {
                 "kind": {"const": "box"},
                 "particle": {"type": "integer"},
-                "box": {"enum": ["L", "R"]},
+                "box": {"enum": _BOXES},
             },
             "required": ["kind", "particle", "box"],
             "additionalProperties": False,
@@ -206,8 +210,7 @@ _QUERY = {
         {
             "properties": {
                 "type": {"const": "predicate"},
-                "check": {"enum": ["is_projector", "orthogonal",
-                                   "resolution_of_identity", "eigenstate"]},
+                "check": {"enum": _CHECKS},
                 "operators": {"type": "array", "minItems": 1,
                               "items": {"$ref": "#/$defs/opexpr"}},
                 "state": {"$ref": "#/$defs/nstate"},
@@ -228,7 +231,7 @@ SCENARIO_SCHEMA = {
     "properties": {
         "name": {"type": "string", "minLength": 1},
         "particles": {"type": "integer", "minimum": 1, "maximum": MAX_PARTICLES},
-        "labels": {"enum": ["box", "spin"]},
+        "labels": {"enum": _LABELS},
         "description": {"type": "string"},
         "notes": {"type": "array", "items": {"type": "string"}},
         "pre": {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/state"}},
@@ -248,226 +251,166 @@ SCENARIO_SCHEMA = {
 }
 
 
-# schema checking ------------------------------------------------------------------
+# reading and checking -------------------------------------------------------------
+# Each reader checks the fields it reads. The fields of an object are read in
+# document order, as a schema validator walks them, and the top-level fields
+# in schema order with the queries last.
 
-class _Violation(Exception):
-    """Where a document first breaks the schema; ``path`` runs innermost part first."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.path: list = []
-
-
-_KEYWORDS = frozenset({"type", "enum", "const", "required", "properties",
-                       "additionalProperties", "items", "prefixItems", "minItems",
-                       "minLength", "minimum", "maximum", "oneOf", "$ref",
-                       "$schema", "$defs"})
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int,
           "number": (int, float)}
-_DEFS = {f"#/$defs/{name}": sub for name, sub in SCENARIO_SCHEMA["$defs"].items()}
-# keys whose const or enum tells the branches of a oneOf apart
-_TAGS = ("kind", "type")
 
 
-def _is_type(value, name: str) -> bool:
-    return isinstance(value, _TYPES[name]) and not isinstance(value, bool)
+def _fail(path: str, message: str):
+    raise ScenarioFileError(f"{path}: {message}")
 
 
-def _check(value, schema: dict) -> None:
-    """Raise _Violation at the first keyword of ``schema`` that ``value`` breaks.
-
-    As in JSON Schema, a keyword about objects, arrays, strings or
-    numbers says nothing about a value of another type.
-    """
-    for keyword, arg in schema.items():
-        if keyword == "$ref":
-            _check(value, _DEFS[arg])
-        elif keyword == "oneOf":
-            _one_of(value, arg)
-        elif keyword == "type":
-            if not _is_type(value, arg):
-                raise _Violation(f"{value!r} is not of type {arg!r}")
-        elif keyword == "enum":
-            if value not in arg:
-                raise _Violation(f"{value!r} is not one of {arg!r}")
-        elif keyword == "const":
-            if value != arg:
-                raise _Violation(f"{arg!r} was expected")
-        elif isinstance(value, dict):
-            if keyword == "required":
-                for name in arg:
-                    if name not in value:
-                        raise _Violation(f"{name!r} is a required property")
-            elif keyword == "properties":
-                for key, item in value.items():
-                    if key in arg:
-                        _descend(item, arg[key], key)
-            elif keyword == "additionalProperties":
-                extra = [key for key in value if key not in schema.get("properties", ())]
-                if extra:
-                    raise _Violation("Additional properties are not allowed "
-                                     f"({', '.join(map(repr, extra))} unexpected)")
-        elif isinstance(value, list):
-            if keyword == "prefixItems":
-                for index, (item, sub) in enumerate(zip(value, arg)):
-                    _descend(item, sub, index)
-            elif keyword == "items":
-                start = len(schema.get("prefixItems", ()))
-                if arg is False and len(value) > start:
-                    raise _Violation(f"Expected at most {start} items but found {len(value)}")
-                for index in range(start, len(value) if arg is not False else 0):
-                    _descend(value[index], arg, index)
-            elif keyword == "minItems" and len(value) < arg:
-                raise _Violation(f"{value!r} is too short (minItems {arg})")
-        elif isinstance(value, str):
-            if keyword == "minLength" and len(value) < arg:
-                raise _Violation(f"{value!r} is too short (minLength {arg})")
-        elif _is_type(value, "number"):
-            if keyword == "minimum" and value < arg:
-                raise _Violation(f"{value!r} is less than the minimum of {arg!r}")
-            if keyword == "maximum" and value > arg:
-                raise _Violation(f"{value!r} is greater than the maximum of {arg!r}")
+def _typed(value, name: str, path: str):
+    """``value``, refused unless it is of the JSON type ``name``; a bool is no number."""
+    if not isinstance(value, _TYPES[name]) or type(value) is bool:
+        _fail(path, f"{value!r} is not of type {name!r}")
+    return value
 
 
-def _descend(value, schema: dict, part) -> None:
+def _enum(value, names: list, path: str):
+    if value not in names:
+        _fail(path, f"{value!r} is not one of {names!r}")
+    return value
+
+
+def _array(value, path: str, min_items: int = 0) -> list:
+    if len(_typed(value, "array", path)) < min_items:
+        _fail(path, f"{value!r} is too short (minItems {min_items})")
+    return value
+
+
+def _items(values, path: str, read, min_items: int = 0) -> tuple:
+    """The entries of an array, each read by ``read(entry, its path)``."""
+    return tuple(read(value, f"{path}[{k}]")
+                 for k, value in enumerate(_array(values, path, min_items)))
+
+
+def _object(value, path: str, required: tuple, optional: tuple = ()) -> dict:
+    """``value``, refused unless it is an object with every required key and no other."""
+    _typed(value, "object", path)
+    for key in required:
+        if key not in value:
+            _fail(path, f"{key!r} is a required property")
+    if len(value) > len(required):
+        extra = [key for key in value if key not in required and key not in optional]
+        if extra:
+            _fail(path, "Additional properties are not allowed "
+                        f"({', '.join(map(repr, extra))} unexpected)")
+    return value
+
+
+def _tagged(value, tag: str, table: dict, path: str) -> dict:
+    """An object checked against the (required, optional) keys its ``tag`` value names."""
+    if tag not in _typed(value, "object", path):
+        _fail(path, f"{tag!r} is a required property")
+    keys = table.get(value[tag]) if isinstance(value[tag], str) else None
+    if keys is None:
+        _fail(path, f"{value!r} is not valid under any of the given schemas")
+    return _object(value, path, *keys)
+
+
+def _pair(value, item: str, path: str) -> tuple:
+    """A two-entry array whose entries are of the JSON type ``item``."""
+    if len(_typed(value, "array", path)) > 2:
+        _fail(path, f"Expected at most 2 items but found {len(value)}")
+    if len(value) < 2:
+        _fail(path, f"{value!r} is too short (minItems 2)")
+    return _typed(value[0], item, f"{path}[0]"), _typed(value[1], item, f"{path}[1]")
+
+
+def _complex(value, path: str) -> complex:
+    re, im = _pair(value, "number", path)
     try:
-        _check(value, schema)
-    except _Violation as violation:
-        violation.path.append(part)
-        raise
-
-
-def _may_match(value, branch: dict) -> bool:
-    """False when the branch's type, or its const/enum on a tag key, already rules it out."""
-    if "type" in branch and not _is_type(value, branch["type"]):
-        return False
-    if "$ref" in branch and not _may_match(value, _DEFS[branch["$ref"]]):
-        return False
-    if isinstance(value, dict):
-        props = branch.get("properties", {})
-        for tag in _TAGS:
-            rule = props.get(tag, {})
-            if tag in value and ("enum" in rule or "const" in rule):
-                if value[tag] not in rule.get("enum", (rule.get("const"),)):
-                    return False
-    return True
-
-
-def _one_of(value, branches) -> None:
-    failures = []
-    matched = 0
-    for branch in branches:
-        if not _may_match(value, branch):
-            continue
-        try:
-            _check(value, branch)
-            matched += 1
-        except _Violation as violation:
-            failures.append(violation)
-    if matched == 1:
-        return
-    if matched > 1:
-        raise _Violation(f"{value!r} is valid under more than one of the given schemas")
-    if failures:
-        # the branch that got furthest into the document names the offending part
-        raise max(failures, key=lambda violation: len(violation.path))
-    raise _Violation(f"{value!r} is not valid under any of the given schemas")
-
-
-def _unsupported(schema, where: str = "#"):
-    """Yield a description of every part of ``schema`` the interpreter would misread."""
-    for keyword, arg in schema.items():
-        at = f"{where}/{keyword}"
-        if keyword not in _KEYWORDS:
-            yield f"{at}: unknown keyword"
-        elif keyword == "type" and arg not in _TYPES:
-            yield f"{at}: unknown type {arg!r}"
-        elif keyword in ("enum", "const") and not all(
-                isinstance(v, str) for v in (arg if keyword == "enum" else [arg])):
-            yield f"{at}: only strings are compared"
-        elif keyword == "additionalProperties" and arg is not False:
-            yield f"{at}: only false is implemented"
-        elif keyword == "$ref" and arg not in _DEFS:
-            yield f"{at}: {arg!r} names no root $defs entry"
-        elif keyword in ("properties", "$defs"):
-            for name, sub in arg.items():
-                yield from _unsupported(sub, f"{at}/{name}")
-        elif keyword in ("prefixItems", "oneOf"):
-            for index, sub in enumerate(arg):
-                yield from _unsupported(sub, f"{at}/{index}")
-        elif keyword == "items" and arg is not False:
-            yield from _unsupported(arg, at)
-
-
-if _problems := list(_unsupported(SCENARIO_SCHEMA)):
-    raise TypeError("SCENARIO_SCHEMA uses what its validator does not implement: "
-                    + "; ".join(_problems))
-
-
-def _validate(doc) -> None:
-    """Raise ScenarioFileError at the first place ``doc`` breaks SCENARIO_SCHEMA."""
-    try:
-        _check(doc, SCENARIO_SCHEMA)
-    except _Violation as violation:
-        path = _format_path(reversed(violation.path))
-        raise ScenarioFileError(f"{path}: {violation}") from None
-
-
-def _format_path(path) -> str:
-    out = "$"
-    for part in path:
-        out += f"[{part}]" if isinstance(part, int) else f".{part}"
-    return out
-
-
-def _as_complex(pair) -> complex:
-    try:
-        return complex(pair[0], pair[1])
+        return complex(re, im)
     except OverflowError:  # a JSON integer beyond the float range
         raise InvalidAmplitudesError("coefficients must lie within the float range") from None
 
 
 def _parse_state(doc, path: str) -> Any:
-    if isinstance(doc, str):
-        return doc
+    if not isinstance(doc, dict):
+        return _enum(doc, _STATE_NAMES, path)
+    _object(doc, path, ("cL", "cR"))
     try:
-        pair = (_as_complex(doc["cL"]), _as_complex(doc["cR"]))
+        parts = {key: _complex(value, f"{path}.{key}") for key, value in doc.items()}
+        pair = (parts["cL"], parts["cR"])
         make_single_particle_state(pair)
     except (InvalidAmplitudesError, UnnormalizableStateError) as exc:
         raise ScenarioFileError(f"{path}: {exc}") from exc
     return pair
 
 
-def _parse_projector(doc, particles: int) -> ProjectorSpec:
-    return ProjectorSpec(doc["kind"], particles, particle=doc.get("particle"), box=doc.get("box"),
-                         pair=doc.get("pair"), other=doc.get("other"))
+# the keys each projector kind's document must hold (it may hold no others),
+# and the readers of the fields besides "kind"
+_PROJECTOR_KEYS = {
+    "box": (("kind", "particle", "box"), ()),
+    "pair_same": (("kind", "pair"), ()),
+    "pair_diff": (("kind", "pair"), ()),
+    "all_same": (("kind",), ()),
+    "sd": (("kind", "pair", "other"), ()),
+}
+_PROJECTOR_FIELDS = {
+    "particle": lambda value, path: _typed(value, "integer", path),
+    "box": lambda value, path: _enum(value, _BOXES, path),
+    "pair": lambda value, path: _pair(value, "integer", path),
+    "other": lambda value, path: _typed(value, "integer", path),
+}
 
 
-def _parse_member(doc, particles: int) -> tuple[ProjectorSpec, ...]:
+def _parse_projector(doc, particles: int, path: str) -> ProjectorSpec:
+    _tagged(doc, "kind", _PROJECTOR_KEYS, path)
+    return ProjectorSpec(doc["kind"], particles,
+                         **{key: _PROJECTOR_FIELDS[key](value, f"{path}.{key}")
+                            for key, value in doc.items() if key != "kind"})
+
+
+def _parse_member(doc, particles: int, path: str) -> tuple[ProjectorSpec, ...]:
     if isinstance(doc, list):
-        return tuple(_parse_projector(p, particles) for p in doc)
-    return (_parse_projector(doc, particles),)
+        return _items(doc, path, lambda p, at: _parse_projector(p, particles, at))
+    if not isinstance(doc, dict):
+        _fail(path, f"{doc!r} is not valid under any of the given schemas")
+    return (_parse_projector(doc, particles, path),)
 
 
-def _parse_terms(docs, particles: int) -> HamiltonianSpec:
-    terms = tuple((_as_complex(t.get("coeff", [1, 0])),
-                   _parse_projector(t["projector"], particles)) for t in docs)
-    return HamiltonianSpec(terms, particles)
+def _parse_members(docs, particles: int, path: str) -> tuple[tuple[ProjectorSpec, ...], ...]:
+    return _items(docs, path, lambda d, at: _parse_member(d, particles, at), 1)
 
 
-def _parse_opexpr(doc, particles: int) -> HamiltonianSpec:
+def _parse_term(doc, particles: int, path: str) -> tuple[complex, ProjectorSpec]:
+    _object(doc, path, ("projector",), ("coeff",))
+    read = {"coeff": _complex, "projector": lambda p, at: _parse_projector(p, particles, at)}
+    fields = {key: read[key](value, f"{path}.{key}") for key, value in doc.items()}
+    return fields.get("coeff", 1 + 0j), fields["projector"]
+
+
+def _parse_terms(docs, particles: int, path: str) -> HamiltonianSpec:
+    return HamiltonianSpec(_items(docs, path, lambda t, at: _parse_term(t, particles, at)),
+                           particles)
+
+
+def _parse_opexpr(doc, particles: int, path: str) -> HamiltonianSpec:
+    if not isinstance(doc, dict):
+        _fail(path, f"{doc!r} is not valid under any of the given schemas")
     if "terms" in doc and "kind" not in doc:
-        return _parse_terms(doc["terms"], particles)
-    return HamiltonianSpec(((1 + 0j, _parse_projector(doc, particles)),), particles)
+        return _parse_terms(_object(doc, path, ("terms",))["terms"], particles, f"{path}.terms")
+    return HamiltonianSpec(((1 + 0j, _parse_projector(doc, particles, path)),), particles)
 
 
 def _parse_nstate(doc, path: str):
-    if "product" in doc:
-        return ProductState(tuple(_parse_state(s, f"{path}.product[{k}]")
-                                  for k, s in enumerate(doc["product"])))
+    if not isinstance(doc, dict):
+        _fail(path, f"{doc!r} is not valid under any of the given schemas")
+    if "amplitudes" not in doc or "product" in doc:
+        _object(doc, path, ("product",))
+        return ProductState(_items(doc["product"], f"{path}.product", _parse_state, 1))
+    _object(doc, path, ("amplitudes",))
     try:
-        amplitudes = tuple(_as_complex(a) for a in doc["amplitudes"])
+        amplitudes = _items(doc["amplitudes"], f"{path}.amplitudes", _complex, 2)
         Ket(amplitudes)
+    except ScenarioFileError:
+        raise
     except ValueError as exc:
         raise ScenarioFileError(f"{path}: {exc}") from exc
     return ExplicitState(amplitudes)
@@ -475,39 +418,69 @@ def _parse_nstate(doc, path: str):
 
 _QUERY_TYPES = {cls.tag: cls for cls in get_args(Query)}
 
-# each key a query document may hold, in the order the keys are read: the
-# query field it fills and its reader (value, particle count, query's $-path)
+# the keys each query type's document must hold, then those it may hold
+_QUERY_KEYS = {
+    "abl_amplitude": (("type", "projector"), ("claim",)),
+    "weak_value": (("type", "projector"), ("claim",)),
+    "abl_probabilities": (("type", "projectors"), ("claim",)),
+    "weak_value_sum": (("type", "projectors"), ("claim",)),
+    "detailed_vs_global": (("type", "members"), ("claim",)),
+    "transition_element": (("type", "hamiltonian"), ("claim",)),
+    "predicate": (("type", "check", "operators"), ("state", "eigenvalue", "claim")),
+}
+
+# each key a query document may hold besides "type": the query field it fills
+# and its reader (value, particle count, $-path)
 _QUERY_FIELDS = {
-    "projector": ("projector", lambda doc, n, path: _parse_member(doc, n)),
-    "projectors": ("projectors", lambda docs, n, path: tuple(_parse_member(d, n) for d in docs)),
-    "members": ("members", lambda docs, n, path: tuple(_parse_member(d, n) for d in docs)),
-    "hamiltonian": ("hamiltonian", lambda docs, n, path: _parse_terms(docs, n)),
-    "check": ("check", lambda doc, n, path: doc),
-    "operators": ("operands", lambda docs, n, path: tuple(_parse_opexpr(d, n) for d in docs)),
-    "state": ("state", lambda doc, n, path: _parse_nstate(doc, f"{path}.state")),
-    "eigenvalue": ("eigenvalue", lambda doc, n, path: _as_complex(doc)),
-    "claim": ("claim", lambda doc, n, path: doc),
+    "projector": ("projector", _parse_member),
+    "projectors": ("projectors", _parse_members),
+    "members": ("members", _parse_members),
+    "hamiltonian": ("hamiltonian", _parse_terms),
+    "check": ("check", lambda doc, n, path: _enum(doc, _CHECKS, path)),
+    "operators": ("operands", lambda docs, n, path: _items(
+        docs, path, lambda d, at: _parse_opexpr(d, n, at), 1)),
+    "state": ("state", lambda doc, n, path: _parse_nstate(doc, path)),
+    "eigenvalue": ("eigenvalue", lambda doc, n, path: _complex(doc, path)),
+    "claim": ("claim", lambda doc, n, path: _typed(doc, "string", path)),
 }
 
 
 def _parse_query(doc, particles: int, path: str):
-    fields = {name: read(doc[key], particles, path)
-              for key, (name, read) in _QUERY_FIELDS.items() if key in doc}
+    _tagged(doc, "type", _QUERY_KEYS, path)
+    fields = {}
+    for key, value in doc.items():
+        if key != "type":
+            name, read = _QUERY_FIELDS[key]
+            fields[name] = read(value, particles, f"{path}.{key}")
     return _QUERY_TYPES[doc["type"]](**fields)
 
 
 def parse_scenario_document(doc) -> Scenario:
-    """Validate a scenario document and build the runnable scenario.
+    """Check a scenario document against SCENARIO_SCHEMA and build the runnable scenario.
 
-    Raises :class:`ScenarioFileError` with a schema path diagnostic on
-    structural problems and with a query index on semantic ones, such
-    as particle indices outside 1..particles.
+    Fields are checked as they are read, in schema order with the queries
+    last. Raises :class:`ScenarioFileError` with the ``$``-path of the
+    first structural problem, and with a query index on semantic ones,
+    such as particle indices outside 1..particles.
     """
-    _validate(doc)
-    particles = doc["particles"]
+    _object(doc, "$", ("name", "particles", "pre", "post", "queries"),
+            ("labels", "description", "notes"))
+    name = _typed(doc["name"], "string", "$.name")
+    if not name:
+        _fail("$.name", f"{name!r} is too short (minLength 1)")
+    particles = _typed(doc["particles"], "integer", "$.particles")
+    if particles < 1:
+        _fail("$.particles", f"{particles!r} is less than the minimum of 1")
+    if particles > MAX_PARTICLES:
+        _fail("$.particles", f"{particles!r} is greater than the maximum of {MAX_PARTICLES!r}")
+    labels = _enum(doc.get("labels", "box"), _LABELS, "$.labels")
+    description = _typed(doc.get("description", ""), "string", "$.description")
+    notes = _items(doc.get("notes", []), "$.notes", lambda note, at: _typed(note, "string", at))
+    pre = _items(doc["pre"], "$.pre", _parse_state, 1)
+    post = _items(doc["post"], "$.post", _parse_state, 1)
     queries = []
-    for i, qdoc in enumerate(doc["queries"]):
-        path = f"$.queries[{i}]"
+    for k, qdoc in enumerate(_array(doc["queries"], "$.queries")):
+        path = f"$.queries[{k}]"
         try:
             queries.append(_parse_query(qdoc, particles, path))
         except ScenarioFileError:
@@ -515,22 +488,15 @@ def parse_scenario_document(doc) -> Scenario:
         except ValueError as exc:
             raise ScenarioFileError(f"{path}: {exc}") from exc
     try:
-        return Scenario(
-            name=doc["name"],
-            n_particles=particles,
-            pre=tuple(_parse_state(s, f"$.pre[{k}]") for k, s in enumerate(doc["pre"])),
-            post=tuple(_parse_state(s, f"$.post[{k}]") for k, s in enumerate(doc["post"])),
-            queries=tuple(queries),
-            description=doc.get("description", ""),
-            notes=tuple(doc.get("notes", ())),
-            labels=doc.get("labels", "box"),
-        )
+        return Scenario(name=name, n_particles=particles, pre=pre, post=post,
+                        queries=tuple(queries), description=description, notes=notes,
+                        labels=labels)
     except ValueError as exc:
         raise ScenarioFileError(str(exc)) from exc
 
 
 def load_scenario_file(path: str) -> Scenario:
-    """Read, validate, and build a scenario from a JSON file."""
+    """Read, check, and build a scenario from a JSON file."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -538,7 +504,7 @@ def load_scenario_file(path: str) -> Scenario:
         raise ScenarioFileError(f"cannot read scenario file: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
         raise ScenarioFileError(f"scenario file is not valid JSON: {exc}") from exc
     return parse_scenario_document(doc)
 

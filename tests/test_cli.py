@@ -1,15 +1,22 @@
 """The command line front end, exercised in process through main()."""
 
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import types
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_scenario_io import MUTATIONS, mutated, nodes, scenario_documents
 from twobox import ExpressionError, HamiltonianSpec, ProjectorSpec
 from twobox.cli import (
     format_complex,
@@ -247,6 +254,19 @@ def test_run_refuses_unusable_coefficients_with_a_path(capsys, tmp_path, text, m
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
+def test_run_normalizes_a_pair_with_a_subnormal_squared_norm(capsys, tmp_path, fmt):
+    doc = {"name": "tiny", "particles": 1, "pre": [{"cL": [1e-160, 0], "cR": [0, 0]}],
+           "post": ["L"], "queries": [{"type": "abl_amplitude",
+                                       "projector": {"kind": "box", "particle": 1, "box": "L"}}]}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["queries"][0]["results"][0]["value"] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
 def test_run_reports_a_finite_value_beyond_float_magnitude(capsys, tmp_path, fmt):
     # |1.7e308 (1+i)| overflows; the value is finite, so it is reported and does not vanish
     doc = {"name": "big", "particles": 1, "pre": ["L"], "post": ["L"],
@@ -454,7 +474,7 @@ def test_module_entry_point():
 
 
 def test_no_command_imports_jsonschema():
-    # scenario files are checked by the package's own validator
+    # scenario files are checked by the package's own parser
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -463,3 +483,55 @@ def test_no_command_imports_jsonschema():
                             timeout=60, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+# JSON text for one field: integers beyond the float range and beyond the digit
+# limit of int(), floats at and beyond the float range, NaN and empty containers
+HOSTILE = ["1" + "0" * 400, "-" + "9" * 400, "1" + "0" * 5000, "1e308", "-1.7e308",
+           "1e-200", "5e-324", "1e999", "-1e999", "NaN", "Infinity", "[]", "{}", '""',
+           "[[]]", "-0.0"]
+EXPRESSION_PARTS = ["pair_same(", "pair_diff(", "sd(", "box(", "all_same", "1", "2", "3",
+                    "0", "13", ",", ";", ")", "(", "+", "-", "*", "i", "L", "R", "0.5", "2i",
+                    "1e308", "1e999", "1e-320", "nan", "9" * 400, "9" * 5000, " ", "\n", "#"]
+
+
+@st.composite
+def scenario_texts(draw):
+    """A valid scenario document with one field mutated, or replaced by hostile JSON text."""
+    doc = draw(scenario_documents())
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(sorted(MUTATIONS)))
+        path = draw(st.sampled_from([p for p, v in nodes(doc) if MUTATIONS[kind](p, v)]))
+        return json.dumps(mutated(doc, path, kind, types.SimpleNamespace(draw=draw)))
+    path = draw(st.sampled_from([p for p, _ in nodes(doc) if p]))
+    parent = doc = copy.deepcopy(doc)  # the strategies share their lists between examples
+    for part in path[:-1]:
+        parent = parent[part]
+    parent[path[-1]] = "@hostile@"
+    return json.dumps(doc).replace('"@hostile@"', draw(st.sampled_from(HOSTILE)))
+
+
+expression_texts = st.one_of(
+    st.lists(st.sampled_from(EXPRESSION_PARTS), max_size=12).map("".join),
+    st.lists(st.tuples(coefficients, projector_specs(3)), min_size=1, max_size=3)
+    .map(lambda terms: HamiltonianSpec(tuple(terms), 3).label()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=scenario_texts(), expression=expression_texts,
+       particles=st.sampled_from(["1", "3", "12", "13"]))
+def test_no_input_ends_in_a_traceback(text, expression, particles):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for argv in (["run", path], ["run", path, "--format", "json"],
+                     ["check", expression, "--particles", particles],
+                     ["check", expression, "--particles", particles, "--format", "json"]):
+            out, err = io.StringIO(), io.StringIO()
+            # a warning would reach stderr outside the test run; here it escapes
+            with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())

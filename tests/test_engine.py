@@ -144,6 +144,9 @@ def test_weak_value_needs_nonorthogonal_selection():
     sel = PrePostSelection(basis_state("L"), basis_state("R"))
     with pytest.raises(OrthogonalSelectionError, match="orthogonal pre/postselection"):
         weak_value(sel, Operator.identity(1))
+    # a negative library tolerance still refuses the exact zero overlap
+    with pytest.raises(OrthogonalSelectionError, match="orthogonal pre/postselection"):
+        weak_value(sel, Operator.identity(1), -1.0)
 
 
 def test_weak_values_of_a_resolution_sum_to_one():

@@ -270,11 +270,13 @@ def test_non_finite_coefficients_are_invalid_amplitudes():
 
 
 def test_finite_pairs_normalize_whatever_their_magnitude():
-    # the squared norm of these overflows or underflows
+    # the squared norm of these overflows, underflows or is subnormal
     for pair, expected in [((1e308, 1e308), (S, S)), ((1e-200, 0), (1, 0)),
-                           ((1e-170, 1e-170), (S, S)), ((-1e308j, 1e-300), (-1j, 0))]:
+                           ((1e-170, 1e-170), (S, S)), ((-1e308j, 1e-300), (-1j, 0)),
+                           ((1e-160, 0), (1, 0))]:
         ket = make_single_particle_state(pair)
         assert np.allclose(ket.amplitudes, expected, rtol=0, atol=1e-15)
+    assert make_single_particle_state((1e-160, 0)).amplitudes.tolist() == [1, 0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -273,6 +273,8 @@ def test_failed_queries_become_error_records():
     assert report.records[0].error == "orthogonal pre/postselection"
     assert report.records[0].results == ()
     assert report.records[1].error == "impossible postselection"
+    # a negative library tolerance still refuses the exact zero overlap
+    assert run_scenario(scenario, tol=-1.0).records[0].error == "orthogonal pre/postselection"
 
 
 def test_bad_explicit_states_in_code_become_error_records():
