@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-from .errors import ExpressionError, ScenarioFileError, TwoBoxError
+from .errors import ExpressionError, ScenarioFileError, TwoBoxError, quoted
 from .hilbert import DEFAULT_TOLERANCE
 from .projectors import (
     PROJECTOR_KINDS,
@@ -148,9 +148,9 @@ class _Tokens:
             raise ExpressionError(f"column {len(self.text) + 1}: unexpected end of expression")
         kind, text, pos = item
         if expect_kind is not None and kind != expect_kind:
-            raise ExpressionError(f"column {pos}: expected {expect_kind}, found {text!r}")
+            raise ExpressionError(f"column {pos}: expected {expect_kind}, found {quoted(text)}")
         if expect_text is not None and text != expect_text:
-            raise ExpressionError(f"column {pos}: expected {expect_text!r}, found {text!r}")
+            raise ExpressionError(f"column {pos}: expected {expect_text!r}, found {quoted(text)}")
         self.cursor += 1
         return item
 
@@ -158,7 +158,7 @@ class _Tokens:
 def _parse_int(tokens: _Tokens) -> int:
     kind, text, pos = tokens.next("number")
     if not text.isdigit():
-        raise ExpressionError(f"column {pos}: expected an integer, found {text!r}")
+        raise ExpressionError(f"column {pos}: expected an integer, found {quoted(text)}")
     return int(text)
 
 
@@ -170,7 +170,7 @@ def _parse_scalar_token(text: str, pos: int) -> complex:
     try:
         return complex(float(text))
     except ValueError:
-        raise ExpressionError(f"column {pos}: bad number {text!r}") from None
+        raise ExpressionError(f"column {pos}: bad number {quoted(text)}") from None
 
 
 def _parse_coefficient(tokens: _Tokens) -> complex:
@@ -196,7 +196,7 @@ def _parse_signed_scalar(tokens: _Tokens) -> complex:
     if kind == "name" and text == "i":
         return sign * 1j
     if kind != "number":
-        raise ExpressionError(f"column {pos}: expected a number, found {text!r}")
+        raise ExpressionError(f"column {pos}: expected a number, found {quoted(text)}")
     return sign * _parse_scalar_token(text, pos)
 
 
@@ -204,7 +204,8 @@ def _parse_atom(tokens: _Tokens, particles: int) -> ProjectorSpec:
     kind, text, pos = tokens.next("name")
     if text not in PROJECTOR_KINDS:
         options = ", ".join(PROJECTOR_KINDS)
-        raise ExpressionError(f"column {pos}: unknown operator {text!r}; choose from {options}")
+        raise ExpressionError(
+            f"column {pos}: unknown operator {quoted(text)}; choose from {options}")
     try:
         if text == "all_same":
             return ProjectorSpec.all_same(particles)
@@ -254,7 +255,7 @@ def parse_operator_expression(text: str, particles: int) -> HamiltonianSpec:
         elif item[0] == "name" and item[1] != "i":
             options = ", ".join(PROJECTOR_KINDS)
             raise ExpressionError(
-                f"column {item[2]}: unknown operator {item[1]!r}; choose from {options}")
+                f"column {item[2]}: unknown operator {quoted(item[1])}; choose from {options}")
         else:
             coeff = sign * _parse_coefficient(tokens)
             tokens.next("symbol", "*")
@@ -265,7 +266,7 @@ def parse_operator_expression(text: str, particles: int) -> HamiltonianSpec:
         if item[0] == "symbol" and item[1] in "+-":
             sign = 1 if tokens.next()[1] == "+" else -1
             continue
-        raise ExpressionError(f"column {item[2]}: expected '+' or '-', found {item[1]!r}")
+        raise ExpressionError(f"column {item[2]}: expected '+' or '-', found {quoted(item[1])}")
     return HamiltonianSpec(tuple(terms), particles)
 
 
@@ -299,7 +300,7 @@ def _tolerance(text: str) -> float:
             return float(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
+    raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {quoted(text)}")
 
 
 def _build_parser() -> _Parser:

@@ -56,3 +56,17 @@ class ScenarioFileError(TwoBoxError, ValueError):
 
 class ExpressionError(TwoBoxError, ValueError):
     """An operator expression failed to parse."""
+
+
+QUOTE_LIMIT = 80  # the characters of an input value an error message quotes
+
+
+def capped(text: str) -> str:
+    """``text`` cut to QUOTE_LIMIT characters and ``...``, so a message quoting
+    an input stays one short line whatever the input holds."""
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+
+
+def quoted(value) -> str:
+    """``repr(value)``, capped."""
+    return capped(repr(value))

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, quoted
 from .hilbert import (
     BOX_LABELS,
     DEFAULT_TOLERANCE,
@@ -33,9 +33,9 @@ PROJECTOR_KINDS = ("box", "pair_same", "pair_diff", "all_same", "sd")
 
 def _check_particle(index: int, n_particles: int, what: str) -> None:
     if not isinstance(index, int) or isinstance(index, bool):
-        raise InvalidArgumentError(f"{what} must be an integer, got {index!r}")
+        raise InvalidArgumentError(f"{what} must be an integer, got {quoted(index)}")
     if not 1 <= index <= n_particles:
-        raise InvalidArgumentError(f"{what} {index} out of range 1..{n_particles}")
+        raise InvalidArgumentError(f"{what} {quoted(index)} out of range 1..{n_particles}")
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,13 @@ class ProjectorSpec:
 
     def __post_init__(self):
         if self.kind not in PROJECTOR_KINDS:
-            raise InvalidArgumentError(f"unknown projector kind {self.kind!r}")
+            raise InvalidArgumentError(f"unknown projector kind {quoted(self.kind)}")
         if not isinstance(self.n_particles, int) or not 1 <= self.n_particles <= MAX_PARTICLES:
             raise InvalidArgumentError(f"n_particles must lie in 1..{MAX_PARTICLES}")
         if self.kind == "box":
             _check_particle(self.particle, self.n_particles, "particle")
             if self.box not in ("L", "R"):
-                raise InvalidArgumentError(f"box must be 'L' or 'R', got {self.box!r}")
+                raise InvalidArgumentError(f"box must be 'L' or 'R', got {quoted(self.box)}")
         elif self.kind in ("pair_same", "pair_diff", "sd"):
             if self.n_particles < 2:
                 raise InvalidArgumentError(f"{self.kind} needs at least two particles")
@@ -74,7 +74,7 @@ class ProjectorSpec:
                 i, j = self.pair
             except (TypeError, ValueError):
                 raise InvalidArgumentError(
-                    f"{self.kind} needs a pair of two particles, got {self.pair!r}") from None
+                    f"{self.kind} needs a pair of two particles, got {quoted(self.pair)}") from None
             _check_particle(i, self.n_particles, "pair member")
             _check_particle(j, self.n_particles, "pair member")
             if i == j:

@@ -11,15 +11,26 @@ means a JSON integer: an int that is not a bool, so ``3.0`` is refused
 where an integer belongs. Complex numbers travel as [re, im] pairs at
 full double precision, which makes rendered reports parse back into
 equal values.
+
+``report_to_document`` is the declared shape of a report document.
+``render_report_json`` writes that shape directly from the report, one
+template per level, because ``json.dumps`` with ``indent`` set walks the
+document in json's pure-Python encoder, which cost more than parsing the
+scenario. Its text is exactly what ``json.dumps(report_to_document(report),
+indent=2, sort_keys=True, ensure_ascii=False)`` gives; a property test over
+generated reports holds the two to each other. An error message quotes at
+most 80 characters of an offending value, so it stays one short line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring as _string
 from typing import Any, get_args
 
-from .errors import InvalidAmplitudesError, ScenarioFileError, UnnormalizableStateError
+from .errors import (InvalidAmplitudesError, ScenarioFileError, UnnormalizableStateError,
+                     capped, quoted)
 from .hilbert import MAX_PARTICLES, Ket, abs2, make_single_particle_state
 from .projectors import HamiltonianSpec, ProjectorSpec
 from .scenarios import (
@@ -267,19 +278,19 @@ def _fail(path: str, message: str):
 def _typed(value, name: str, path: str):
     """``value``, refused unless it is of the JSON type ``name``; a bool is no number."""
     if not isinstance(value, _TYPES[name]) or type(value) is bool:
-        _fail(path, f"{value!r} is not of type {name!r}")
+        _fail(path, f"{quoted(value)} is not of type {name!r}")
     return value
 
 
 def _enum(value, names: list, path: str):
     if value not in names:
-        _fail(path, f"{value!r} is not one of {names!r}")
+        _fail(path, f"{quoted(value)} is not one of {names!r}")
     return value
 
 
 def _array(value, path: str, min_items: int = 0) -> list:
     if len(_typed(value, "array", path)) < min_items:
-        _fail(path, f"{value!r} is too short (minItems {min_items})")
+        _fail(path, f"{quoted(value)} is too short (minItems {min_items})")
     return value
 
 
@@ -299,7 +310,7 @@ def _object(value, path: str, required: tuple, optional: tuple = ()) -> dict:
         extra = [key for key in value if key not in required and key not in optional]
         if extra:
             _fail(path, "Additional properties are not allowed "
-                        f"({', '.join(map(repr, extra))} unexpected)")
+                        f"({capped(', '.join(map(repr, extra)))} unexpected)")
     return value
 
 
@@ -309,7 +320,7 @@ def _tagged(value, tag: str, table: dict, path: str) -> dict:
         _fail(path, f"{tag!r} is a required property")
     keys = table.get(value[tag]) if isinstance(value[tag], str) else None
     if keys is None:
-        _fail(path, f"{value!r} is not valid under any of the given schemas")
+        _fail(path, f"{quoted(value)} is not valid under any of the given schemas")
     return _object(value, path, *keys)
 
 
@@ -318,7 +329,7 @@ def _pair(value, item: str, path: str) -> tuple:
     if len(_typed(value, "array", path)) > 2:
         _fail(path, f"Expected at most 2 items but found {len(value)}")
     if len(value) < 2:
-        _fail(path, f"{value!r} is too short (minItems 2)")
+        _fail(path, f"{quoted(value)} is too short (minItems 2)")
     return _typed(value[0], item, f"{path}[0]"), _typed(value[1], item, f"{path}[1]")
 
 
@@ -371,7 +382,7 @@ def _parse_member(doc, particles: int, path: str) -> tuple[ProjectorSpec, ...]:
     if isinstance(doc, list):
         return _items(doc, path, lambda p, at: _parse_projector(p, particles, at))
     if not isinstance(doc, dict):
-        _fail(path, f"{doc!r} is not valid under any of the given schemas")
+        _fail(path, f"{quoted(doc)} is not valid under any of the given schemas")
     return (_parse_projector(doc, particles, path),)
 
 
@@ -393,7 +404,7 @@ def _parse_terms(docs, particles: int, path: str) -> HamiltonianSpec:
 
 def _parse_opexpr(doc, particles: int, path: str) -> HamiltonianSpec:
     if not isinstance(doc, dict):
-        _fail(path, f"{doc!r} is not valid under any of the given schemas")
+        _fail(path, f"{quoted(doc)} is not valid under any of the given schemas")
     if "terms" in doc and "kind" not in doc:
         return _parse_terms(_object(doc, path, ("terms",))["terms"], particles, f"{path}.terms")
     return HamiltonianSpec(((1 + 0j, _parse_projector(doc, particles, path)),), particles)
@@ -401,7 +412,7 @@ def _parse_opexpr(doc, particles: int, path: str) -> HamiltonianSpec:
 
 def _parse_nstate(doc, path: str):
     if not isinstance(doc, dict):
-        _fail(path, f"{doc!r} is not valid under any of the given schemas")
+        _fail(path, f"{quoted(doc)} is not valid under any of the given schemas")
     if "amplitudes" not in doc or "product" in doc:
         _object(doc, path, ("product",))
         return ProductState(_items(doc["product"], f"{path}.product", _parse_state, 1))
@@ -467,12 +478,13 @@ def parse_scenario_document(doc) -> Scenario:
             ("labels", "description", "notes"))
     name = _typed(doc["name"], "string", "$.name")
     if not name:
-        _fail("$.name", f"{name!r} is too short (minLength 1)")
+        _fail("$.name", f"{quoted(name)} is too short (minLength 1)")
     particles = _typed(doc["particles"], "integer", "$.particles")
     if particles < 1:
-        _fail("$.particles", f"{particles!r} is less than the minimum of 1")
+        _fail("$.particles", f"{quoted(particles)} is less than the minimum of 1")
     if particles > MAX_PARTICLES:
-        _fail("$.particles", f"{particles!r} is greater than the maximum of {MAX_PARTICLES!r}")
+        _fail("$.particles",
+              f"{quoted(particles)} is greater than the maximum of {MAX_PARTICLES!r}")
     labels = _enum(doc.get("labels", "box"), _LABELS, "$.labels")
     description = _typed(doc.get("description", ""), "string", "$.description")
     notes = _items(doc.get("notes", []), "$.notes", lambda note, at: _typed(note, "string", at))
@@ -584,7 +596,72 @@ def document_to_report(doc: dict) -> ScenarioReport:
     )
 
 
+# writing reports --------------------------------------------------------------------
+
+_NL = ["\n" + "  " * depth for depth in range(7)]  # a line break and the indent of a depth
+_WORDS = {None: "null", True: "true", False: "false"}
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)  # not repr(): numpy 2 writes np.float64(...)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _text(x: str | None) -> str:
+    return "null" if x is None else _string(x)
+
+
+def _json_array(items: list, depth: int) -> str:
+    """A JSON array at ``depth`` whose entries are already written."""
+    if not items:
+        return "[]"
+    return "[" + _NL[depth + 1] + ("," + _NL[depth + 1]).join(items) + _NL[depth] + "]"
+
+
+def _value_json(value: ResultValue) -> str:
+    nl, x = _NL[5], value.value
+    name = f'"name": {_string(value.name)},{nl}"value": '
+    if isinstance(x, bool):
+        return f"{{{nl}{name}{_WORDS[x]}{_NL[4]}}}"
+    vanishing = f',{nl}"vanishing": {_WORDS[value.vanishing]}{_NL[4]}}}'
+    if isinstance(x, complex):
+        m2 = abs2(x)
+        pair = _json_array([_float(x.real), _float(x.imag)], 5)
+        return (f'{{{nl}"magnitude": {_float(math.sqrt(m2))},{nl}"magnitude_squared": '
+                f"{_float(m2)},{nl}{name}{pair}{vanishing}")
+    return f"{{{nl}{name}{_float(x)}{vanishing}"
+
+
+def _record_json(record: QueryRecord) -> str:
+    nl = _NL[3]
+    results = _json_array([_value_json(value) for value in record.results], 3)
+    return (f'{{{nl}"claim": {_text(record.claim)},{nl}"error": {_text(record.error)},'
+            f'{nl}"index": {int.__repr__(record.index)},{nl}"kind": {_string(record.kind)},'
+            f'{nl}"results": {results},{nl}"target": {_string(record.target)},'
+            f'{nl}"type": {_string(record.query_type)}{_NL[2]}}}')
+
+
 def render_report_json(report: ScenarioReport) -> str:
-    """Deterministic JSON text for a report: sorted keys, full precision."""
-    return json.dumps(report_to_document(report), indent=2, sort_keys=True,
-                      ensure_ascii=False)
+    """Deterministic JSON text for a report: sorted keys, full precision.
+
+    Byte for byte ``json.dumps(report_to_document(report), indent=2,
+    sort_keys=True, ensure_ascii=False)``, but written from the report's fixed
+    shape, one template per level: with ``indent`` set, json encodes node by
+    node in pure Python, at about four times the cost. Each scalar is spelled
+    as json spells it: strings through json's own escape, floats through
+    ``float.__repr__`` (``NaN``, ``Infinity``, ``-Infinity`` aside) and ints
+    through ``int.__repr__``. ``test_render_matches_the_json_module`` holds the
+    two to each other on generated reports.
+    """
+    nl = _NL[1]
+    notes, post, pre = (_json_array([_string(s) for s in items], 1)
+                        for items in (report.notes, report.post, report.pre))
+    records = _json_array([_record_json(record) for record in report.records], 1)
+    tol = report.tolerance
+    tol = _float(tol) if isinstance(tol, float) else int.__repr__(tol)
+    return (f'{{{nl}"description": {_string(report.description)},'
+            f'{nl}"labels": {_string(report.labels)},'
+            f'{nl}"n_particles": {int.__repr__(report.n_particles)},{nl}"notes": {notes},'
+            f'{nl}"post": {post},{nl}"pre": {pre},{nl}"queries": {records},'
+            f'{nl}"scenario": {_string(report.scenario)},{nl}"tolerance": {tol}\n}}')

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Union
 
 import numpy as np
@@ -652,15 +652,21 @@ _BUILTIN_BUILDERS = (
 )
 
 
+@cache
+def _builtins() -> dict[str, Scenario]:
+    """The builtin scenarios by name, built and checked once; a Scenario is frozen."""
+    return {scenario.name: scenario for scenario in (build() for build in _BUILTIN_BUILDERS)}
+
+
 def builtin_scenarios() -> list[Scenario]:
-    """All builtin scenarios in a stable order."""
-    return [build() for build in _BUILTIN_BUILDERS]
+    """All builtin scenarios in a stable order, in a new list."""
+    return list(_builtins().values())
 
 
 def lookup_scenario(name: str) -> Scenario:
     """Find a builtin scenario by name."""
-    for scenario in builtin_scenarios():
-        if scenario.name == name:
-            return scenario
-    known = ", ".join(s.name for s in builtin_scenarios())
-    raise ScenarioNotFoundError(f"unknown scenario {name!r}; builtins are: {known}")
+    try:
+        return _builtins()[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        known = ", ".join(_builtins())
+        raise ScenarioNotFoundError(f"unknown scenario {name!r}; builtins are: {known}") from None

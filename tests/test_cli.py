@@ -1,6 +1,5 @@
 """The command line front end, exercised in process through main()."""
 
-import copy
 import io
 import json
 import os
@@ -320,6 +319,21 @@ def test_overflow_is_reported_on_one_line(capsys, tmp_path):
     assert "error: operator diagonal must be finite" in out
 
 
+def test_error_lines_quote_a_capped_value(capsys, tmp_path):
+    deep = []
+    for _ in range(900):
+        deep = [deep]
+    doc = {"name": "deep", "particles": 1, "pre": ["+"], "post": ["+"],
+           "queries": [{"type": "zz", "a": deep}]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: $.queries[0]: {'type': 'zz', 'a': [[[[")
+    assert err.endswith("[[[... is not valid under any of the given schemas\n")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 @pytest.mark.parametrize("command, name", [("run", "bad.json"), ("check", "bad.txt")])
 def test_undecodable_files_exit_one(capsys, tmp_path, command, name):
     path = tmp_path / name
@@ -504,7 +518,7 @@ def scenario_texts(draw):
         path = draw(st.sampled_from([p for p, v in nodes(doc) if MUTATIONS[kind](p, v)]))
         return json.dumps(mutated(doc, path, kind, types.SimpleNamespace(draw=draw)))
     path = draw(st.sampled_from([p for p, _ in nodes(doc) if p]))
-    parent = doc = copy.deepcopy(doc)  # the strategies share their lists between examples
+    parent = doc  # drawn afresh: the strategies share no list between fields or examples
     for part in path[:-1]:
         parent = parent[part]
     parent[path[-1]] = "@hostile@"
@@ -535,3 +549,4 @@ def test_no_input_ends_in_a_traceback(text, expression, particles):
                 code = main(argv)
             assert code in (0, 1, 2), argv
             assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+            assert len(err.getvalue()) <= 500, (argv, err.getvalue())

@@ -7,6 +7,7 @@ import math
 import re
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from twobox import (
     report_to_document,
     run_scenario,
 )
-from twobox.scenarios import Query
+from twobox.scenarios import Query, QueryRecord, ResultValue, ScenarioReport
 
 TOL = 1e-12
 
@@ -255,6 +256,38 @@ def test_complex_values_encode_with_magnitudes():
     assert verdict == {"name": "resolution_of_identity", "value": True}
 
 
+# reports with every scalar json spells in its own way
+TEXTS = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "\ud800", "\udfff"])))
+FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                    2.2250738585072014e-308, 1e308]), st.floats())
+COMPLEXES = st.builds(complex, FLOATS, FLOATS)
+VANISHING = st.sampled_from([None, True, False])
+RESULT_VALUES = st.one_of(
+    st.builds(ResultValue, TEXTS, st.booleans(), VANISHING),
+    st.builds(ResultValue, TEXTS, COMPLEXES | COMPLEXES.map(np.complex128), VANISHING),
+    st.builds(ResultValue, TEXTS, FLOATS | FLOATS.map(np.float64), VANISHING))
+TEXT_TUPLES = st.lists(TEXTS, max_size=3).map(tuple)
+RECORDS = st.builds(QueryRecord, index=st.integers(), query_type=TEXTS, kind=TEXTS,
+                    target=TEXTS, claim=st.none() | TEXTS,
+                    results=st.lists(RESULT_VALUES, max_size=3).map(tuple),
+                    error=st.none() | TEXTS)
+REPORTS = st.builds(ScenarioReport, scenario=TEXTS, description=TEXTS, labels=TEXTS,
+                    n_particles=st.integers(), pre=TEXT_TUPLES, post=TEXT_TUPLES,
+                    notes=TEXT_TUPLES, tolerance=st.integers() | FLOATS,
+                    records=st.lists(RECORDS, max_size=3).map(tuple))
+
+
+# numpy scalars warn when a squared magnitude overflows, on both routes alike
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(report=REPORTS)
+def test_render_matches_the_json_module(report):
+    expected = json.dumps(report_to_document(report), indent=2, sort_keys=True,
+                          ensure_ascii=False)
+    assert render_report_json(report) == expected
+
+
 def test_unvalidated_semantic_errors_still_become_file_errors():
     # structurally valid but one state too few for the particle count
     doc = minimal_doc(pre=["+", "+"])
@@ -265,7 +298,8 @@ def test_unvalidated_semantic_errors_still_become_file_errors():
 # generated documents ----------------------------------------------------------------
 
 NAMED_STATES = ["L", "R", "+", "-", "+i", "-i", "plus", "minus", "plus_i", "minus_i"]
-COMPLEX = st.sampled_from([[1, 0], [0.5, -0.25], [0, 1.0], [-1, 2], [0.6, 0.1]])
+# .map(list) draws a new list each time, so no two fields of a document share one
+COMPLEX = st.sampled_from([(1, 0), (0.5, -0.25), (0, 1.0), (-1, 2), (0.6, 0.1)]).map(list)
 REFERENCE = Draft202012Validator(SCENARIO_SCHEMA)
 
 
@@ -311,7 +345,7 @@ def predicates(draw, n):
         if draw(st.booleans()):
             doc["state"] = {"product": draw(st.lists(states(), min_size=n, max_size=n))}
         else:
-            basis = [[0, 0]] * 2**n
+            basis = [[0, 0] for _ in range(2**n)]
             basis[draw(st.integers(0, 2**n - 1))] = [1, 0]
             doc["state"] = {"amplitudes": basis}
         doc["eigenvalue"] = draw(COMPLEX)
@@ -355,6 +389,12 @@ def nodes(value, path=()):
     elif isinstance(value, list):
         for index, item in enumerate(value):
             yield from nodes(item, (*path, index))
+
+
+def untouched(doc, path):
+    """The repr of each node of ``doc`` that is neither at ``path``, nor inside nor above it."""
+    return {at: repr(value) for at, value in nodes(doc)
+            if at[:len(path)] != path and path[:len(at)] != at}
 
 
 def is_int(value):
@@ -424,7 +464,9 @@ def test_validator_agrees_with_the_reference_implementation(doc, data):
     kind = data.draw(st.sampled_from(sorted(MUTATIONS)))
     path = data.draw(st.sampled_from(
         [path for path, value in nodes(doc) if MUTATIONS[kind](path, value)]))
-    doc = mutated(doc, path, kind, data)
+    original, doc = doc, mutated(doc, path, kind, data)
+    # a single mutation changes the field at path and no other
+    assert untouched(doc, path) == untouched(original, path)
     valid = REFERENCE.is_valid(doc)
     # the reference counts 3.0 as an integer; here it is refused where an integer belongs
     if kind == "float" and at_integer_position(path):

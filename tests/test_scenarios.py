@@ -71,6 +71,21 @@ def test_lookup():
         lookup_scenario("nope")  # the message lists what exists
 
 
+def test_builtins_are_built_once_and_handed_out_in_new_lists():
+    assert lookup_scenario("pigeonhole3") == lookup_scenario("pigeonhole3")
+    listed = builtin_scenarios()
+    listed.clear()
+    listed.append(lookup_scenario("transition"))
+    assert [s.name for s in builtin_scenarios()] == BUILTIN_NAMES
+    assert builtin_scenarios() is not builtin_scenarios()
+    with pytest.raises(ScenarioNotFoundError) as caught:
+        lookup_scenario("nope")
+    known = ", ".join(BUILTIN_NAMES)
+    assert str(caught.value) == f"unknown scenario 'nope'; builtins are: {known}"
+    with pytest.raises(ScenarioNotFoundError, match=r"unknown scenario \['pigeonhole3'\]"):
+        lookup_scenario(["pigeonhole3"])
+
+
 def test_pigeonhole_report_values():
     report = run_scenario(lookup_scenario("pigeonhole3"))
     assert not report.has_errors()
