@@ -24,7 +24,6 @@ from .projectors import (
     build_hamiltonian,
     idempotency_defect,
     is_hermitian,
-    is_projector,
     is_resolution_of_identity,
 )
 from .scenario_io import load_scenario_file, render_report_json
@@ -381,15 +380,12 @@ def _cmd_check(args) -> int:
     operators = [build_hamiltonian(spec) for _, spec in parsed]
     tol = args.tolerance
 
-    entries = [
-        {
-            "expression": expr,
-            "hermitian": is_hermitian(op, tol),
-            "is_projector": is_projector(op, tol),
-            "idempotency_defect": idempotency_defect(op),
-        }
-        for (expr, _), op in zip(parsed, operators)
-    ]
+    entries = []
+    for (expr, _), op in zip(parsed, operators):
+        hermitian, defect = is_hermitian(op, tol), idempotency_defect(op)
+        entries.append({"expression": expr, "hermitian": hermitian,
+                        "is_projector": hermitian and defect <= tol,
+                        "idempotency_defect": defect})
     payload = {
         "particles": args.particles,
         "tolerance": tol,

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidAmplitudesError, InvalidArgumentError,
-                     UnnormalizableStateError)
+                     UnnormalizableStateError, quoted)
 
 DEFAULT_TOLERANCE = 1e-12
 MAX_PARTICLES = 12
@@ -85,9 +85,20 @@ def label_scheme(name: str) -> LabelScheme:
         raise InvalidArgumentError(f"unknown label scheme {name!r}") from None
 
 
+def _as_number(value, what: str) -> complex:
+    """``complex(value)``, or an InvalidArgumentError naming ``what``."""
+    try:
+        return complex(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgumentError(f"{what} must be a number, got {quoted(value)}") from None
+
+
 def _as_array(values, ndim: int, what: str) -> np.ndarray:
     """A read-only complex vector or square matrix of side 2**n, n <= MAX_PARTICLES."""
-    arr = np.array(values, dtype=np.complex128, copy=True)
+    try:
+        arr = np.array(values, dtype=np.complex128, copy=True)
+    except (TypeError, ValueError):  # non-numbers, or a ragged nesting
+        raise InvalidAmplitudesError(f"{what} must be an array of numbers") from None
     if arr.ndim != ndim or len(set(arr.shape)) != 1:
         shape = "a one dimensional sequence" if ndim == 1 else "a square matrix"
         raise InvalidAmplitudesError(f"{what} must form {shape}")
@@ -104,7 +115,8 @@ def _as_array(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-# for arithmetic whose result _computed checks: numpy need not warn of overflow too
+# for arithmetic whose result _computed checks: numpy need not warn of overflow too;
+# a decorator, as numpy's errstate instance cannot be entered as a block more than once
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -115,6 +127,20 @@ def _computed(arr: np.ndarray, what: str) -> np.ndarray:
         raise InvalidAmplitudesError(f"{what} must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _entries_what(data: np.ndarray) -> str:
+    return "operator diagonal" if data.ndim == 1 else "operator entries"
+
+
+def _operand_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stored arrays of two operators in one form: both diagonals when both
+    are diagonal, else both dense matrices."""
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatchError(f"operator dimensions differ: {a.shape[0]} vs {b.shape[0]}")
+    if a.ndim == b.ndim == 1:
+        return a, b
+    return (a if a.ndim == 2 else np.diag(a)), (b if b.ndim == 2 else np.diag(b))
 
 
 class _Vector:
@@ -242,8 +268,7 @@ class Operator:
     def _of(cls, data: np.ndarray, labels: LabelScheme) -> "Operator":
         # a diagonal (1-D) or dense (2-D) array the library computed, in the form it has
         op = cls.__new__(cls)
-        what = "operator diagonal" if data.ndim == 1 else "operator entries"
-        object.__setattr__(op, "_data", _computed(data, what))
+        object.__setattr__(op, "_data", _computed(data, _entries_what(data)))
         object.__setattr__(op, "_labels", labels)
         return op
 
@@ -287,27 +312,18 @@ class Operator:
     def with_labels(self, labels: LabelScheme) -> "Operator":
         return Operator._of(self._data, labels)
 
-    def _operands(self, other: "Operator") -> tuple[np.ndarray, np.ndarray]:
-        # both diagonals when both operators are diagonal, else both dense matrices
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"operator dimensions differ: {self.dim} vs {other.dim}")
-        if self._data.ndim == other._data.ndim == 1:
-            return self._data, other._data
-        return self.entries, other.entries
-
     @_quiet
     def __add__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
-        a, b = self._operands(other)
+        a, b = _operand_arrays(self._data, other._data)
         return Operator._of(a + b, self._labels)
 
     @_quiet
     def __sub__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
-        a, b = self._operands(other)
+        a, b = _operand_arrays(self._data, other._data)
         return Operator._of(a - b, self._labels)
 
     def __neg__(self) -> "Operator":
@@ -325,7 +341,7 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
-        a, b = self._operands(other)
+        a, b = _operand_arrays(self._data, other._data)
         return Operator._of(a * b if a.ndim == 1 else a @ b, self._labels)
 
     def __setattr__(self, name, value):
@@ -446,18 +462,19 @@ def inner(bra: KetLike, ket: KetLike) -> complex:
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
-@_quiet
 def _image(op: Operator, ket: KetLike) -> np.ndarray:
     if op.dim != ket.dim:
         raise DimensionMismatchError(f"operator dimension {op.dim} does not match state dimension {ket.dim}")
     return op._data @ ket.amplitudes if op._data.ndim == 2 else op._data * ket.amplitudes
 
 
+@_quiet
 def apply(op: Operator, ket: KetLike) -> UnnormalizedKet:
     """Apply an operator to a state. The result is deliberately unnormalized."""
     return UnnormalizedKet._of(_image(op, ket), ket.labels)
 
 
+@_quiet
 def matrix_element(bra: KetLike, op: Operator, ket: KetLike) -> complex:
     """The sandwiched element <bra|op|ket>."""
     image = _computed(_image(op, ket), "amplitudes")
@@ -466,11 +483,13 @@ def matrix_element(bra: KetLike, op: Operator, ket: KetLike) -> complex:
     return complex(np.vdot(bra.amplitudes, image))
 
 
+@_quiet
 def eigenstate_residual(op: Operator, ket: Ket, eigenvalue: complex) -> float:
     """The Euclidean norm of op|ket> - eigenvalue|ket>."""
     if not isinstance(ket, Ket):
         raise InvalidArgumentError("an eigenstate test expects a normalized Ket")
-    return float(np.linalg.norm(apply(op, ket).amplitudes - complex(eigenvalue) * ket.amplitudes))
+    image = _computed(_image(op, ket), "amplitudes")
+    return float(np.linalg.norm(image - complex(eigenvalue) * ket.amplitudes))
 
 
 def is_eigenstate(op: Operator, ket: Ket, eigenvalue: complex,

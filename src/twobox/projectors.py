@@ -7,6 +7,14 @@ bit tests (``_holds``) give a product of specs its amplitude between two
 product states without any 2**n array, summing over the labels of the
 particles the specs touch only (``_product_amplitude``), and give the
 0/1 masks on which scenario runs check their preconditions exactly.
+
+The structural checks (``is_hermitian``, ``idempotency_defect``,
+``is_projector``, ``are_orthogonal``, ``is_resolution_of_identity``) and
+``build_hamiltonian`` compute on an operator's stored array: entry by entry
+on a diagonal, with ``@`` on a dense matrix, under one ``np.errstate`` per
+call and with no intermediate Operator. Each returns, bit for bit, what the
+same expression in Operator arithmetic gives (``(op @ op - op).max_entry()``
+and so on), and refuses an overflow with the same message.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, quoted
+from .errors import InvalidAmplitudesError, InvalidArgumentError, quoted
 from .hilbert import (
     BOX_LABELS,
     DEFAULT_TOLERANCE,
@@ -26,6 +34,11 @@ from .hilbert import (
     Ket,
     Operator,
     UnnormalizedKet,
+    _as_number,
+    _computed,
+    _entries_what,
+    _operand_arrays,
+    _quiet,
 )
 
 PROJECTOR_KINDS = ("box", "pair_same", "pair_diff", "all_same", "sd")
@@ -227,7 +240,7 @@ class HamiltonianSpec:
     def __post_init__(self):
         object.__setattr__(
             self, "terms",
-            tuple((complex(c), p) for c, p in self.terms))
+            tuple((_as_number(c, "coefficient"), p) for c, p in self.terms))
         if not isinstance(self.n_particles, int) or not 1 <= self.n_particles <= MAX_PARTICLES:
             raise InvalidArgumentError(f"n_particles must lie in 1..{MAX_PARTICLES}")
         for _, p in self.terms:
@@ -257,34 +270,74 @@ class HamiltonianSpec:
         return " + ".join(parts)
 
 
+@_quiet
 def build_hamiltonian(spec: HamiltonianSpec) -> Operator:
-    """Realize a weighted projector sum; an empty term list gives the zero operator."""
-    total = Operator.zero(spec.n_particles)
+    """Realize a weighted projector sum as one diagonal, adding the terms in
+    order to zeros; an empty term list gives the zero operator."""
+    n = spec.n_particles
+    index = np.arange(2**n)
+    total = np.zeros(2**n, dtype=np.complex128)
     for coeff, proj in spec.terms:
-        total = total + coeff * build_projector(proj)
-    return total
+        total += _holds(proj, index, n).astype(np.complex128) * coeff
+    return Operator._of(total, BOX_LABELS)  # a non-finite sum stays non-finite
 
 
+def _max_entry(arr: np.ndarray) -> float:
+    """``Operator.max_entry`` of a diagonal or matrix computed from an operator's
+    entries, refused as Operator arithmetic refuses it if overflow left an entry
+    non-finite. A finite entry can still have an infinite magnitude."""
+    largest = float(np.abs(arr).max())
+    if not math.isfinite(largest) and not np.isfinite(arr).all():
+        raise InvalidAmplitudesError(f"{_entries_what(arr)} must be finite")
+    return largest
+
+
+def _hermitian_defect(data: np.ndarray) -> float:
+    return _max_entry(data - data.conj().T)
+
+
+def _idempotency_defect(data: np.ndarray) -> float:
+    # one check of the difference suffices: a non-finite square stays non-finite
+    return _max_entry((data * data if data.ndim == 1 else data @ data) - data)
+
+
+def _is_projector(data: np.ndarray, tol: float) -> bool:
+    return _hermitian_defect(data) <= tol and _idempotency_defect(data) <= tol
+
+
+def _are_orthogonal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    # both products even on diagonals: numpy's vectorized complex product need
+    # not round a*b and b*a alike
+    a, b = _operand_arrays(a, b)
+    product = np.multiply if a.ndim == 1 else np.matmul
+    return _max_entry(product(a, b)) <= tol and _max_entry(product(b, a)) <= tol
+
+
+@_quiet
 def is_hermitian(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the operator equals its own adjoint, max-entry norm."""
-    return (op - op.dagger()).max_entry() <= tol
+    return _hermitian_defect(op._data) <= tol
 
 
+@_quiet
 def idempotency_defect(op: Operator) -> float:
     """Max-entry norm of op@op - op; zero for exact projectors."""
-    return (op @ op - op).max_entry()
+    return _idempotency_defect(op._data)
 
 
+@_quiet
 def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Hermitian and idempotent within ``tol`` (max-entry norm on both checks)."""
-    return is_hermitian(op, tol) and idempotency_defect(op) <= tol
+    return _is_projector(op._data, tol)
 
 
+@_quiet
 def are_orthogonal(a: Operator, b: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether both products a@b and b@a vanish within ``tol``."""
-    return (a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol
+    return _are_orthogonal(a._data, b._data, tol)
 
 
+@_quiet
 def is_resolution_of_identity(projectors: Iterable[Operator],
                               tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the operators are mutually orthogonal projectors summing to one.
@@ -292,13 +345,17 @@ def is_resolution_of_identity(projectors: Iterable[Operator],
     Accepts any iterable of operators, including a
     :class:`~twobox.engine.MeasurementSet`.
     """
-    ops = list(projectors)
-    if not ops:
+    arrays = [op._data for op in projectors]
+    if not arrays:
         raise InvalidArgumentError("resolution check needs at least one operator")
-    total = sum(ops[1:], start=ops[0])  # raises on mixed dimensions
-    return (all(is_projector(op, tol) for op in ops)
-            and all(are_orthogonal(a, b, tol) for i, a in enumerate(ops) for b in ops[i + 1:])
-            and (total - Operator.identity(total.n_particles)).max_entry() <= tol)
+    total = arrays[0]
+    for data in arrays[1:]:  # summed in order, as Operator addition would
+        total, data = _operand_arrays(total, data)
+        total = _computed(total + data, _entries_what(total))
+    total, identity = _operand_arrays(total, np.ones(total.shape[0], dtype=np.complex128))
+    return (all(_is_projector(data, tol) for data in arrays)
+            and all(_are_orthogonal(a, b, tol) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+            and _max_entry(total - identity) <= tol)
 
 
 def _masks_resolve_identity(masks: Sequence[np.ndarray], tol: float) -> bool:

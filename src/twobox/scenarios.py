@@ -22,13 +22,15 @@ specs' 0/1 masks. Beyond the masks, a 2**n vector is formed only for the
 cross-check of a weak-value sum (conj(post)*pre) and for a transition element
 whose coefficient sums overflow: that one is built as an operator, so its
 refusal reads as in :mod:`twobox.engine`. Predicates always use built
-operators. The values match the operator route of :mod:`twobox.engine` up to
-rounding in the last bits.
+operators, and their checks run on each operator's stored array (see
+:mod:`twobox.projectors`). The values match the operator route of
+:mod:`twobox.engine` up to rounding in the last bits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Union
@@ -44,10 +46,11 @@ from .engine import (
     vanishes,
 )
 from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, InvalidArgumentError,
-                     NotAProjectorError, ScenarioNotFoundError, TwoBoxError)
+                     NotAProjectorError, ScenarioNotFoundError, TwoBoxError, quoted)
 from .hilbert import (
     DEFAULT_TOLERANCE,
     Ket,
+    _as_number,
     abs2,
     eigenstate_residual,
     label_scheme,
@@ -66,7 +69,6 @@ from .projectors import (
     build_hamiltonian,
     idempotency_defect,
     is_hermitian,
-    is_projector,
     are_orthogonal,
     is_resolution_of_identity,
 )
@@ -225,13 +227,13 @@ class DetailedVsGlobalQuery:
         amplitudes = [selection.amplitude(p) for p in self.members]
         for product, amplitude in zip(self.members, amplitudes):
             yield f"amplitude[{_product_label(product)}]", amplitude
-        masks = selection.masks(self.members)
-        if not all(_mask_sum_is_projector([mask], tol) for mask in masks):
+        # a product of 0/1 diagonals is a projector, whose defects are exactly 0
+        if self.members and not tol >= 0:
             raise NotAProjectorError("non-projector member")
         yield "detailed", sum(abs2(a) for a in amplitudes)
-        if not masks:
+        if not self.members:
             raise InvalidArgumentError("global probability needs at least one projector")
-        if not _mask_sum_is_projector(masks, tol):
+        if not _mask_sum_is_projector(selection.masks(self.members), tol):
             raise IllegitimateQuestionError("not a legitimate question")
         yield "global", abs2(sum(amplitudes))
 
@@ -287,6 +289,7 @@ class PredicateQuery:
         if self.check == "eigenstate":
             if self.state is None or self.eigenvalue is None:
                 raise InvalidArgumentError("eigenstate needs a state and an eigenvalue")
+            _as_number(self.eigenvalue, "eigenvalue")
         elif self.state is not None or self.eigenvalue is not None:
             raise InvalidArgumentError(f"{self.check} takes no state or eigenvalue")
 
@@ -316,9 +319,10 @@ class PredicateQuery:
     def results(self, selection: _ProductSelection, tol: float):
         ops = [build_hamiltonian(operand) for operand in self.operands]
         if self.check == "is_projector":
-            yield "is_projector", is_projector(ops[0], tol)
-            yield "hermitian", is_hermitian(ops[0], tol)
-            yield "idempotency_defect", idempotency_defect(ops[0])
+            hermitian, defect = is_hermitian(ops[0], tol), idempotency_defect(ops[0])
+            yield "is_projector", hermitian and defect <= tol
+            yield "hermitian", hermitian
+            yield "idempotency_defect", defect
         elif self.check == "orthogonal":
             yield "orthogonal", are_orthogonal(ops[0], ops[1], tol)
         elif self.check == "resolution_of_identity":
@@ -346,9 +350,9 @@ def _validate_single_state_spec(spec: SingleStateSpec) -> None:
     if isinstance(spec, str):
         canonical_state_name(spec)
         return
-    if len(spec) != 2:
+    if not hasattr(spec, "__len__") or len(spec) != 2:
         raise InvalidArgumentError("an explicit single-particle state needs exactly two coefficients")
-    complex(spec[0]), complex(spec[1])
+    _as_number(spec[0], "a state coefficient"), _as_number(spec[1], "a state coefficient")
 
 
 @dataclass(frozen=True)
@@ -457,8 +461,11 @@ def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOLERANCE) -> Scenario
     Identical inputs always produce equal reports. A query that raises a
     domain error becomes a record with the error text; the remaining
     queries still run, and partial results follow the rule in the
-    module docstring.
+    module docstring. ``tol`` must be a real number other than NaN; a
+    negative one is allowed.
     """
+    if not isinstance(tol, numbers.Real) or tol != tol:  # tol != tol: NaN
+        raise InvalidArgumentError(f"tolerance must be a real number, got {quoted(tol)}")
     scheme = label_scheme(scenario.labels)
     selection = _ProductSelection([make_single_particle_state(f) for f in scenario.pre],
                                   [make_single_particle_state(f) for f in scenario.post])

@@ -14,12 +14,15 @@ from twobox import (
     DimensionMismatchError,
     HamiltonianSpec,
     InvalidArgumentError,
+    Ket,
     Operator,
     PrePostSelection,
     ProjectorSpec,
     SPIN_LABELS,
     Scenario,
+    TwoBoxError,
     abl_amplitude,
+    apply,
     are_orthogonal,
     basis_state,
     build_hamiltonian,
@@ -33,6 +36,7 @@ from twobox import (
     run_scenario,
     tensor,
 )
+from twobox.hilbert import eigenstate_residual
 from twobox.projectors import _mask_sum_is_projector, _masks_resolve_identity, _product_mask
 
 
@@ -323,3 +327,93 @@ def test_exact_mask_checks_give_the_operator_verdicts(tol, data, n):
     assert _masks_resolve_identity(masks, tol) == is_resolution_of_identity(ops, tol)
     assert _mask_sum_is_projector(masks, tol) == is_projector(sum(ops[1:], start=ops[0]), tol)
     assert _mask_sum_is_projector(masks[:1], tol) == is_projector(ops[0], tol)
+
+
+# magnitudes up to the largest double, so that squares, sums, differences and
+# images overflow
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e154, -1e154, 1e200, 1e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+COMPLEXES = st.builds(complex, FLOATS, FLOATS)
+HUGE = st.sampled_from([1e308, 1.7e308, -1.7e308])
+MASK_ENTRIES = st.sampled_from([0j, 1 + 0j])
+
+
+@st.composite
+def operators(draw, dim):
+    """A diagonal or dense operator: a 0/1 mask, arbitrary entries, huge ones, or a mix."""
+    dense = draw(st.booleans())
+    entry = draw(st.sampled_from([MASK_ENTRIES, COMPLEXES, st.builds(complex, HUGE, HUGE),
+                                  st.one_of(MASK_ENTRIES, COMPLEXES)]))
+    size = dim * dim if dense else dim
+    values = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+    return Operator(values.reshape(dim, dim)) if dense else Operator.from_diagonal(values)
+
+
+def outcome(call):
+    """What ``call`` returns, to the bit, or the type and message of its TwoBoxError."""
+    try:
+        value = call()
+    except TwoBoxError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, Operator):
+        return Operator, value._data.ndim, value._data.tobytes(), value.labels
+    return type(value), repr(value)
+
+
+def by_arithmetic(call):
+    """``outcome`` of a reference expression in Operator arithmetic; its max_entry
+    may warn of an overflowing magnitude, which is not what is compared."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return outcome(call)
+
+
+def resolution_by_arithmetic(ops, tol):
+    total = sum(ops[1:], start=ops[0])
+    return (all((op - op.dagger()).max_entry() <= tol and (op @ op - op).max_entry() <= tol
+                for op in ops)
+            and all((a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol
+                    for i, a in enumerate(ops) for b in ops[i + 1:])
+            and (total - Operator.identity(total.n_particles)).max_entry() <= tol)
+
+
+def hamiltonian_by_arithmetic(spec):
+    total = Operator.zero(spec.n_particles)
+    for coeff, proj in spec.terms:
+        total = total + coeff * build_projector(proj)
+    return total
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 4]),
+       tol=st.sampled_from([-1.0, 0.0, 1e-300, 1e-12, 0.5, 1.0, 1e300]))
+def test_structural_checks_match_operator_arithmetic(data, dim, tol):
+    # the other operands mostly share the first one's dimension
+    a, b, c = (data.draw(operators(data.draw(st.sampled_from([dim, dim, dim, 6 - dim]))))
+               for _ in range(3))
+    ops = [a, b, c][:data.draw(st.integers(1, 3))]
+    assert outcome(lambda: is_hermitian(a, tol)) == by_arithmetic(
+        lambda: (a - a.dagger()).max_entry() <= tol)
+    assert outcome(lambda: idempotency_defect(a)) == by_arithmetic(
+        lambda: (a @ a - a).max_entry())
+    assert outcome(lambda: is_projector(a, tol)) == by_arithmetic(
+        lambda: (a - a.dagger()).max_entry() <= tol and (a @ a - a).max_entry() <= tol)
+    assert outcome(lambda: are_orthogonal(a, b, tol)) == by_arithmetic(
+        lambda: (a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol)
+    assert outcome(lambda: is_resolution_of_identity(ops, tol)) == by_arithmetic(
+        lambda: resolution_by_arithmetic(ops, tol))
+
+    amplitudes = data.draw(st.lists(st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+                                    min_size=dim, max_size=dim).filter(any))
+    ket = Ket.normalized(amplitudes)
+    eigenvalue = data.draw(st.one_of(COMPLEXES, st.sampled_from([0, 1, -1, 1j])))
+    assert outcome(lambda: eigenstate_residual(a, ket, eigenvalue)) == by_arithmetic(
+        lambda: float(np.linalg.norm(apply(a, ket).amplitudes - complex(eigenvalue) * ket.amplitudes)))
+
+    n = data.draw(st.sampled_from([2, 3]))
+    coefficients = st.one_of(st.sampled_from([1, -1, 0.5, 1j, complex("inf")]), COMPLEXES)
+    spec = HamiltonianSpec.of(data.draw(st.lists(
+        st.tuples(coefficients, st.sampled_from(sample_specs(n))), max_size=4)), n)
+    assert outcome(lambda: build_hamiltonian(spec)) == by_arithmetic(
+        lambda: hamiltonian_by_arithmetic(spec))

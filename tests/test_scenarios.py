@@ -16,6 +16,8 @@ from twobox import (
     ExplicitState,
     HamiltonianSpec,
     IllegitimateQuestionError,
+    InvalidArgumentError,
+    Ket,
     MeasurementSet,
     Operator,
     PrePostSelection,
@@ -246,6 +248,15 @@ def test_scenario_validation():
     (lambda: relabel_to_spin(3), "cannot relabel int"),
     (lambda: eigenstate_residual(Operator.identity(1), UnnormalizedKet([2.0, 0.0]), 1),
      "expects a normalized Ket"),
+    (lambda: Ket(["a", "b"]), "amplitudes must be an array of numbers"),
+    (lambda: HamiltonianSpec.of([("abc", ProjectorSpec.all_same(2))]),
+     "coefficient must be a number, got .abc."),
+    (lambda: Scenario("x", 1, (("a", "b"),), ("+",), ()),
+     "a state coefficient must be a number, got 'a'"),
+    (lambda: Scenario("x", 1, (5,), ("+",), ()), "needs exactly two coefficients"),
+    (lambda: PredicateQuery("eigenstate", (HamiltonianSpec.of([(1, ProjectorSpec.all_same(2))]),),
+                            state=ProductState(("L", "L")), eigenvalue=[1, 2]),
+     r"eigenvalue must be a number, got \[1, 2\]"),
 ])
 def test_bad_library_arguments_are_twobox_errors(build, message):
     with pytest.raises(TwoBoxError, match=message) as caught:
@@ -290,6 +301,15 @@ def test_failed_queries_become_error_records():
     assert report.records[1].error == "impossible postselection"
     # a negative library tolerance still refuses the exact zero overlap
     assert run_scenario(scenario, tol=-1.0).records[0].error == "orthogonal pre/postselection"
+
+
+@pytest.mark.parametrize("tol", ["a", None, float("nan"), 1j])
+def test_run_scenario_refuses_a_tolerance_that_is_not_a_real_number(tol):
+    scenario = lookup_scenario("detailed-vs-global")
+    with pytest.raises(InvalidArgumentError, match="tolerance must be a real number, got "):
+        run_scenario(scenario, tol)
+    # negative tolerances stay allowed: they mark every value non-vanishing
+    assert run_scenario(scenario, -1.0).tolerance == -1.0
 
 
 def test_bad_explicit_states_in_code_become_error_records():
