@@ -16,16 +16,7 @@ import sys
 
 from .errors import ExpressionError, ScenarioFileError, TwoBoxError, quoted
 from .hilbert import DEFAULT_TOLERANCE
-from .projectors import (
-    PROJECTOR_KINDS,
-    HamiltonianSpec,
-    ProjectorSpec,
-    are_orthogonal,
-    build_hamiltonian,
-    idempotency_defect,
-    is_hermitian,
-    is_resolution_of_identity,
-)
+from .projectors import PROJECTOR_KINDS, HamiltonianSpec, ProjectorSpec, _SpecChecks
 from .scenario_io import load_scenario_file, render_report_json
 from .scenarios import ScenarioReport, builtin_scenarios, lookup_scenario, run_scenario
 
@@ -377,12 +368,12 @@ def _cmd_check(args) -> int:
     parsed = parse_operator_expressions(text, args.particles)
     if not parsed:
         raise ExpressionError("no operator expressions found")
-    operators = [build_hamiltonian(spec) for _, spec in parsed]
+    checks = _SpecChecks([spec for _, spec in parsed])
     tol = args.tolerance
 
     entries = []
-    for (expr, _), op in zip(parsed, operators):
-        hermitian, defect = is_hermitian(op, tol), idempotency_defect(op)
+    for k, (expr, _) in enumerate(parsed):
+        hermitian, defect = checks.is_hermitian(k, tol), checks.idempotency_defect(k)
         entries.append({"expression": expr, "hermitian": hermitian,
                         "is_projector": hermitian and defect <= tol,
                         "idempotency_defect": defect})
@@ -391,14 +382,13 @@ def _cmd_check(args) -> int:
         "tolerance": tol,
         "operators": entries,
     }
-    if len(operators) > 1:
+    if len(parsed) > 1:
         payload["pairwise_orthogonal"] = [
-            {"pair": [i, j],
-             "orthogonal": are_orthogonal(operators[i], operators[j], tol)}
-            for i in range(len(operators))
-            for j in range(i + 1, len(operators))
+            {"pair": [i, j], "orthogonal": checks.are_orthogonal(i, j, tol)}
+            for i in range(len(parsed))
+            for j in range(i + 1, len(parsed))
         ]
-        payload["resolution_of_identity"] = is_resolution_of_identity(operators, tol)
+        payload["resolution_of_identity"] = checks.is_resolution_of_identity(tol)
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
@@ -411,7 +401,7 @@ def _cmd_check(args) -> int:
         annotation = fraction_annotation(complex(defect))
         tail = f" {annotation}" if annotation else ""
         print(f"    idempotency_defect = {defect + 0.0:.6g}{tail}")
-    if len(operators) > 1:
+    if len(parsed) > 1:
         print("pairwise orthogonality:")
         for item in payload["pairwise_orthogonal"]:
             i, j = item["pair"]

@@ -70,3 +70,11 @@ def capped(text: str) -> str:
 def quoted(value) -> str:
     """``repr(value)``, capped."""
     return capped(repr(value))
+
+
+def expect(value, kind: type, what: str):
+    """``value`` if it is a ``kind``, else an InvalidArgumentError naming ``what``:
+    the one check a library argument of that kind gets where it enters."""
+    if not isinstance(value, kind):
+        raise InvalidArgumentError(f"expected {what}, got {type(value).__name__}")
+    return value

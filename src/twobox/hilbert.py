@@ -15,22 +15,48 @@ are copied and checked in full, for shape, a power-of-two size, the
 from checked values (operator arithmetic, ``apply``, a projector mask)
 keeps shape and size by construction, so it is only checked for
 finiteness, which overflow can lose, and marked read-only, not copied.
+
+Which path runs: numpy runs on its first array use, not with the package.
+``np`` below is a deferred handle on it, shared by ``projectors``: the
+module executes on its first attribute access. A scenario of named or
+coefficient-pair states and spec-built queries computes on the normalized
+``(cL, cR)`` pairs (``_single_pair``) in plain Python and never loads it;
+a ``Ket``, an ``Operator`` or a function given one does.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce, wraps
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
 from .errors import (DimensionMismatchError, InvalidAmplitudesError, InvalidArgumentError,
-                     UnnormalizableStateError, quoted)
+                     UnnormalizableStateError, expect, quoted)
 
 DEFAULT_TOLERANCE = 1e-12
 MAX_PARTICLES = 12
+
+
+def _deferred(name: str):
+    """The module ``name``, executed on its first attribute access unless it is
+    already imported. An ``import`` statement for it reads its ``__spec__`` and
+    so executes it too; only this handle refers to it. Python 3.11's lazy
+    loader takes no lock, so there a threaded caller makes the first access
+    from one thread."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+np = _deferred("numpy")
 
 
 def abs2(z: complex) -> float:
@@ -115,9 +141,14 @@ def _as_array(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-# for arithmetic whose result _computed checks: numpy need not warn of overflow too;
-# a decorator, as numpy's errstate instance cannot be entered as a block more than once
-_quiet = np.errstate(over="ignore", invalid="ignore")
+def _quiet(fn):
+    """``fn`` with numpy's overflow and invalid warnings off, for arithmetic whose
+    result ``_computed`` checks; the errstate is made per call, when numpy is needed."""
+    @wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
 
 
 def _computed(arr: np.ndarray, what: str) -> np.ndarray:
@@ -351,6 +382,16 @@ class Operator:
         return f"Operator(n_particles={self.n_particles}, labels={self._labels.name!r})"
 
 
+def _state(value) -> KetLike:
+    """A state argument: a Ket or an UnnormalizedKet, anything else refused."""
+    return expect(value, _Vector, "a state (Ket or UnnormalizedKet)")
+
+
+def _operator(value) -> Operator:
+    """An operator argument: an Operator, anything else refused."""
+    return expect(value, Operator, "an Operator")
+
+
 _STATE_ALIASES = {
     "L": "L", "R": "R",
     "plus": "plus", "+": "plus",
@@ -361,15 +402,15 @@ _STATE_ALIASES = {
 
 _HALF_SQRT2 = math.sqrt(0.5)
 
-# shared read-only kets, checked once at import
-_NAMED_STATES = {name: Ket(amplitudes) for name, amplitudes in {
+# the named single-particle states as normalized (cL, cR) pairs
+_NAMED_STATES = {
     "L": (1.0 + 0.0j, 0.0j),
     "R": (0.0j, 1.0 + 0.0j),
     "plus": (_HALF_SQRT2 + 0.0j, _HALF_SQRT2 + 0.0j),
     "minus": (_HALF_SQRT2 + 0.0j, -_HALF_SQRT2 + 0.0j),
     "plus_i": (_HALF_SQRT2 + 0.0j, _HALF_SQRT2 * 1.0j),
     "minus_i": (_HALF_SQRT2 + 0.0j, -_HALF_SQRT2 * 1.0j),
-}.items()}
+}
 
 
 def canonical_state_name(name: str) -> str:
@@ -379,6 +420,37 @@ def canonical_state_name(name: str) -> str:
     except KeyError:
         options = ", ".join(sorted(_STATE_ALIASES))
         raise InvalidArgumentError(f"unknown state name {name!r}; choose one of {options}") from None
+
+
+def _single_pair(state: str | tuple[complex, complex]) -> tuple[complex, complex]:
+    """The normalized (cL, cR) pair of a one-particle state given as in
+    :func:`make_single_particle_state`, computed in scalar Python."""
+    if isinstance(state, str):
+        return _NAMED_STATES[canonical_state_name(state)]
+    cL, cR = complex(state[0]), complex(state[1])
+    parts = (cL.real, cL.imag, cR.real, cR.imag)
+    if not all(map(math.isfinite, parts)):
+        raise InvalidAmplitudesError("coefficients must be finite")
+    norm_sq = abs2(cL) + abs2(cR)
+    if 0.0 < norm_sq < math.inf:
+        scale = math.sqrt(norm_sq)
+        pair = cL / scale, cR / scale
+        # the check of Ket; a subnormal squared norm keeps too few digits to pass it
+        if abs(abs2(pair[0]) + abs2(pair[1]) - 1.0) <= DEFAULT_TOLERANCE:
+            return pair
+    # over- or underflow, or too few digits: scale by the larger part first
+    big = max(map(abs, parts))
+    if big == 0.0:
+        raise UnnormalizableStateError("unnormalizable state")
+    cL, cR = complex(cL.real / big, cL.imag / big), complex(cR.real / big, cR.imag / big)
+    scale = math.sqrt(abs2(cL) + abs2(cR))
+    return cL / scale, cR / scale
+
+
+@cache
+def _named_ket(name: str) -> Ket:
+    # one shared read-only ket per named state, built on first use
+    return Ket(_NAMED_STATES[name])
 
 
 def make_single_particle_state(
@@ -397,26 +469,9 @@ def make_single_particle_state(
         state.
     """
     if isinstance(state, str):
-        ket = _NAMED_STATES[canonical_state_name(state)]
+        ket = _named_ket(canonical_state_name(state))
         return ket if labels is ket.labels else ket.with_labels(labels)
-    cL, cR = complex(state[0]), complex(state[1])
-    parts = (cL.real, cL.imag, cR.real, cR.imag)
-    if not all(map(math.isfinite, parts)):
-        raise InvalidAmplitudesError("coefficients must be finite")
-    norm_sq = abs2(cL) + abs2(cR)
-    if 0.0 < norm_sq < math.inf:
-        scale = math.sqrt(norm_sq)
-        try:
-            return Ket([cL / scale, cR / scale], labels)
-        except InvalidAmplitudesError:  # a subnormal squared norm keeps too few digits
-            pass
-    # over- or underflow, or too few digits: scale by the larger part first
-    big = max(map(abs, parts))
-    if big == 0.0:
-        raise UnnormalizableStateError("unnormalizable state")
-    cL, cR = complex(cL.real / big, cL.imag / big), complex(cR.real / big, cR.imag / big)
-    scale = math.sqrt(abs2(cL) + abs2(cR))
-    return Ket([cL / scale, cR / scale], labels)
+    return Ket(_single_pair(state), labels)
 
 
 def basis_state(label: str, labels: LabelScheme = BOX_LABELS) -> Ket:
@@ -441,6 +496,7 @@ def tensor(states: Sequence[KetLike]) -> KetLike:
     slot of the result. Returns a :class:`Ket` when every factor is one,
     otherwise an :class:`UnnormalizedKet`.
     """
+    states = [_state(s) for s in expect(states, Sequence, "a sequence of states")]
     if len(states) == 0:
         raise InvalidArgumentError("tensor needs at least one state")
     scheme = states[0].labels
@@ -457,12 +513,14 @@ def tensor(states: Sequence[KetLike]) -> KetLike:
 
 def inner(bra: KetLike, ket: KetLike) -> complex:
     """The inner product <bra|ket>, conjugate linear in the first slot."""
+    bra, ket = _state(bra), _state(ket)
     if bra.dim != ket.dim:
         raise DimensionMismatchError(f"state dimensions differ: {bra.dim} vs {ket.dim}")
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
 def _image(op: Operator, ket: KetLike) -> np.ndarray:
+    op, ket = _operator(op), _state(ket)
     if op.dim != ket.dim:
         raise DimensionMismatchError(f"operator dimension {op.dim} does not match state dimension {ket.dim}")
     return op._data @ ket.amplitudes if op._data.ndim == 2 else op._data * ket.amplitudes
@@ -478,7 +536,7 @@ def apply(op: Operator, ket: KetLike) -> UnnormalizedKet:
 def matrix_element(bra: KetLike, op: Operator, ket: KetLike) -> complex:
     """The sandwiched element <bra|op|ket>."""
     image = _computed(_image(op, ket), "amplitudes")
-    if bra.dim != ket.dim:
+    if _state(bra).dim != ket.dim:
         raise DimensionMismatchError(f"state dimensions differ: {bra.dim} vs {ket.dim}")
     return complex(np.vdot(bra.amplitudes, image))
 

@@ -5,10 +5,18 @@ stored as its 0/1 diagonal: one bit test per basis index, where bit
 n - k of the index is 1 exactly when particle k sits in box R. The same
 bit tests (``_holds``) give a product of specs its amplitude between two
 product states without any 2**n array, summing over the labels of the
-particles the specs touch only (``_product_amplitude``), and give the
-0/1 masks on which scenario runs check their preconditions exactly.
+particles the specs touch only (``_product_amplitude``).
 
-The structural checks (``is_hermitian``, ``idempotency_defect``,
+Which path runs: specs are answered without numpy on their label classes
+(``_label_classes``). A spec tests only the boxes of the particles it
+names, and ``all_same`` whether the rest are all in L, all in R or mixed,
+so one representative index per class answers for all its labels. The
+scenario layer checks completeness and projector-ness on the classes
+exactly, and ``_SpecChecks`` runs the structural checks of weighted sums
+there, as their built operators would. Built operators (``build_projector``,
+``build_hamiltonian``) are numpy arrays.
+
+The structural checks of operators (``is_hermitian``, ``idempotency_defect``,
 ``is_projector``, ``are_orthogonal``, ``is_resolution_of_identity``) and
 ``build_hamiltonian`` compute on an operator's stored array: entry by entry
 on a diagonal, with ``@`` on a dense matrix, under one ``np.errstate`` per
@@ -19,13 +27,12 @@ and so on), and refuses an overflow with the same message.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .errors import InvalidAmplitudesError, InvalidArgumentError, quoted
+from .errors import InvalidAmplitudesError, InvalidArgumentError, expect, quoted
 from .hilbert import (
     BOX_LABELS,
     DEFAULT_TOLERANCE,
@@ -38,7 +45,9 @@ from .hilbert import (
     _computed,
     _entries_what,
     _operand_arrays,
+    _operator,
     _quiet,
+    np,
 )
 
 PROJECTOR_KINDS = ("box", "pair_same", "pair_diff", "all_same", "sd")
@@ -161,19 +170,62 @@ def _holds(spec: ProjectorSpec, index, n: int):
 
 def build_projector(spec: ProjectorSpec) -> Operator:
     """Realize a :class:`ProjectorSpec` as its 0/1 diagonal."""
-    n = spec.n_particles
+    n = expect(spec, ProjectorSpec, "a ProjectorSpec").n_particles
     mask = _holds(spec, np.arange(2**n), n)
     return Operator._of(mask.astype(np.complex128), BOX_LABELS)
 
 
-def _product_mask(product: Sequence[ProjectorSpec], n_particles: int) -> np.ndarray:
-    """The 0/1 diagonal of a product of specs, as booleans; the empty product
-    is the identity."""
-    index = np.arange(2**n_particles)
-    mask = np.ones(2**n_particles, dtype=bool)
-    for spec in product:
-        mask &= _holds(spec, index, n_particles)
-    return mask
+def _touched(specs: Iterable[ProjectorSpec]) -> set[int]:
+    """The particles whose boxes the specs test by name; ``all_same`` names none."""
+    return {k for spec in specs
+            for k in (spec.particle, spec.other, *(spec.pair or ())) if k is not None}
+
+
+def _label_classes(specs: Sequence[ProjectorSpec], n: int,
+                   weights: Sequence[Sequence[complex]] | None = None) -> list[tuple[int, complex]]:
+    """The label classes of ``specs`` on n particles, as (representative basis
+    index, weight) pairs.
+
+    A spec tests only the boxes of the particles it names (T), and
+    ``all_same`` also whether the others are all in L, all in R or mixed. So
+    every spec holds or fails on a whole class of labels that agree on T (and
+    on that split, if ``all_same`` is among the specs): at most 3 * 2**|T|
+    classes, one representative each. The weight of a class is the sum over
+    its labels of prod_k c_k(b_k), for ``weights`` as in
+    :func:`_product_amplitude` and formed as it forms them; without
+    ``weights``, the class's size.
+    """
+    touched = _touched(specs)
+    classes = [(0, 1)]  # over the particles in T
+    untouched, left, right, rest = [], 1, 1, 1
+    for k in range(1, n + 1):
+        c_left, c_right = weights[k - 1] if weights else (1, 1)
+        bit = 1 << (n - k)
+        if k in touched:
+            classes = ([(index, w * c_left) for index, w in classes]
+                       + [(index | bit, w * c_right) for index, w in classes])
+        else:
+            untouched.append(bit)
+            left, right, rest = left * c_left, right * c_right, rest * (c_left + c_right)
+    splits = [(0, rest)]
+    if untouched and any(spec.kind == "all_same" for spec in specs):
+        splits = [(0, left), (sum(untouched), right)]
+        if len(untouched) >= 2:  # the mixed labels: all of them but the two uniform ones
+            splits.append((untouched[0], rest - left - right))
+    return [(index | split, w * v) for index, w in classes for split, v in splits]
+
+
+def _product_table(products: Sequence[Sequence[ProjectorSpec]], n: int,
+                   weights: Sequence[Sequence[complex]] | None = None):
+    """Per label class of the products: its weight (see :func:`_label_classes`)
+    and whether each product holds there."""
+    return [(w, [all(_holds(spec, index, n) for spec in product) for product in products])
+            for index, w in _label_classes([spec for p in products for spec in p], n, weights)]
+
+
+def _class_counts(products: Sequence[Sequence[ProjectorSpec]], n: int) -> list[int]:
+    """How many of the products hold on each label class of them."""
+    return [sum(holds) for _, holds in _product_table(products, n)]
 
 
 def _product_amplitude(product: Sequence[ProjectorSpec],
@@ -193,8 +245,7 @@ def _product_amplitude(product: Sequence[ProjectorSpec],
         labels = [(0, math.prod(w[0] for w in weights)),
                   (2**n - 1, math.prod(w[1] for w in weights))]
     else:
-        touched = {k for spec in product
-                   for k in (spec.particle, spec.other, *(spec.pair or ())) if k is not None}
+        touched = _touched(product)
         labels = [(0, 1)]
         for k, (c_left, c_right) in enumerate(weights, start=1):
             if k in touched:
@@ -274,7 +325,7 @@ class HamiltonianSpec:
 def build_hamiltonian(spec: HamiltonianSpec) -> Operator:
     """Realize a weighted projector sum as one diagonal, adding the terms in
     order to zeros; an empty term list gives the zero operator."""
-    n = spec.n_particles
+    n = expect(spec, HamiltonianSpec, "a HamiltonianSpec").n_particles
     index = np.arange(2**n)
     total = np.zeros(2**n, dtype=np.complex128)
     for coeff, proj in spec.terms:
@@ -316,25 +367,25 @@ def _are_orthogonal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 @_quiet
 def is_hermitian(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the operator equals its own adjoint, max-entry norm."""
-    return _hermitian_defect(op._data) <= tol
+    return _hermitian_defect(_operator(op)._data) <= tol
 
 
 @_quiet
 def idempotency_defect(op: Operator) -> float:
     """Max-entry norm of op@op - op; zero for exact projectors."""
-    return _idempotency_defect(op._data)
+    return _idempotency_defect(_operator(op)._data)
 
 
 @_quiet
 def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Hermitian and idempotent within ``tol`` (max-entry norm on both checks)."""
-    return _is_projector(op._data, tol)
+    return _is_projector(_operator(op)._data, tol)
 
 
 @_quiet
 def are_orthogonal(a: Operator, b: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether both products a@b and b@a vanish within ``tol``."""
-    return _are_orthogonal(a._data, b._data, tol)
+    return _are_orthogonal(_operator(a)._data, _operator(b)._data, tol)
 
 
 @_quiet
@@ -345,7 +396,8 @@ def is_resolution_of_identity(projectors: Iterable[Operator],
     Accepts any iterable of operators, including a
     :class:`~twobox.engine.MeasurementSet`.
     """
-    arrays = [op._data for op in projectors]
+    projectors = expect(projectors, Iterable, "an iterable of Operators")
+    arrays = [_operator(op)._data for op in projectors]
     if not arrays:
         raise InvalidArgumentError("resolution check needs at least one operator")
     total = arrays[0]
@@ -358,22 +410,101 @@ def is_resolution_of_identity(projectors: Iterable[Operator],
             and _max_entry(total - identity) <= tol)
 
 
-def _masks_resolve_identity(masks: Sequence[np.ndarray], tol: float) -> bool:
-    """:func:`is_resolution_of_identity` for the diagonal operators with these
-    0/1 masks, computed exactly on their integer sum, which misses the
-    identity by max |count - 1|. Every other defect is no larger: a 0/1
-    diagonal has hermitian and idempotency defects 0, and two masks that
-    overlap have a product with entry 1 where the count is 2 or more."""
-    counts = np.sum(masks, axis=0)
-    return max(counts.max() - 1, 1 - counts.min()) <= tol
+def _counts_resolve_identity(counts: Sequence[int], tol: float) -> bool:
+    """:func:`is_resolution_of_identity` for the diagonal operators of products
+    that hold ``counts`` times on the label classes, computed exactly: their
+    sum misses the identity by max |count - 1|. Every other defect is no
+    larger: a 0/1 diagonal has hermitian and idempotency defects 0, and two
+    products that overlap have a product with entry 1 where the count is 2
+    or more."""
+    return max(max(counts) - 1, 1 - min(counts)) <= tol
 
 
-def _mask_sum_is_projector(masks: Sequence[np.ndarray], tol: float) -> bool:
-    """:func:`is_projector` for the sum of the diagonal operators with these
-    0/1 masks, computed exactly: its idempotency defect is max |count^2 - count|,
-    and its hermitian defect, 0, is no larger."""
-    counts = np.sum(masks, axis=0)
-    return (counts * (counts - 1)).max() <= tol
+def _count_sum_is_projector(counts: Sequence[int], tol: float) -> bool:
+    """:func:`is_projector` for the sum of the diagonal operators of products
+    that hold ``counts`` times on the label classes, computed exactly: its
+    idempotency defect is max |count^2 - count|, and its hermitian defect, 0,
+    is no larger."""
+    return max(c * (c - 1) for c in counts) <= tol
+
+
+def _class_diagonals(hamiltonians: Sequence[HamiltonianSpec],
+                     weights: Sequence[Sequence[complex]] | None = None):
+    """The diagonals of weighted projector sums on the same n particles, one
+    entry per label class of all their terms, and the class weights.
+
+    Each entry is formed as :func:`build_hamiltonian` forms it, term by term
+    in order, and a diagonal with an entry that is not finite is refused as
+    that function refuses it.
+    """
+    n = hamiltonians[0].n_particles
+    classes = _label_classes([proj for h in hamiltonians for _, proj in h.terms], n, weights)
+    diagonals = []
+    for h in hamiltonians:
+        entries = []
+        for index, _ in classes:
+            total = 0j
+            for coeff, proj in h.terms:
+                total += (1 + 0j if _holds(proj, index, n) else 0j) * coeff
+            entries.append(total)
+        _check_entries(entries)
+        diagonals.append(entries)
+    return diagonals, [w for _, w in classes]
+
+
+def _check_entries(entries: Sequence[complex]) -> None:
+    if not all(map(cmath.isfinite, entries)):
+        raise InvalidAmplitudesError("operator diagonal must be finite")
+
+
+def _magnitude(z: complex) -> float:
+    try:
+        return abs(z)
+    except OverflowError:  # finite parts whose magnitude exceeds the float range
+        return math.inf
+
+
+def _class_max(entries: Sequence[complex]) -> float:
+    """:func:`_max_entry` of a diagonal given by its class entries."""
+    _check_entries(entries)
+    return max(map(_magnitude, entries))
+
+
+class _SpecChecks:
+    """The structural checks of weighted projector sums, computed on their
+    label classes (:func:`_class_diagonals`) with no 2**n array and no numpy.
+
+    Every entry of a diagonal equals its class's entry, so each check returns
+    what the same check of the built operators returns (:func:`is_hermitian`
+    and so on), and raises what it raises. For real coefficients the values
+    are the same bits. Complex ones may differ in the last bits, as numpy's
+    complex product may be fused and Python's is not; for the same reason one
+    product decides orthogonality here, as Python's commutes bit for bit.
+    """
+
+    def __init__(self, hamiltonians: Sequence[HamiltonianSpec]):
+        self.diagonals = _class_diagonals(hamiltonians)[0]
+
+    def is_hermitian(self, k: int, tol: float) -> bool:
+        return _class_max([z - z.conjugate() for z in self.diagonals[k]]) <= tol
+
+    def idempotency_defect(self, k: int) -> float:
+        return _class_max([z * z - z for z in self.diagonals[k]])
+
+    def are_orthogonal(self, i: int, j: int, tol: float) -> bool:
+        return _class_max([a * b for a, b in zip(self.diagonals[i], self.diagonals[j])]) <= tol
+
+    def is_resolution_of_identity(self, tol: float) -> bool:
+        total = self.diagonals[0]
+        for entries in self.diagonals[1:]:
+            total = [a + b for a, b in zip(total, entries)]
+            _check_entries(total)
+        count = len(self.diagonals)
+        return (all(self.is_hermitian(k, tol) and self.idempotency_defect(k) <= tol
+                    for k in range(count))
+                and all(self.are_orthogonal(i, j, tol)
+                        for i in range(count) for j in range(i + 1, count))
+                and _class_max([z - 1 for z in total]) <= tol)
 
 
 def relabel_to_spin(value: Ket | UnnormalizedKet | Operator):

@@ -31,7 +31,7 @@ from typing import Any, get_args
 
 from .errors import (InvalidAmplitudesError, ScenarioFileError, UnnormalizableStateError,
                      capped, quoted)
-from .hilbert import MAX_PARTICLES, Ket, abs2, make_single_particle_state
+from .hilbert import MAX_PARTICLES, Ket, _single_pair, abs2
 from .projectors import HamiltonianSpec, ProjectorSpec
 from .scenarios import (
     ExplicitState,
@@ -348,7 +348,7 @@ def _parse_state(doc, path: str) -> Any:
     try:
         parts = {key: _complex(value, f"{path}.{key}") for key, value in doc.items()}
         pair = (parts["cL"], parts["cR"])
-        make_single_particle_state(pair)
+        _single_pair(pair)
     except (InvalidAmplitudesError, UnnormalizableStateError) as exc:
         raise ScenarioFileError(f"{path}: {exc}") from exc
     return pair

@@ -14,17 +14,19 @@ yields ``(name, value)`` pairs. A new query type is such a class in
 TwoBoxError, the record carries its message: an IllegitimateQuestionError
 keeps the results yielded before it, any other error discards them.
 
-Which path runs: the selection of a scenario is a product state, so every
-query built from projector specs (all but ``predicate``) is computed factor
-by factor (``projectors._product_amplitude``) with no 2**n operator, and its
-preconditions (completeness, projector-ness) are checked exactly on the
-specs' 0/1 masks. Beyond the masks, a 2**n vector is formed only for the
-cross-check of a weak-value sum (conj(post)*pre) and for a transition element
-whose coefficient sums overflow: that one is built as an operator, so its
-refusal reads as in :mod:`twobox.engine`. Predicates always use built
-operators, and their checks run on each operator's stored array (see
-:mod:`twobox.projectors`). The values match the operator route of
-:mod:`twobox.engine` up to rounding in the last bits.
+Which path runs: the selection of a scenario is a product state, kept as
+each particle's normalized (cL, cR) pair, so every query built from
+projector specs (all but ``predicate``) is computed factor by factor
+(``projectors._product_amplitude``) in plain Python, with no 2**n array and
+no numpy. Its preconditions (completeness, projector-ness), the
+cross-check of a weak-value sum and the overflow refusal of a transition
+element run on the label classes of its specs
+(``projectors._label_classes``), at most 3 * 2**|T| of them for the
+particles T the specs name. So do the ``is_projector``, ``orthogonal`` and
+``resolution_of_identity`` predicates, as ``twobox check`` does
+(``projectors._SpecChecks``). Only an ``eigenstate`` predicate builds its
+operator and a 2**n state, and so loads numpy. The values match the
+operator route of :mod:`twobox.engine` up to rounding in the last bits.
 """
 
 from __future__ import annotations
@@ -32,25 +34,17 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from typing import Union
 
-import numpy as np
-
-from .engine import (
-    PrePostSelection,
-    _abl_result,
-    _linearity_checked,
-    _weak_denominator,
-    transition_element,
-    vanishes,
-)
+from .engine import _abl_result, _linearity_checked, _weak_denominator, vanishes
 from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, InvalidArgumentError,
-                     NotAProjectorError, ScenarioNotFoundError, TwoBoxError, quoted)
+                     NotAProjectorError, ScenarioNotFoundError, TwoBoxError, expect, quoted)
 from .hilbert import (
     DEFAULT_TOLERANCE,
     Ket,
     _as_number,
+    _single_pair,
     abs2,
     eigenstate_residual,
     label_scheme,
@@ -61,16 +55,15 @@ from .hilbert import (
 from .projectors import (
     HamiltonianSpec,
     ProjectorSpec,
+    _SpecChecks,
+    _class_counts,
+    _class_diagonals,
+    _count_sum_is_projector,
+    _counts_resolve_identity,
     _format_coefficient,
-    _mask_sum_is_projector,
-    _masks_resolve_identity,
     _product_amplitude,
-    _product_mask,
+    _product_table,
     build_hamiltonian,
-    idempotency_defect,
-    is_hermitian,
-    are_orthogonal,
-    is_resolution_of_identity,
 )
 
 SingleStateSpec = Union[str, tuple[complex, complex]]
@@ -100,30 +93,19 @@ class _ProductSelection:
     """The product pre- and postselection of a run, kept particle by particle.
 
     ``weights[k - 1]`` holds c_k(b) = conj(post_k[b]) pre_k[b] for b = L, R,
+    formed with Python's complex product from the normalized (cL, cR) pairs,
     so every spec-built amplitude factorizes (``_product_amplitude``) and
-    <post|pre> is the product of c_k(L) + c_k(R). The 2**n vectors are built
-    only for a query that needs them.
+    <post|pre> is the product of c_k(L) + c_k(R).
     """
 
-    def __init__(self, pre: list[Ket], post: list[Ket]):
-        self.pre, self.post = pre, post
+    def __init__(self, pre: list[tuple[complex, complex]], post: list[tuple[complex, complex]]):
         self.n_particles = len(pre)
-        self._weight_rows = np.conj([k.amplitudes for k in post]) * [k.amplitudes for k in pre]
-        self.weights = self._weight_rows.tolist()
+        self.weights = [(post_l.conjugate() * pre_l, post_r.conjugate() * pre_r)
+                        for (pre_l, pre_r), (post_l, post_r) in zip(pre, post)]
         self.overlap = _product_amplitude((), self.weights)
 
     def amplitude(self, product: ProjectorProduct) -> complex:
         return _product_amplitude(product, self.weights)
-
-    def masks(self, products) -> list[np.ndarray]:
-        return [_product_mask(p, self.n_particles) for p in products]
-
-    def weight_vector(self) -> np.ndarray:
-        """conj(post) * pre entry by entry, formed factor by factor."""
-        return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), self._weight_rows)
-
-    def vectors(self) -> PrePostSelection:
-        return PrePostSelection(tensor(self.pre), tensor(self.post))
 
 
 # the query classes below these two bases add no fields, so they keep the
@@ -178,7 +160,7 @@ class AblProbabilitiesQuery(_ProductSet):
     def results(self, selection: _ProductSelection, tol: float):
         if not self.projectors:
             raise InvalidArgumentError("a measurement set needs at least one projector")
-        if not _masks_resolve_identity(selection.masks(self.projectors), tol):
+        if not _counts_resolve_identity(_class_counts(self.projectors, selection.n_particles), tol):
             raise IncompleteMeasurementError("incomplete measurement")
         outcome = _abl_result([selection.amplitude(p) for p in self.projectors], tol)
         labels = [_product_label(p) for p in self.projectors]
@@ -201,13 +183,13 @@ class WeakValueSumQuery(_ProductSet):
             value = selection.amplitude(product) / denominator
             total += value
             yield f"weak_value[{_product_label(product)}]", value
-        # cross-check: the summed masks against conj(post)*pre, label by label
-        masks = selection.masks(self.projectors)
-        via_sum = complex(np.dot(np.sum(masks, axis=0), selection.weight_vector())) / denominator
-        # each largest entry, as in engine.weak_value_sum: 1 unless the mask is empty
-        scale = sum(1 for mask in masks if mask.any()) / abs(denominator)
+        # cross-check: the summed products against conj(post)*pre, class by class
+        table = _product_table(self.projectors, selection.n_particles, selection.weights)
+        via_sum = sum((sum(holds) * w for w, holds in table), 0j) / denominator
+        # each largest entry, as in engine.weak_value_sum: 1 unless the product is empty
+        scale = sum(map(any, zip(*(holds for _, holds in table)))) / abs(denominator)
         yield "weak_value_sum", _linearity_checked(total, via_sum, scale,
-                                                   2**selection.n_particles + len(masks))
+                                                   len(table) + len(self.projectors))
 
 
 @dataclass(frozen=True)
@@ -233,7 +215,7 @@ class DetailedVsGlobalQuery:
         yield "detailed", sum(abs2(a) for a in amplitudes)
         if not self.members:
             raise InvalidArgumentError("global probability needs at least one projector")
-        if not _mask_sum_is_projector(selection.masks(self.members), tol):
+        if not _count_sum_is_projector(_class_counts(self.members, selection.n_particles), tol):
             raise IllegitimateQuestionError("not a legitimate question")
         yield "global", abs2(sum(amplitudes))
 
@@ -257,8 +239,9 @@ class TransitionElementQuery:
                 and math.isfinite(sum(abs(c.imag) for c, _ in terms))):
             # no entry of the built operator could overflow, so it would refuse nothing
             value = sum((c * selection.amplitude((spec,)) for c, spec in terms), 0j)
-        else:
-            value = transition_element(selection.vectors(), build_hamiltonian(self.hamiltonian))
+        else:  # refused as the built operator is refused, else summed class by class
+            (entries,), weights = _class_diagonals((self.hamiltonian,), selection.weights)
+            value = sum((e * w for e, w in zip(entries, weights)), 0j)
         yield "transition_element", value
 
 
@@ -317,22 +300,24 @@ class PredicateQuery:
                 f"with eigenvalue {_format_coefficient(complex(self.eigenvalue))}")
 
     def results(self, selection: _ProductSelection, tol: float):
-        ops = [build_hamiltonian(operand) for operand in self.operands]
+        if self.check == "eigenstate":
+            op = build_hamiltonian(self.operands[0])
+            ket = (tensor([make_single_particle_state(f) for f in self.state.factors])
+                   if isinstance(self.state, ProductState) else Ket(self.state.amplitudes))
+            residual = eigenstate_residual(op, ket, self.eigenvalue)
+            yield "is_eigenstate", residual <= tol
+            yield "residual_norm", residual
+            return
+        checks = _SpecChecks(self.operands)
         if self.check == "is_projector":
-            hermitian, defect = is_hermitian(ops[0], tol), idempotency_defect(ops[0])
+            hermitian, defect = checks.is_hermitian(0, tol), checks.idempotency_defect(0)
             yield "is_projector", hermitian and defect <= tol
             yield "hermitian", hermitian
             yield "idempotency_defect", defect
         elif self.check == "orthogonal":
-            yield "orthogonal", are_orthogonal(ops[0], ops[1], tol)
-        elif self.check == "resolution_of_identity":
-            yield "resolution_of_identity", is_resolution_of_identity(ops, tol)
+            yield "orthogonal", checks.are_orthogonal(0, 1, tol)
         else:
-            ket = (tensor([make_single_particle_state(f) for f in self.state.factors])
-                   if isinstance(self.state, ProductState) else Ket(self.state.amplitudes))
-            residual = eigenstate_residual(ops[0], ket, self.eigenvalue)
-            yield "is_eigenstate", residual <= tol
-            yield "residual_norm", residual
+            yield "resolution_of_identity", checks.is_resolution_of_identity(tol)
 
 
 Query = Union[
@@ -464,11 +449,12 @@ def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOLERANCE) -> Scenario
     module docstring. ``tol`` must be a real number other than NaN; a
     negative one is allowed.
     """
+    expect(scenario, Scenario, "a Scenario")
     if not isinstance(tol, numbers.Real) or tol != tol:  # tol != tol: NaN
         raise InvalidArgumentError(f"tolerance must be a real number, got {quoted(tol)}")
     scheme = label_scheme(scenario.labels)
-    selection = _ProductSelection([make_single_particle_state(f) for f in scenario.pre],
-                                  [make_single_particle_state(f) for f in scenario.post])
+    selection = _ProductSelection([_single_pair(f) for f in scenario.pre],
+                                  [_single_pair(f) for f in scenario.post])
 
     records = []
     for index, query in enumerate(scenario.queries):

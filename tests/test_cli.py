@@ -487,16 +487,85 @@ def test_module_entry_point():
     assert "pigeonhole3" in result.stdout
 
 
-def test_no_command_imports_jsonschema():
-    # scenario files are checked by the package's own parser
+def _child(code, *argv):
+    """Run ``code`` in a fresh interpreter that imports the package from this tree."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    code = "import sys, twobox, twobox.cli; print('jsonschema' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            timeout=60, env=env)
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+BOX = lambda p, b: {"kind": "box", "particle": p, "box": b}
+SAME = lambda i, j: {"kind": "pair_same", "pair": [i, j]}
+SD = lambda i, j, k: {"kind": "sd", "pair": [i, j], "other": k}
+# named and coefficient-pair states, every spec-built query type and the spec predicates
+SPEC_BUILT_DOC = {
+    "name": "spec-built", "particles": 3,
+    "pre": [{"cL": [0.6, -0.2], "cR": [0.1, 0.7]}, "+", {"cL": [1, 0], "cR": [0.25, 0.5]}],
+    "post": ["+i", {"cL": [-0.3, 0.4], "cR": [0.8, 0.1]}, "-"],
+    "queries": [
+        {"type": "abl_amplitude", "projector": SD(1, 2, 3)},
+        {"type": "abl_probabilities", "projectors": [SAME(1, 2), {"kind": "pair_diff", "pair": [1, 2]}]},
+        {"type": "weak_value", "projector": [BOX(1, "L"), {"kind": "all_same"}]},
+        {"type": "weak_value_sum", "projectors": [SAME(1, 2), SAME(2, 3)]},
+        {"type": "detailed_vs_global", "members": [[BOX(1, "L"), BOX(2, "L")], [BOX(1, "R"), BOX(2, "R")]]},
+        {"type": "transition_element", "hamiltonian": [
+            {"coeff": [0.25, 0.5], "projector": SAME(1, 3)}, {"projector": {"kind": "all_same"}}]},
+        {"type": "predicate", "check": "is_projector", "operators": [{"terms": [
+            {"coeff": [0, 1], "projector": BOX(1, "L")}, {"coeff": [1, -1], "projector": SAME(2, 3)}]}]},
+        {"type": "predicate", "check": "orthogonal", "operators": [SD(1, 2, 3), SD(2, 3, 1)]},
+        {"type": "predicate", "check": "resolution_of_identity",
+         "operators": [SD(1, 2, 3), SD(2, 3, 1), SD(1, 3, 2), {"kind": "all_same"}]},
+    ],
+}
+# an explicit state, which only an amplitude vector can hold
+EXPLICIT_DOC = {**SPEC_BUILT_DOC, "name": "explicit", "queries": SPEC_BUILT_DOC["queries"] + [
+    {"type": "predicate", "check": "eigenstate", "operators": [{"kind": "all_same"}],
+     "state": {"amplitudes": [[0.6, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0.8]]},
+     "eigenvalue": [1, 0]}]}
+
+SPEC_BUILT_COMMANDS = [["list"], ["run", "pigeonhole3", "--format", "json"],
+                       ["run", "detailed-vs-global"],
+                       ["check", "pair_same(1,2) + pair_same(2,3)", "--particles", "3"]]
+
+
+def test_spec_built_commands_load_neither_numpy_nor_jsonschema(tmp_path):
+    # numpy runs only on first array use: its deferred module sits in sys.modules
+    # from the start, so the test looks for a submodule that only running it imports.
+    # Scenario files are checked by the package's own parser, never by jsonschema.
+    spec_built, explicit = tmp_path / "spec-built.json", tmp_path / "explicit.json"
+    spec_built.write_text(json.dumps(SPEC_BUILT_DOC), encoding="utf-8")
+    explicit.write_text(json.dumps(EXPLICIT_DOC), encoding="utf-8")
+    code = """if True:
+        import contextlib, io, json, sys
+        from twobox.cli import main
+        codes = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+        print(json.dumps([codes, "numpy._core" in sys.modules, "jsonschema" in sys.modules]))
+    """
+    commands = SPEC_BUILT_COMMANDS + [["run", str(spec_built)]]
+    result = _child(code, json.dumps(commands))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert json.loads(result.stdout) == [[0, 0, 2, 0, 0], False, False]
+    result = _child(code, json.dumps([["run", str(explicit)]]))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0], True, False]
+
+
+def test_commands_print_the_same_bytes_with_numpy_loaded_or_not(tmp_path):
+    # the numpy-free path must not round differently from one where numpy is loaded
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(EXPLICIT_DOC), encoding="utf-8")
+    run = "import sys; from twobox.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in SPEC_BUILT_COMMANDS + [["run", str(path)]]:
+        without = _child(run, *argv)
+        loaded = _child("import numpy; " + run, *argv)
+        assert without.stdout  # the command ran
+        assert (without.returncode, without.stdout, without.stderr) == (
+            loaded.returncode, loaded.stdout, loaded.stderr), argv
 
 
 # JSON text for one field: integers beyond the float range and beyond the digit

@@ -21,6 +21,7 @@ from twobox import (
     SPIN_LABELS,
     Scenario,
     TwoBoxError,
+    WeakValueSumQuery,
     abl_amplitude,
     apply,
     are_orthogonal,
@@ -35,9 +36,11 @@ from twobox import (
     relabel_to_spin,
     run_scenario,
     tensor,
+    weak_value_sum,
 )
 from twobox.hilbert import eigenstate_residual
-from twobox.projectors import _mask_sum_is_projector, _masks_resolve_identity, _product_mask
+from twobox.projectors import (_class_counts, _count_sum_is_projector, _counts_resolve_identity,
+                               _product_table, _SpecChecks)
 
 
 def sample_specs(n):
@@ -320,13 +323,18 @@ def measurement_products(draw, n):
 @given(data=st.data(), n=st.integers(min_value=2, max_value=5))
 def test_exact_mask_checks_give_the_operator_verdicts(tol, data, n):
     products = data.draw(measurement_products(n))
-    masks = [_product_mask(p, n) for p in products]
+    table = _product_table(products, n)
+    counts = [sum(holds) for _, holds in table]
     ops = [reduce(lambda a, b: a @ b, map(build_projector, p), Operator.identity(n))
            for p in products]
-    assert [op.diagonal().real.tolist() for op in ops] == [m.astype(float).tolist() for m in masks]
-    assert _masks_resolve_identity(masks, tol) == is_resolution_of_identity(ops, tol)
-    assert _mask_sum_is_projector(masks, tol) == is_projector(sum(ops[1:], start=ops[0]), tol)
-    assert _mask_sum_is_projector(masks[:1], tol) == is_projector(ops[0], tol)
+    # without weights a class weighs its size: the classes cover every label once
+    assert sum(size for size, _ in table) == 2**n
+    assert sum(size * count for (size, _), count in zip(table, counts)) == sum(
+        op.diagonal().real.sum() for op in ops)
+    assert _counts_resolve_identity(counts, tol) == is_resolution_of_identity(ops, tol)
+    assert _count_sum_is_projector(counts, tol) == is_projector(sum(ops[1:], start=ops[0]), tol)
+    first = [holds[0] for _, holds in table]
+    assert _count_sum_is_projector(first, tol) == is_projector(ops[0], tol)
 
 
 # magnitudes up to the largest double, so that squares, sums, differences and
@@ -417,3 +425,132 @@ def test_structural_checks_match_operator_arithmetic(data, dim, tol):
         st.tuples(coefficients, st.sampled_from(sample_specs(n))), max_size=4)), n)
     assert outcome(lambda: build_hamiltonian(spec)) == by_arithmetic(
         lambda: hamiltonian_by_arithmetic(spec))
+
+
+# label classes against the operator route ------------------------------------------
+
+CLASS_TOLS = [-1.0, 1e-300, 1e-12, 0.5, 1.0, 2.0]
+
+
+def class_specs(n):
+    """Specs of every kind, all_same as often as all others together: only it
+    splits the untouched particles into all L, all R and mixed."""
+    if n == 1:
+        return st.sampled_from(specs_on(1))
+    return st.one_of(st.just(ProjectorSpec.all_same(n)), st.sampled_from(specs_on(n)))
+
+
+def product_sets(n):
+    """One to four products of 0-3 specs each."""
+    return st.lists(st.lists(class_specs(n), max_size=3).map(tuple), min_size=1, max_size=4)
+
+
+@st.composite
+def near_orthogonal_states(draw, n):
+    """Pre- and postselection factors; on one particle post may be nearly
+    orthogonal to pre, so that <post|pre> is small beside the weights it is
+    summed from."""
+    pre = draw(st.lists(single_states, min_size=n, max_size=n))
+    post = draw(st.lists(single_states, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        cL, cR = oracle.NAMED[pre[k]] if isinstance(pre[k], str) else pre[k]
+        post[k] = (-cR.conjugate() + draw(st.sampled_from([1e-9, 1e-4, 0.1])), cL.conjugate())
+    return tuple(pre), tuple(post)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_label_classes_give_the_operator_verdicts(n, data):
+    tol = data.draw(st.sampled_from(CLASS_TOLS))
+    products = data.draw(measurement_products(n) if n >= 2 and data.draw(st.booleans())
+                         else product_sets(n))
+    ops = [reduce(lambda a, b: a @ b, map(build_projector, p), Operator.identity(n))
+           for p in products]
+    counts = _class_counts(products, n)
+    assert _counts_resolve_identity(counts, tol) == is_resolution_of_identity(ops, tol)
+    assert _count_sum_is_projector(counts, tol) == is_projector(sum(ops[1:], start=ops[0]), tol)
+
+    # the weak-value-sum cross-check on classes never fails, and the query gives what
+    # the operator route gives; a tolerance of 0.5 or more would refuse most overlaps
+    # before the check
+    tol = data.draw(st.sampled_from(CLASS_TOLS[:3]))
+    pre_f, post_f = data.draw(near_orthogonal_states(n))
+    record = run_scenario(Scenario("classes", n, pre_f, post_f,
+                                   (WeakValueSumQuery(tuple(products)),)), tol).records[0]
+    assert not (record.error or "").startswith("weak value linearity cross-check failed")
+    sel = PrePostSelection(tensor([make_single_particle_state(f) for f in pre_f]),
+                           tensor([make_single_particle_state(f) for f in post_f]))
+    overlap = abs(sel.overlap())
+    if overlap <= 1e-12 or abs(overlap - tol) <= 1e-12 * overlap:
+        return  # the routes round <post|pre> apart, so a refusal at 0 or at tol may differ
+    try:
+        expected = weak_value_sum(sel, ops, tol)
+    except TwoBoxError as exc:
+        assert record.error == str(exc)
+    else:
+        assert record.error is None
+        assert abs(record.results[-1].value - expected) <= 1e-12 * (
+            abs(expected) + len(products)) / overlap
+
+
+def hamiltonians(n, coefficients):
+    return st.lists(st.tuples(coefficients, class_specs(n)), max_size=3).map(
+        lambda terms: HamiltonianSpec.of(terms, n))
+
+
+def spec_check_outcomes(hamiltonians, tol, by_classes):
+    """``outcome`` of every structural check of the sums: on their label classes
+    (``_SpecChecks``, as predicate queries and ``twobox check`` run them) or on
+    the built operators."""
+    try:
+        if by_classes:
+            checks = _SpecChecks(hamiltonians)
+            hermitian, defect = checks.is_hermitian, checks.idempotency_defect
+            orthogonal = checks.are_orthogonal
+            resolution = lambda: checks.is_resolution_of_identity(tol)
+        else:
+            ops = [build_hamiltonian(h) for h in hamiltonians]
+            hermitian = lambda k, tol: is_hermitian(ops[k], tol)
+            defect = lambda k: idempotency_defect(ops[k])
+            orthogonal = lambda i, j, tol: are_orthogonal(ops[i], ops[j], tol)
+            resolution = lambda: is_resolution_of_identity(ops, tol)
+    except TwoBoxError as exc:
+        return [(type(exc), str(exc))]
+    count = len(hamiltonians)
+    return ([outcome(lambda: hermitian(k, tol)) for k in range(count)]
+            + [outcome(lambda: defect(k)) for k in range(count)]
+            + [outcome(lambda: orthogonal(i, j, tol))
+               for i in range(count) for j in range(i + 1, count)]
+            + [outcome(resolution)])
+
+
+# complex coefficients stay moderate: near the float range, numpy's fused complex
+# product can stay finite where Python's overflows
+COMPLEX_COEFFICIENTS = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_spec_checks_on_label_classes_match_the_built_operators(n, data):
+    tol = data.draw(st.sampled_from(CLASS_TOLS))
+    real = data.draw(st.booleans())
+    coefficients = (st.one_of(FLOATS, st.sampled_from([math.inf, -math.inf])) if real
+                    else COMPLEX_COEFFICIENTS)
+    sums = data.draw(st.lists(hamiltonians(n, coefficients), min_size=1, max_size=3))
+    by_classes = spec_check_outcomes(sums, tol, True)
+    by_operators = spec_check_outcomes(sums, tol, False)
+    if real:  # the same bits, or the same error
+        assert by_classes == by_operators
+        return
+    # numpy's complex product may be fused and Python's is not: the last bits may differ
+    assert len(by_classes) == len(by_operators)
+    for ours, theirs in zip(by_classes, by_operators):
+        assert ours[0] == theirs[0]
+        if ours[0] is float:
+            v, w = float(ours[1]), float(theirs[1])
+            assert abs(v - w) <= 1e-15 * max(1.0, abs(w))
+        else:
+            assert ours == theirs

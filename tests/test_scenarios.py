@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from functools import reduce
 
+import numpy as np
 import pytest
 
 import oracle
@@ -33,11 +34,18 @@ from twobox import (
     WeakValueSumQuery,
     abl_amplitude,
     abl_probabilities,
+    apply,
+    are_orthogonal,
     build_hamiltonian,
     build_projector,
     builtin_scenarios,
     detailed_probability,
     global_probability,
+    idempotency_defect,
+    inner,
+    is_hermitian,
+    is_projector,
+    is_resolution_of_identity,
     lookup_scenario,
     make_single_particle_state,
     relabel_to_spin,
@@ -257,6 +265,23 @@ def test_scenario_validation():
     (lambda: PredicateQuery("eigenstate", (HamiltonianSpec.of([(1, ProjectorSpec.all_same(2))]),),
                             state=ProductState(("L", "L")), eigenvalue=[1, 2]),
      r"eigenvalue must be a number, got \[1, 2\]"),
+
+    # an argument of the wrong kind is refused where it enters, whatever it is
+    (lambda: is_projector(np.eye(2)), "expected an Operator, got ndarray"),
+    (lambda: is_hermitian(np.eye(2)), "expected an Operator, got ndarray"),
+    (lambda: idempotency_defect(np.eye(2)), "expected an Operator, got ndarray"),
+    (lambda: are_orthogonal(Operator.identity(1), np.eye(2)), "expected an Operator, got ndarray"),
+    (lambda: is_resolution_of_identity([Operator.identity(1), np.eye(2)]),
+     "expected an Operator, got ndarray"),
+    (lambda: is_resolution_of_identity(5), "expected an iterable of Operators, got int"),
+    (lambda: build_projector("x"), "expected a ProjectorSpec, got str"),
+    (lambda: build_hamiltonian("x"), "expected a HamiltonianSpec, got str"),
+    (lambda: tensor(["x"]), r"expected a state \(Ket or UnnormalizedKet\), got str"),
+    (lambda: tensor(5), "expected a sequence of states, got int"),
+    (lambda: inner(1, 2), "expected a state .*, got int"),
+    (lambda: apply(1, 2), "expected an Operator, got int"),
+    (lambda: apply(Operator.identity(1), [1, 0]), "expected a state .*, got list"),
+    (lambda: run_scenario(1), "expected a Scenario, got int"),
 ])
 def test_bad_library_arguments_are_twobox_errors(build, message):
     with pytest.raises(TwoBoxError, match=message) as caught:
