@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -35,8 +35,10 @@ from .errors import (
     LinearityCheckError,
     NotAProjectorError,
     OrthogonalSelectionError,
+    expect,
 )
-from .hilbert import DEFAULT_TOLERANCE, Ket, Operator, abs2, inner, matrix_element
+from .hilbert import (DEFAULT_TOLERANCE, Ket, Operator, _operator, _operator_list, _state, abs2,
+                      inner, matrix_element)
 from .projectors import is_projector, is_resolution_of_identity
 
 
@@ -56,7 +58,7 @@ class PrePostSelection:
     post: Ket
 
     def __post_init__(self):
-        if self.pre.dim != self.post.dim:
+        if _state(self.pre).dim != _state(self.post).dim:
             raise DimensionMismatchError(
                 f"pre and post dimensions differ: {self.pre.dim} vs {self.post.dim}")
 
@@ -80,7 +82,7 @@ class MeasurementSet:
 
     def __init__(self, projectors: Sequence[Operator],
                  labels: Sequence[str] | None = None):
-        ops = tuple(projectors)
+        ops = tuple(_operator_list(projectors))
         if not ops:
             raise InvalidArgumentError("a measurement set needs at least one projector")
         dim = ops[0].dim
@@ -90,7 +92,7 @@ class MeasurementSet:
         if labels is None:
             labels = tuple(f"outcome{i}" for i in range(len(ops)))
         else:
-            labels = tuple(str(s) for s in labels)
+            labels = tuple(str(s) for s in expect(labels, Iterable, "an iterable of labels"))
             if len(labels) != len(ops):
                 raise InvalidArgumentError("labels and projectors must pair up one to one")
         object.__setattr__(self, "_projectors", ops)
@@ -121,10 +123,9 @@ class MeasurementSet:
 ProjectorSet = Union[MeasurementSet, Sequence[Operator]]
 
 
-def _operators(projectors: ProjectorSet) -> list[Operator]:
-    if isinstance(projectors, MeasurementSet):
-        return list(projectors.projectors)
-    return list(projectors)
+def _selection(value) -> PrePostSelection:
+    """A selection argument: a PrePostSelection, anything else refused."""
+    return expect(value, PrePostSelection, "a PrePostSelection")
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def abl_amplitude(selection: PrePostSelection, op: Operator) -> complex:
     value, so a vanishing conditional probability and a vanishing weak
     value are one statement.
     """
-    if op.dim != selection.dim:
+    if _operator(op).dim != _selection(selection).dim:
         raise DimensionMismatchError(
             f"operator dimension {op.dim} does not match the selection dimension {selection.dim}")
     return matrix_element(selection.post, op, selection.pre)
@@ -170,7 +171,8 @@ def abl_probabilities(selection: PrePostSelection, measurement: MeasurementSet,
         If every outcome amplitude vanishes, which happens exactly when
         the postselection is unreachable from the preselection.
     """
-    if measurement.dim != selection.dim:
+    measurement = expect(measurement, MeasurementSet, "a MeasurementSet")
+    if measurement.dim != _selection(selection).dim:
         raise DimensionMismatchError(
             f"measurement dimension {measurement.dim} does not match the selection dimension {selection.dim}")
     if not is_resolution_of_identity(measurement.projectors, tol):
@@ -203,7 +205,7 @@ def weak_value(selection: PrePostSelection, op: Operator,
         If <post|pre> is zero or |<post|pre>| <= tol, where the quotient
         is undefined or meaningless.
     """
-    denominator = _weak_denominator(selection.overlap(), tol)
+    denominator = _weak_denominator(_selection(selection).overlap(), tol)
     return abl_amplitude(selection, op) / denominator
 
 
@@ -234,7 +236,8 @@ def weak_value_sum(selection: PrePostSelection, ops: Sequence[Operator],
     LinearityCheckError
         If the two routes disagree beyond that rounding bound.
     """
-    ops = list(ops)
+    _selection(selection)
+    ops = _operator_list(ops)
     if not ops:
         return 0j
     total = sum(weak_value(selection, op, tol) for op in ops)
@@ -261,7 +264,8 @@ def detailed_probability(selection: PrePostSelection, projectors: ProjectorSet,
     Each member must individually be a projector; the set need not be
     complete. An empty set contributes zero.
     """
-    ops = _operators(projectors)
+    _selection(selection)
+    ops = _operator_list(projectors)
     for op in ops:
         if not is_projector(op, tol):
             raise NotAProjectorError("non-projector member")
@@ -277,7 +281,8 @@ def global_probability(selection: PrePostSelection, projectors: ProjectorSet,
     general this differs from :func:`detailed_probability` in either
     direction, which is an interference statement, not a bug.
     """
-    ops = _operators(projectors)
+    _selection(selection)
+    ops = _operator_list(projectors)
     if not ops:
         raise InvalidArgumentError("global probability needs at least one projector")
     combined = sum(ops[1:], start=ops[0])
@@ -293,7 +298,7 @@ def transition_element(selection: PrePostSelection, hamiltonian: Operator) -> co
     transition quantity because it answers "can H drive pre to post",
     not "was some property present in between".
     """
-    if hamiltonian.dim != selection.dim:
+    if _operator(hamiltonian).dim != _selection(selection).dim:
         raise DimensionMismatchError(
             f"operator dimension {hamiltonian.dim} does not match the selection dimension {selection.dim}")
     return matrix_element(selection.post, hamiltonian, selection.pre)

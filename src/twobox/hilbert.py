@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache, reduce, wraps
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (DimensionMismatchError, InvalidAmplitudesError, InvalidArgumentError,
                      UnnormalizableStateError, expect, quoted)
@@ -160,13 +160,9 @@ def _computed(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _entries_what(data: np.ndarray) -> str:
-    return "operator diagonal" if data.ndim == 1 else "operator entries"
-
-
 def _operand_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stored arrays of two operators in one form: both diagonals when both
-    are diagonal, else both dense matrices."""
+    """The stored arrays of two operators in one form for ``Operator``
+    arithmetic: both diagonals when both are diagonal, else both dense matrices."""
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatchError(f"operator dimensions differ: {a.shape[0]} vs {b.shape[0]}")
     if a.ndim == b.ndim == 1:
@@ -299,7 +295,8 @@ class Operator:
     def _of(cls, data: np.ndarray, labels: LabelScheme) -> "Operator":
         # a diagonal (1-D) or dense (2-D) array the library computed, in the form it has
         op = cls.__new__(cls)
-        object.__setattr__(op, "_data", _computed(data, _entries_what(data)))
+        what = "operator diagonal" if data.ndim == 1 else "operator entries"
+        object.__setattr__(op, "_data", _computed(data, what))
         object.__setattr__(op, "_labels", labels)
         return op
 
@@ -392,6 +389,11 @@ def _operator(value) -> Operator:
     return expect(value, Operator, "an Operator")
 
 
+def _operator_list(values) -> list[Operator]:
+    """An argument holding operators: any iterable of them, anything else refused."""
+    return [_operator(op) for op in expect(values, Iterable, "an iterable of Operators")]
+
+
 _STATE_ALIASES = {
     "L": "L", "R": "R",
     "plus": "plus", "+": "plus",
@@ -424,10 +426,16 @@ def canonical_state_name(name: str) -> str:
 
 def _single_pair(state: str | tuple[complex, complex]) -> tuple[complex, complex]:
     """The normalized (cL, cR) pair of a one-particle state given as in
-    :func:`make_single_particle_state`, computed in scalar Python."""
+    :func:`make_single_particle_state`, computed in scalar Python: the one
+    check of a single-particle state spec."""
     if isinstance(state, str):
         return _NAMED_STATES[canonical_state_name(state)]
-    cL, cR = complex(state[0]), complex(state[1])
+    try:
+        cL, cR = state
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            "an explicit single-particle state needs exactly two coefficients") from None
+    cL, cR = _as_number(cL, "a state coefficient"), _as_number(cR, "a state coefficient")
     parts = (cL.real, cL.imag, cR.real, cR.imag)
     if not all(map(math.isfinite, parts)):
         raise InvalidAmplitudesError("coefficients must be finite")
@@ -535,10 +543,7 @@ def apply(op: Operator, ket: KetLike) -> UnnormalizedKet:
 @_quiet
 def matrix_element(bra: KetLike, op: Operator, ket: KetLike) -> complex:
     """The sandwiched element <bra|op|ket>."""
-    image = _computed(_image(op, ket), "amplitudes")
-    if _state(bra).dim != ket.dim:
-        raise DimensionMismatchError(f"state dimensions differ: {bra.dim} vs {ket.dim}")
-    return complex(np.vdot(bra.amplitudes, image))
+    return inner(bra, apply(op, ket))
 
 
 @_quiet

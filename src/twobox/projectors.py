@@ -17,12 +17,12 @@ there, as their built operators would. Built operators (``build_projector``,
 ``build_hamiltonian``) are numpy arrays.
 
 The structural checks of operators (``is_hermitian``, ``idempotency_defect``,
-``is_projector``, ``are_orthogonal``, ``is_resolution_of_identity``) and
-``build_hamiltonian`` compute on an operator's stored array: entry by entry
-on a diagonal, with ``@`` on a dense matrix, under one ``np.errstate`` per
-call and with no intermediate Operator. Each returns, bit for bit, what the
-same expression in Operator arithmetic gives (``(op @ op - op).max_entry()``
-and so on), and refuses an overflow with the same message.
+``is_projector``, ``are_orthogonal``, ``is_resolution_of_identity``) are
+their definitions in Operator arithmetic (``(op @ op - op).max_entry()`` and
+so on). They serve library callers and are the reference the label-class
+checks are tested against; no scenario run or command reaches them.
+``build_hamiltonian`` builds its diagonal on a stored array, term by term,
+because an ``eigenstate`` predicate needs the built operator.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ from .hilbert import (
     Operator,
     UnnormalizedKet,
     _as_number,
-    _computed,
-    _entries_what,
-    _operand_arrays,
     _operator,
+    _operator_list,
     _quiet,
     np,
 )
@@ -276,6 +274,20 @@ def _format_coefficient(z: complex) -> str:
     return f"({_format_number(z.real)}{sign}{_format_number(abs(z.imag))}i)"
 
 
+def _terms(terms) -> tuple[tuple[complex, ProjectorSpec], ...]:
+    """(coefficient, ProjectorSpec) terms, each checked where it enters."""
+    checked = []
+    for term in expect(terms, Iterable, "an iterable of (coefficient, ProjectorSpec) terms"):
+        try:
+            coeff, proj = term
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(
+                f"a term must be a (coefficient, ProjectorSpec) pair, got {quoted(term)}") from None
+        checked.append((_as_number(coeff, "coefficient"),
+                        expect(proj, ProjectorSpec, "a ProjectorSpec")))
+    return tuple(checked)
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """A weighted sum of correlation projectors.
@@ -289,9 +301,7 @@ class HamiltonianSpec:
     n_particles: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "terms",
-            tuple((_as_number(c, "coefficient"), p) for c, p in self.terms))
+        object.__setattr__(self, "terms", _terms(self.terms))
         if not isinstance(self.n_particles, int) or not 1 <= self.n_particles <= MAX_PARTICLES:
             raise InvalidArgumentError(f"n_particles must lie in 1..{MAX_PARTICLES}")
         for _, p in self.terms:
@@ -302,7 +312,7 @@ class HamiltonianSpec:
     @classmethod
     def of(cls, terms: Iterable[tuple[complex, ProjectorSpec]],
            n_particles: int | None = None) -> "HamiltonianSpec":
-        terms = tuple(terms)
+        terms = _terms(terms)
         if n_particles is None:
             if not terms:
                 raise InvalidArgumentError("empty term list needs an explicit n_particles")
@@ -333,59 +343,30 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Operator:
     return Operator._of(total, BOX_LABELS)  # a non-finite sum stays non-finite
 
 
-def _max_entry(arr: np.ndarray) -> float:
-    """``Operator.max_entry`` of a diagonal or matrix computed from an operator's
-    entries, refused as Operator arithmetic refuses it if overflow left an entry
-    non-finite. A finite entry can still have an infinite magnitude."""
-    largest = float(np.abs(arr).max())
-    if not math.isfinite(largest) and not np.isfinite(arr).all():
-        raise InvalidAmplitudesError(f"{_entries_what(arr)} must be finite")
-    return largest
-
-
-def _hermitian_defect(data: np.ndarray) -> float:
-    return _max_entry(data - data.conj().T)
-
-
-def _idempotency_defect(data: np.ndarray) -> float:
-    # one check of the difference suffices: a non-finite square stays non-finite
-    return _max_entry((data * data if data.ndim == 1 else data @ data) - data)
-
-
-def _is_projector(data: np.ndarray, tol: float) -> bool:
-    return _hermitian_defect(data) <= tol and _idempotency_defect(data) <= tol
-
-
-def _are_orthogonal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    # both products even on diagonals: numpy's vectorized complex product need
-    # not round a*b and b*a alike
-    a, b = _operand_arrays(a, b)
-    product = np.multiply if a.ndim == 1 else np.matmul
-    return _max_entry(product(a, b)) <= tol and _max_entry(product(b, a)) <= tol
-
-
 @_quiet
 def is_hermitian(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the operator equals its own adjoint, max-entry norm."""
-    return _hermitian_defect(_operator(op)._data) <= tol
+    op = _operator(op)
+    return (op - op.dagger()).max_entry() <= tol
 
 
 @_quiet
 def idempotency_defect(op: Operator) -> float:
     """Max-entry norm of op@op - op; zero for exact projectors."""
-    return _idempotency_defect(_operator(op)._data)
+    op = _operator(op)
+    return (op @ op - op).max_entry()
 
 
-@_quiet
 def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Hermitian and idempotent within ``tol`` (max-entry norm on both checks)."""
-    return _is_projector(_operator(op)._data, tol)
+    return is_hermitian(op, tol) and idempotency_defect(op) <= tol
 
 
 @_quiet
 def are_orthogonal(a: Operator, b: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether both products a@b and b@a vanish within ``tol``."""
-    return _are_orthogonal(_operator(a)._data, _operator(b)._data, tol)
+    a, b = _operator(a), _operator(b)
+    return (a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol
 
 
 @_quiet
@@ -396,18 +377,13 @@ def is_resolution_of_identity(projectors: Iterable[Operator],
     Accepts any iterable of operators, including a
     :class:`~twobox.engine.MeasurementSet`.
     """
-    projectors = expect(projectors, Iterable, "an iterable of Operators")
-    arrays = [_operator(op)._data for op in projectors]
-    if not arrays:
+    ops = _operator_list(projectors)
+    if not ops:
         raise InvalidArgumentError("resolution check needs at least one operator")
-    total = arrays[0]
-    for data in arrays[1:]:  # summed in order, as Operator addition would
-        total, data = _operand_arrays(total, data)
-        total = _computed(total + data, _entries_what(total))
-    total, identity = _operand_arrays(total, np.ones(total.shape[0], dtype=np.complex128))
-    return (all(_is_projector(data, tol) for data in arrays)
-            and all(_are_orthogonal(a, b, tol) for i, a in enumerate(arrays) for b in arrays[i + 1:])
-            and _max_entry(total - identity) <= tol)
+    total = sum(ops[1:], start=ops[0])
+    return (all(is_projector(op, tol) for op in ops)
+            and all(are_orthogonal(a, b, tol) for i, a in enumerate(ops) for b in ops[i + 1:])
+            and (total - Operator.identity(total.n_particles)).max_entry() <= tol)
 
 
 def _counts_resolve_identity(counts: Sequence[int], tol: float) -> bool:
@@ -465,7 +441,8 @@ def _magnitude(z: complex) -> float:
 
 
 def _class_max(entries: Sequence[complex]) -> float:
-    """:func:`_max_entry` of a diagonal given by its class entries."""
+    """``Operator.max_entry`` of a diagonal given by its class entries, refused
+    as a built operator is refused if an entry is not finite."""
     _check_entries(entries)
     return max(map(_magnitude, entries))
 

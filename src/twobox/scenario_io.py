@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from json.encoder import encode_basestring as _string
 from typing import Any, get_args
 
 from .errors import (InvalidAmplitudesError, ScenarioFileError, UnnormalizableStateError,
-                     capped, quoted)
+                     capped, expect, quoted)
 from .hilbert import MAX_PARTICLES, Ket, _single_pair, abs2
 from .projectors import HamiltonianSpec, ProjectorSpec
 from .scenarios import (
@@ -507,8 +508,10 @@ def parse_scenario_document(doc) -> Scenario:
         raise ScenarioFileError(str(exc)) from exc
 
 
-def load_scenario_file(path: str) -> Scenario:
-    """Read, check, and build a scenario from a JSON file."""
+def load_scenario_file(path: str | os.PathLike) -> Scenario:
+    """Read, check, and build a scenario from the JSON file at ``path``, never a
+    file descriptor, which ``open`` would read and close."""
+    expect(path, (str, os.PathLike), "a file path (str or os.PathLike)")
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()

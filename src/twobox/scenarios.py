@@ -35,7 +35,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cache
-from typing import Union
+from typing import Collection, Iterable, Sequence, Union
 
 from .engine import _abl_result, _linearity_checked, _weak_denominator, vanishes
 from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, InvalidArgumentError,
@@ -108,6 +108,14 @@ class _ProductSelection:
         return _product_amplitude(product, self.weights)
 
 
+def _particle_counts(products):
+    """The particle count of every spec in ``products``, which a scenario checks;
+    anything but a ProjectorSpec is refused."""
+    for product in expect(products, Iterable, "an iterable of projector products"):
+        for spec in expect(product, Iterable, "a projector product"):
+            yield expect(spec, ProjectorSpec, "a ProjectorSpec").n_particles
+
+
 # the query classes below these two bases add no fields, so they keep the
 # generated __init__, __repr__ and __eq__, which name the subclass
 @dataclass(frozen=True)
@@ -117,7 +125,7 @@ class _OneProduct:
     kind = "presence"
 
     def particle_counts(self):
-        return (spec.n_particles for spec in self.projector)
+        return _particle_counts((self.projector,))
 
     def target(self, scheme) -> str:
         return _product_label(self.projector)
@@ -148,7 +156,7 @@ class _ProductSet:
     kind = "presence"
 
     def particle_counts(self):
-        return (spec.n_particles for product in self.projectors for spec in product)
+        return _particle_counts(self.projectors)
 
     def target(self, scheme) -> str:
         return _set_label(self.projectors)
@@ -200,7 +208,7 @@ class DetailedVsGlobalQuery:
     kind = "presence"
 
     def particle_counts(self):
-        return (spec.n_particles for product in self.members for spec in product)
+        return _particle_counts(self.members)
 
     def target(self, scheme) -> str:
         return _set_label(self.members)
@@ -228,7 +236,7 @@ class TransitionElementQuery:
     kind = "transition"
 
     def particle_counts(self):
-        return (self.hamiltonian.n_particles,)
+        return (expect(self.hamiltonian, HamiltonianSpec, "a HamiltonianSpec").n_particles,)
 
     def target(self, scheme) -> str:
         return self.hamiltonian.label()
@@ -263,6 +271,8 @@ class PredicateQuery:
     def __post_init__(self):
         if self.check not in PREDICATE_CHECKS:
             raise InvalidArgumentError(f"unknown predicate check {self.check!r}")
+        for operand in expect(self.operands, Sequence, "a sequence of HamiltonianSpecs"):
+            expect(operand, HamiltonianSpec, "a HamiltonianSpec")
         counts = {"is_projector": 1, "orthogonal": 2, "eigenstate": 1}
         want = counts.get(self.check)
         if want is not None and len(self.operands) != want:
@@ -272,6 +282,7 @@ class PredicateQuery:
         if self.check == "eigenstate":
             if self.state is None or self.eigenvalue is None:
                 raise InvalidArgumentError("eigenstate needs a state and an eigenvalue")
+            expect(self.state, (ProductState, ExplicitState), "a ProductState or ExplicitState")
             _as_number(self.eigenvalue, "eigenvalue")
         elif self.state is not None or self.eigenvalue is not None:
             raise InvalidArgumentError(f"{self.check} takes no state or eigenvalue")
@@ -280,9 +291,12 @@ class PredicateQuery:
         for operand in self.operands:
             yield operand.n_particles
         if isinstance(self.state, ProductState):
-            yield len(self.state.factors)
+            factors = expect(self.state.factors, Collection, "a collection of state specs")
+            for factor in factors:
+                _single_pair(factor)
+            yield len(factors)
         elif isinstance(self.state, ExplicitState):
-            dim = len(self.state.amplitudes)
+            dim = len(expect(self.state.amplitudes, Collection, "a collection of amplitudes"))
             n = dim.bit_length() - 1
             if dim < 2 or 2**n != dim:
                 raise InvalidArgumentError("explicit state length must be a power of two >= 2")
@@ -331,15 +345,6 @@ Query = Union[
 ]
 
 
-def _validate_single_state_spec(spec: SingleStateSpec) -> None:
-    if isinstance(spec, str):
-        canonical_state_name(spec)
-        return
-    if not hasattr(spec, "__len__") or len(spec) != 2:
-        raise InvalidArgumentError("an explicit single-particle state needs exactly two coefficients")
-    _as_number(spec[0], "a state coefficient"), _as_number(spec[1], "a state coefficient")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A runnable bundle of selection and queries."""
@@ -360,7 +365,7 @@ class Scenario:
         if len(self.pre) != self.n_particles or len(self.post) != self.n_particles:
             raise InvalidArgumentError("pre and post must list one state per particle")
         for spec in (*self.pre, *self.post):
-            _validate_single_state_spec(spec)
+            _single_pair(spec)
         for query in self.queries:
             if not isinstance(query, Query):
                 raise InvalidArgumentError(f"unknown query type {type(query).__name__}")

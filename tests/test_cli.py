@@ -8,13 +8,14 @@ import sys
 import tempfile
 import types
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twobox
 from test_scenario_io import MUTATIONS, mutated, nodes, scenario_documents
 from twobox import ExpressionError, HamiltonianSpec, ProjectorSpec
 from twobox.cli import (
@@ -619,3 +620,56 @@ def test_no_input_ends_in_a_traceback(text, expression, particles):
             assert code in (0, 1, 2), argv
             assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
             assert len(err.getvalue()) <= 500, (argv, err.getvalue())
+
+
+# the reference definitions stay off the command paths ---------------------------
+
+# the structural checks and matrix_element as Operator arithmetic: the reference
+# of the label-class checks, which scenario runs and `twobox check` use instead
+REFERENCES = [("twobox.projectors", name) for name in (
+    "is_hermitian", "idempotency_defect", "is_projector", "are_orthogonal",
+    "is_resolution_of_identity")] + [("twobox.hilbert", "matrix_element")]
+
+
+@contextmanager
+def references_refused():
+    """Each reference definition replaced, in every twobox module that holds it,
+    by a stub that records the call and raises; yields the recorded names."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for home, name in REFERENCES:
+            original = getattr(sys.modules[home], name)
+
+            def refused(*args, _name=name, **kwargs):
+                calls.append(_name)
+                raise AssertionError(f"{_name} was called")
+
+            for key, module in list(sys.modules.items()):
+                if key.split(".")[0] == "twobox" and getattr(module, name, None) is original:
+                    patch.setattr(module, name, refused)
+        yield calls
+
+
+def test_the_reference_stubs_are_in_place():
+    with references_refused() as calls:
+        sel = twobox.PrePostSelection(twobox.basis_state("L"), twobox.basis_state("L"))
+        for call in (lambda: twobox.is_projector(twobox.Operator.identity(1)),
+                     lambda: twobox.detailed_probability(sel, [twobox.Operator.identity(1)]),
+                     lambda: twobox.abl_amplitude(sel, twobox.Operator.identity(1))):
+            with pytest.raises(AssertionError):
+                call()
+    assert calls == ["is_projector", "is_projector", "matrix_element"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(docs=st.lists(scenario_documents(), min_size=3, max_size=3))
+def test_no_command_reaches_the_reference_checks(docs):
+    with references_refused() as calls:
+        builtins = twobox.builtin_scenarios()
+        for scenario in builtins + [twobox.parse_scenario_document(doc) for doc in docs]:
+            twobox.render_report_json(twobox.run_scenario(scenario))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["check", "pair_same(1,2) + pair_same(2,3)"]) == 0
+            for scenario in builtins:
+                main(["run", scenario.name, "--format", "json"])
+    assert calls == []

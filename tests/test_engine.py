@@ -1,5 +1,7 @@
 """Conditional amplitudes, probabilities, weak values, and transitions."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,38 @@ def test_global_probability_needs_a_projector_sum():
         global_probability(sel, overlapping)
     with pytest.raises(ValueError, match="at least one"):
         global_probability(sel, [])
+
+
+def outcome(call):
+    """What ``call`` returns, to the bit, or the type and message of its TwoBoxError."""
+    try:
+        return repr(call())
+    except TwoBoxError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("products, legitimate", [
+    ([(("box", 1, "L"), ("box", 2, "L")), (("box", 1, "R"), ("box", 2, "R"))], True),
+    ([(("pair_same", 1, 2),), (("pair_same", 2, 3),)], False),  # overlapping members
+    ([(("pair_same", 1, 2),), (("pair_diff", 1, 2),)], True),  # a complete set
+    ([(("sd", 1, 2, 3),)], True),
+])
+@pytest.mark.parametrize("scale", [1, 0.5])  # 0.5: no member is a projector
+def test_a_measurement_set_asks_what_its_projectors_ask(products, legitimate, scale):
+    makers = {"box": ProjectorSpec.box_occupation, "pair_same": ProjectorSpec.pair_same,
+              "pair_diff": ProjectorSpec.pair_diff, "sd": ProjectorSpec.sd}
+    ops = [scale * reduce(lambda a, b: a @ b,
+                          (build_projector(makers[kind](*args, 3)) for kind, *args in product))
+           for product in products]
+    measurement = MeasurementSet(ops)
+    sel = pigeonhole_selection()
+    for probability in (detailed_probability, global_probability):
+        assert outcome(lambda: probability(sel, measurement)) == outcome(lambda: probability(sel, ops))
+    if scale == 1:
+        assert isinstance(detailed_probability(sel, measurement), float)
+    if not legitimate or scale != 1:
+        with pytest.raises(IllegitimateQuestionError, match="not a legitimate question"):
+            global_probability(sel, measurement)
 
 
 def test_transition_elements():

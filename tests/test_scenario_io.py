@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import re
 import typing
 
@@ -17,6 +18,7 @@ import oracle
 from twobox import (
     MAX_PARTICLES,
     SCENARIO_SCHEMA,
+    InvalidArgumentError,
     ProjectorSpec,
     ScenarioFileError,
     document_to_report,
@@ -148,6 +150,31 @@ def test_load_scenario_file_errors(tmp_path):
     garbled.write_text("{not json")
     with pytest.raises(ScenarioFileError, match="not valid JSON"):
         load_scenario_file(str(garbled))
+
+
+@pytest.mark.parametrize("path", ["descriptor", b"scenario.json", None])
+def test_load_scenario_file_takes_only_a_path(path):
+    # open() would take an int as a file descriptor, read it and close it
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, json.dumps(minimal_doc()).encode())
+        os.close(write_end)
+        write_end = None
+        with pytest.raises(InvalidArgumentError,
+                           match=r"expected a file path \(str or os.PathLike\)"):
+            load_scenario_file(read_end if path == "descriptor" else path)
+        os.fstat(read_end)  # still the caller's to read and close
+        assert json.loads(os.read(read_end, 4096)) == minimal_doc()
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
+
+
+def test_load_scenario_file_takes_a_path_object(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(minimal_doc()))
+    assert load_scenario_file(path) == parse_scenario_document(minimal_doc())
 
 
 def test_every_query_type_parses_and_runs(tmp_path):

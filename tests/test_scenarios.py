@@ -245,6 +245,14 @@ def test_scenario_validation():
         Scenario("x", 1, ("up",), ("+",), ())
 
 
+ONE_PARTICLE = PrePostSelection(make_single_particle_state("+"), make_single_particle_state("L"))
+
+
+def eigenstate_query(state):
+    return PredicateQuery("eigenstate", (HamiltonianSpec.of([(1, ProjectorSpec.all_same(2))]),),
+                          state=state, eigenvalue=1)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: ProjectorSpec.pair_same(1, 5, 3), "pair member 5 out of range 1..3"),
     (lambda: Scenario("x", 1, ("+",), ("+",), (), labels="polar"), "unknown label scheme"),
@@ -282,6 +290,44 @@ def test_scenario_validation():
     (lambda: apply(1, 2), "expected an Operator, got int"),
     (lambda: apply(Operator.identity(1), [1, 0]), "expected a state .*, got list"),
     (lambda: run_scenario(1), "expected a Scenario, got int"),
+    (lambda: PrePostSelection(1, 2), r"expected a state \(Ket or UnnormalizedKet\), got int"),
+    (lambda: abl_amplitude(1, Operator.identity(1)), "expected a PrePostSelection, got int"),
+    (lambda: abl_amplitude(ONE_PARTICLE, 1), "expected an Operator, got int"),
+    (lambda: transition_element(ONE_PARTICLE, 1), "expected an Operator, got int"),
+    (lambda: weak_value(1, Operator.identity(1)), "expected a PrePostSelection, got int"),
+    (lambda: MeasurementSet([1]), "expected an Operator, got int"),
+    (lambda: MeasurementSet(5), "expected an iterable of Operators, got int"),
+    (lambda: MeasurementSet([Operator.identity(1)], labels=5),
+     "expected an iterable of labels, got int"),
+    (lambda: abl_probabilities(ONE_PARTICLE, [Operator.identity(1)]),
+     "expected a MeasurementSet, got list"),
+    (lambda: weak_value_sum(ONE_PARTICLE, 5), "expected an iterable of Operators, got int"),
+    (lambda: weak_value_sum(1, []), "expected a PrePostSelection, got int"),
+    (lambda: detailed_probability(ONE_PARTICLE, 5), "expected an iterable of Operators, got int"),
+    (lambda: global_probability(ONE_PARTICLE, [1]), "expected an Operator, got int"),
+    (lambda: make_single_particle_state(5), "needs exactly two coefficients"),
+    (lambda: make_single_particle_state(("a", 1)), "a state coefficient must be a number"),
+    (lambda: HamiltonianSpec.of(5), r"expected an iterable of \(coefficient, ProjectorSpec\) terms"),
+    (lambda: HamiltonianSpec.of([(1, 5)]), "expected a ProjectorSpec, got int"),
+    (lambda: HamiltonianSpec.of([5]), r"a term must be a \(coefficient, ProjectorSpec\) pair"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), (AblAmplitudeQuery((5,)),)),
+     "expected a ProjectorSpec, got int"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), (WeakValueSumQuery(5),)),
+     "expected an iterable of projector products, got int"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), (DetailedVsGlobalQuery((5,)),)),
+     "expected a projector product, got int"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), (TransitionElementQuery(5),)),
+     "expected a HamiltonianSpec, got int"),
+    (lambda: PredicateQuery("is_projector", (5,)), "expected a HamiltonianSpec, got int"),
+    (lambda: PredicateQuery("eigenstate", (HamiltonianSpec.of([(1, ProjectorSpec.all_same(2))]),),
+                            state="LL", eigenvalue=1),
+     "expected a ProductState or ExplicitState, got str"),
+    (lambda: Scenario("x", 2, ("+", "+"), ("+", "+"), (eigenstate_query(ProductState(5)),)),
+     "expected a collection of state specs, got int"),
+    (lambda: Scenario("x", 2, ("+", "+"), ("+", "+"), (eigenstate_query(ProductState((5, "L"))),)),
+     "needs exactly two coefficients"),
+    (lambda: Scenario("x", 2, ("+", "+"), ("+", "+"), (eigenstate_query(ExplicitState(5)),)),
+     "expected a collection of amplitudes, got int"),
 ])
 def test_bad_library_arguments_are_twobox_errors(build, message):
     with pytest.raises(TwoBoxError, match=message) as caught:
