@@ -36,6 +36,7 @@ from .errors import (
     NotAProjectorError,
     OrthogonalSelectionError,
     expect,
+    expect_tolerance,
 )
 from .hilbert import (DEFAULT_TOLERANCE, Ket, Operator, _operator, _operator_list, _state, abs2,
                       inner, matrix_element)
@@ -44,6 +45,7 @@ from .projectors import is_projector, is_resolution_of_identity
 
 def vanishes(value: complex, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether a reported number counts as zero at the given tolerance."""
+    tol = expect_tolerance(tol)
     try:
         return abs(value) <= tol
     except OverflowError:  # finite parts whose magnitude exceeds the float range
@@ -92,6 +94,8 @@ class MeasurementSet:
         if labels is None:
             labels = tuple(f"outcome{i}" for i in range(len(ops)))
         else:
+            if isinstance(labels, str):  # one label per projector, not one character each
+                raise InvalidArgumentError("expected an iterable of labels, got str")
             labels = tuple(str(s) for s in expect(labels, Iterable, "an iterable of labels"))
             if len(labels) != len(ops):
                 raise InvalidArgumentError("labels and projectors must pair up one to one")
@@ -172,6 +176,7 @@ def abl_probabilities(selection: PrePostSelection, measurement: MeasurementSet,
         the postselection is unreachable from the preselection.
     """
     measurement = expect(measurement, MeasurementSet, "a MeasurementSet")
+    expect_tolerance(tol)
     if measurement.dim != _selection(selection).dim:
         raise DimensionMismatchError(
             f"measurement dimension {measurement.dim} does not match the selection dimension {selection.dim}")
@@ -205,7 +210,7 @@ def weak_value(selection: PrePostSelection, op: Operator,
         If <post|pre> is zero or |<post|pre>| <= tol, where the quotient
         is undefined or meaningless.
     """
-    denominator = _weak_denominator(_selection(selection).overlap(), tol)
+    denominator = _weak_denominator(_selection(selection).overlap(), expect_tolerance(tol))
     return abl_amplitude(selection, op) / denominator
 
 
@@ -237,7 +242,7 @@ def weak_value_sum(selection: PrePostSelection, ops: Sequence[Operator],
         If the two routes disagree beyond that rounding bound.
     """
     _selection(selection)
-    ops = _operator_list(ops)
+    ops, tol = _operator_list(ops), expect_tolerance(tol)
     if not ops:
         return 0j
     total = sum(weak_value(selection, op, tol) for op in ops)
@@ -265,7 +270,7 @@ def detailed_probability(selection: PrePostSelection, projectors: ProjectorSet,
     complete. An empty set contributes zero.
     """
     _selection(selection)
-    ops = _operator_list(projectors)
+    ops, tol = _operator_list(projectors), expect_tolerance(tol)
     for op in ops:
         if not is_projector(op, tol):
             raise NotAProjectorError("non-projector member")
@@ -282,7 +287,7 @@ def global_probability(selection: PrePostSelection, projectors: ProjectorSet,
     direction, which is an interference statement, not a bug.
     """
     _selection(selection)
-    ops = _operator_list(projectors)
+    ops, tol = _operator_list(projectors), expect_tolerance(tol)
     if not ops:
         raise InvalidArgumentError("global probability needs at least one projector")
     combined = sum(ops[1:], start=ops[0])

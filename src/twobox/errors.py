@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class TwoBoxError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -78,3 +80,13 @@ def expect(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise InvalidArgumentError(f"expected {what}, got {type(value).__name__}")
     return value
+
+
+def expect_tolerance(tol):
+    """``tol`` if it is a real number other than NaN, else an InvalidArgumentError:
+    the one check of a tolerance argument. A negative one is allowed. A float
+    skips the ``numbers.Real`` test, an ABC check that costs several times the
+    comparison it guards, and ``vanishes`` runs this once per reported value."""
+    if (type(tol) is not float and not isinstance(tol, numbers.Real)) or tol != tol:  # NaN
+        raise InvalidArgumentError(f"tolerance must be a real number, got {quoted(tol)}")
+    return tol

@@ -34,7 +34,7 @@ from functools import cache, reduce, wraps
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (DimensionMismatchError, InvalidAmplitudesError, InvalidArgumentError,
-                     UnnormalizableStateError, expect, quoted)
+                     UnnormalizableStateError, expect, expect_tolerance, quoted)
 
 DEFAULT_TOLERANCE = 1e-12
 MAX_PARTICLES = 12
@@ -107,8 +107,20 @@ def label_scheme(name: str) -> LabelScheme:
     """Return the scheme registered under ``name`` ("box" or "spin")."""
     try:
         return _SCHEMES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise InvalidArgumentError(f"unknown label scheme {name!r}") from None
+
+
+def _check_particle_count(n_particles: int) -> None:
+    """Refuse a particle count that is not an integer in 1..MAX_PARTICLES; a bool is none."""
+    if (not isinstance(n_particles, int) or isinstance(n_particles, bool)
+            or not 1 <= n_particles <= MAX_PARTICLES):
+        raise InvalidArgumentError(f"n_particles must lie in 1..{MAX_PARTICLES}")
+
+
+def _scheme(labels) -> LabelScheme:
+    """A labels argument: a LabelScheme, anything else refused."""
+    return expect(labels, LabelScheme, "a LabelScheme")
 
 
 def _as_number(value, what: str) -> complex:
@@ -177,7 +189,7 @@ class _Vector:
 
     def __init__(self, amplitudes: Sequence[complex], labels: LabelScheme = BOX_LABELS):
         object.__setattr__(self, "_amplitudes", _as_array(amplitudes, 1, "amplitudes"))
-        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_labels", _scheme(labels))
 
     @classmethod
     def _of(cls, amplitudes: np.ndarray, labels: LabelScheme):
@@ -211,7 +223,7 @@ class _Vector:
         return [self._labels.basis_label(i, n) for i in range(self.dim)]
 
     def with_labels(self, labels: LabelScheme) -> "_Vector":
-        return type(self)._of(self._amplitudes, labels)
+        return type(self)._of(self._amplitudes, _scheme(labels))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -284,12 +296,12 @@ class Operator:
 
     def __init__(self, entries, labels: LabelScheme = BOX_LABELS):
         object.__setattr__(self, "_data", _as_array(entries, 2, "operator entries"))
-        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_labels", _scheme(labels))
 
     @classmethod
     def from_diagonal(cls, diagonal, labels: LabelScheme = BOX_LABELS) -> "Operator":
         """The operator with this diagonal and zeros elsewhere, stored as the diagonal."""
-        return cls._of(_as_array(diagonal, 1, "operator diagonal"), labels)
+        return cls._of(_as_array(diagonal, 1, "operator diagonal"), _scheme(labels))
 
     @classmethod
     def _of(cls, data: np.ndarray, labels: LabelScheme) -> "Operator":
@@ -302,10 +314,12 @@ class Operator:
 
     @classmethod
     def identity(cls, n_particles: int, labels: LabelScheme = BOX_LABELS) -> "Operator":
+        _check_particle_count(n_particles)
         return cls.from_diagonal(np.ones(2**n_particles), labels)
 
     @classmethod
     def zero(cls, n_particles: int, labels: LabelScheme = BOX_LABELS) -> "Operator":
+        _check_particle_count(n_particles)
         return cls.from_diagonal(np.zeros(2**n_particles), labels)
 
     @property
@@ -338,7 +352,7 @@ class Operator:
         return float(np.max(np.abs(self._data)))
 
     def with_labels(self, labels: LabelScheme) -> "Operator":
-        return Operator._of(self._data, labels)
+        return Operator._of(self._data, _scheme(labels))
 
     @_quiet
     def __add__(self, other: "Operator") -> "Operator":
@@ -394,12 +408,10 @@ def _operator_list(values) -> list[Operator]:
     return [_operator(op) for op in expect(values, Iterable, "an iterable of Operators")]
 
 
+# every accepted state name, short aliases first, in the order the scenario schema lists them
 _STATE_ALIASES = {
-    "L": "L", "R": "R",
-    "plus": "plus", "+": "plus",
-    "minus": "minus", "-": "minus",
-    "plus_i": "plus_i", "+i": "plus_i",
-    "minus_i": "minus_i", "-i": "minus_i",
+    "L": "L", "R": "R", "+": "plus", "-": "minus", "+i": "plus_i", "-i": "minus_i",
+    "plus": "plus", "minus": "minus", "plus_i": "plus_i", "minus_i": "minus_i",
 }
 
 _HALF_SQRT2 = math.sqrt(0.5)
@@ -419,7 +431,7 @@ def canonical_state_name(name: str) -> str:
     """Map a state name or its short alias ("+", "-i", ...) to the canonical key."""
     try:
         return _STATE_ALIASES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         options = ", ".join(sorted(_STATE_ALIASES))
         raise InvalidArgumentError(f"unknown state name {name!r}; choose one of {options}") from None
 
@@ -484,7 +496,7 @@ def make_single_particle_state(
 
 def basis_state(label: str, labels: LabelScheme = BOX_LABELS) -> Ket:
     """The computational basis state for a letter string such as "LRL"."""
-    n = len(label)
+    n, labels = len(expect(label, str, "a basis label (str)")), _scheme(labels)
     index = 0
     for letter in label:
         try:
@@ -558,4 +570,4 @@ def eigenstate_residual(op: Operator, ket: Ket, eigenvalue: complex) -> float:
 def is_eigenstate(op: Operator, ket: Ket, eigenvalue: complex,
                   tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether op|ket> equals eigenvalue|ket> within ``tol`` (Euclidean norm)."""
-    return eigenstate_residual(op, ket, eigenvalue) <= tol
+    return eigenstate_residual(op, ket, eigenvalue) <= expect_tolerance(tol)

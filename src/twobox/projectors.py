@@ -32,16 +32,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidAmplitudesError, InvalidArgumentError, expect, quoted
+from .errors import InvalidAmplitudesError, InvalidArgumentError, expect, expect_tolerance, quoted
 from .hilbert import (
     BOX_LABELS,
     DEFAULT_TOLERANCE,
-    MAX_PARTICLES,
     SPIN_LABELS,
     Ket,
     Operator,
     UnnormalizedKet,
     _as_number,
+    _check_particle_count,
     _operator,
     _operator_list,
     _quiet,
@@ -81,8 +81,7 @@ class ProjectorSpec:
     def __post_init__(self):
         if self.kind not in PROJECTOR_KINDS:
             raise InvalidArgumentError(f"unknown projector kind {quoted(self.kind)}")
-        if not isinstance(self.n_particles, int) or not 1 <= self.n_particles <= MAX_PARTICLES:
-            raise InvalidArgumentError(f"n_particles must lie in 1..{MAX_PARTICLES}")
+        _check_particle_count(self.n_particles)
         if self.kind == "box":
             _check_particle(self.particle, self.n_particles, "particle")
             if self.box not in ("L", "R"):
@@ -302,8 +301,7 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _terms(self.terms))
-        if not isinstance(self.n_particles, int) or not 1 <= self.n_particles <= MAX_PARTICLES:
-            raise InvalidArgumentError(f"n_particles must lie in 1..{MAX_PARTICLES}")
+        _check_particle_count(self.n_particles)
         for _, p in self.terms:
             if p.n_particles != self.n_particles:
                 raise InvalidArgumentError(
@@ -346,7 +344,7 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Operator:
 @_quiet
 def is_hermitian(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the operator equals its own adjoint, max-entry norm."""
-    op = _operator(op)
+    op, tol = _operator(op), expect_tolerance(tol)
     return (op - op.dagger()).max_entry() <= tol
 
 
@@ -365,7 +363,7 @@ def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
 @_quiet
 def are_orthogonal(a: Operator, b: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether both products a@b and b@a vanish within ``tol``."""
-    a, b = _operator(a), _operator(b)
+    a, b, tol = _operator(a), _operator(b), expect_tolerance(tol)
     return (a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol
 
 
@@ -377,7 +375,7 @@ def is_resolution_of_identity(projectors: Iterable[Operator],
     Accepts any iterable of operators, including a
     :class:`~twobox.engine.MeasurementSet`.
     """
-    ops = _operator_list(projectors)
+    ops, tol = _operator_list(projectors), expect_tolerance(tol)
     if not ops:
         raise InvalidArgumentError("resolution check needs at least one operator")
     total = sum(ops[1:], start=ops[0])

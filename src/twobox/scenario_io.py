@@ -6,7 +6,17 @@ field as they read it, dispatching on a projector's ``kind`` and a
 query's ``type``, and stop at the first violation with its ``$``-path
 and the wording of a JSON Schema validator, so malformed input fails
 with a path instead of a stack trace. A differential test against
-jsonschema holds the schema and the readers to each other. "integer"
+jsonschema holds the schema and the readers to each other.
+
+The ``projector`` and ``query`` definitions of the schema are built at
+import from the tables the readers use, one branch per kind or type:
+``_PROJECTOR_KEYS`` (each kind's keys) with ``_PROJECTOR_FIELDS`` (each
+key's value schema and reader), and ``_QUERY_KEYS``, taken from the
+``keys`` and ``optional_keys`` of the query classes, with ``_QUERY_FIELDS``
+(each key's query field, value schema and reader). So a query type is
+defined by its class alone; a key no other type uses adds one
+``_QUERY_FIELDS`` row. The enumerations (state names, label schemes,
+predicate checks) come from the modules that define them. "integer"
 means a JSON integer: an int that is not a bool, so ``3.0`` is refused
 where an integer belongs. Complex numbers travel as [re, im] pairs at
 full double precision, which makes rendered reports parse back into
@@ -32,9 +42,10 @@ from typing import Any, get_args
 
 from .errors import (InvalidAmplitudesError, ScenarioFileError, UnnormalizableStateError,
                      capped, expect, quoted)
-from .hilbert import MAX_PARTICLES, Ket, _single_pair, abs2
+from .hilbert import MAX_PARTICLES, _SCHEMES, _STATE_ALIASES, Ket, _single_pair, abs2
 from .projectors import HamiltonianSpec, ProjectorSpec
 from .scenarios import (
+    PREDICATE_CHECKS,
     ExplicitState,
     ProductState,
     Query,
@@ -44,11 +55,11 @@ from .scenarios import (
     ScenarioReport,
 )
 
-# the enumerations the schema and the readers share
-_STATE_NAMES = ["L", "R", "+", "-", "+i", "-i", "plus", "minus", "plus_i", "minus_i"]
+# the enumerations the schema and the readers share, taken from where they are defined
+_STATE_NAMES = list(_STATE_ALIASES)
 _BOXES = ["L", "R"]
-_LABELS = ["box", "spin"]
-_CHECKS = ["is_projector", "orthogonal", "resolution_of_identity", "eigenstate"]
+_LABELS = list(_SCHEMES)
+_CHECKS = list(PREDICATE_CHECKS)
 
 _COMPLEX_PAIR = {
     "type": "array",
@@ -68,54 +79,6 @@ _STATE = {
                 "cL": {"$ref": "#/$defs/complex"},
                 "cR": {"$ref": "#/$defs/complex"},
             },
-        },
-    ],
-}
-
-_PROJECTOR = {
-    "type": "object",
-    "required": ["kind"],
-    "oneOf": [
-        {
-            "properties": {
-                "kind": {"const": "box"},
-                "particle": {"type": "integer"},
-                "box": {"enum": _BOXES},
-            },
-            "required": ["kind", "particle", "box"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "kind": {"enum": ["pair_same", "pair_diff"]},
-                "pair": {
-                    "type": "array",
-                    "prefixItems": [{"type": "integer"}, {"type": "integer"}],
-                    "items": False,
-                    "minItems": 2,
-                },
-            },
-            "required": ["kind", "pair"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {"kind": {"const": "all_same"}},
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "kind": {"const": "sd"},
-                "pair": {
-                    "type": "array",
-                    "prefixItems": [{"type": "integer"}, {"type": "integer"}],
-                    "items": False,
-                    "minItems": 2,
-                },
-                "other": {"type": "integer"},
-            },
-            "required": ["kind", "pair", "other"],
-            "additionalProperties": False,
         },
     ],
 }
@@ -175,93 +138,6 @@ _NSTATE = {
         },
     ],
 }
-
-_QUERY = {
-    "type": "object",
-    "required": ["type"],
-    "oneOf": [
-        {
-            "properties": {
-                "type": {"enum": ["abl_amplitude", "weak_value"]},
-                "projector": {"$ref": "#/$defs/member"},
-                "claim": {"type": "string"},
-            },
-            "required": ["type", "projector"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "type": {"enum": ["abl_probabilities", "weak_value_sum"]},
-                "projectors": {"type": "array", "minItems": 1,
-                               "items": {"$ref": "#/$defs/member"}},
-                "claim": {"type": "string"},
-            },
-            "required": ["type", "projectors"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "type": {"const": "detailed_vs_global"},
-                "members": {"type": "array", "minItems": 1,
-                            "items": {"$ref": "#/$defs/member"}},
-                "claim": {"type": "string"},
-            },
-            "required": ["type", "members"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "type": {"const": "transition_element"},
-                "hamiltonian": {"type": "array",
-                                "items": {"$ref": "#/$defs/hterm"}},
-                "claim": {"type": "string"},
-            },
-            "required": ["type", "hamiltonian"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "type": {"const": "predicate"},
-                "check": {"enum": _CHECKS},
-                "operators": {"type": "array", "minItems": 1,
-                              "items": {"$ref": "#/$defs/opexpr"}},
-                "state": {"$ref": "#/$defs/nstate"},
-                "eigenvalue": {"$ref": "#/$defs/complex"},
-                "claim": {"type": "string"},
-            },
-            "required": ["type", "check", "operators"],
-            "additionalProperties": False,
-        },
-    ],
-}
-
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["name", "particles", "pre", "post", "queries"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "particles": {"type": "integer", "minimum": 1, "maximum": MAX_PARTICLES},
-        "labels": {"enum": _LABELS},
-        "description": {"type": "string"},
-        "notes": {"type": "array", "items": {"type": "string"}},
-        "pre": {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/state"}},
-        "post": {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/state"}},
-        "queries": {"type": "array", "items": {"$ref": "#/$defs/query"}},
-    },
-    "$defs": {
-        "complex": _COMPLEX_PAIR,
-        "state": _STATE,
-        "projector": _PROJECTOR,
-        "member": _MEMBER,
-        "hterm": _HAMILTONIAN_TERM,
-        "opexpr": _OPERATOR_EXPR,
-        "nstate": _NSTATE,
-        "query": _QUERY,
-    },
-}
-
 
 # reading and checking -------------------------------------------------------------
 # Each reader checks the fields it reads. The fields of an object are read in
@@ -355,8 +231,7 @@ def _parse_state(doc, path: str) -> Any:
     return pair
 
 
-# the keys each projector kind's document must hold (it may hold no others),
-# and the readers of the fields besides "kind"
+# the keys each projector kind's document must hold (it may hold no others)
 _PROJECTOR_KEYS = {
     "box": (("kind", "particle", "box"), ()),
     "pair_same": (("kind", "pair"), ()),
@@ -364,18 +239,21 @@ _PROJECTOR_KEYS = {
     "all_same": (("kind",), ()),
     "sd": (("kind", "pair", "other"), ()),
 }
+_INTEGER = {"type": "integer"}
+# each key besides "kind": the schema of its value and its reader (value, $-path)
 _PROJECTOR_FIELDS = {
-    "particle": lambda value, path: _typed(value, "integer", path),
-    "box": lambda value, path: _enum(value, _BOXES, path),
-    "pair": lambda value, path: _pair(value, "integer", path),
-    "other": lambda value, path: _typed(value, "integer", path),
+    "particle": (_INTEGER, lambda value, path: _typed(value, "integer", path)),
+    "box": ({"enum": _BOXES}, lambda value, path: _enum(value, _BOXES, path)),
+    "pair": ({"type": "array", "prefixItems": [_INTEGER, _INTEGER], "items": False,
+              "minItems": 2}, lambda value, path: _pair(value, "integer", path)),
+    "other": (_INTEGER, lambda value, path: _typed(value, "integer", path)),
 }
 
 
 def _parse_projector(doc, particles: int, path: str) -> ProjectorSpec:
     _tagged(doc, "kind", _PROJECTOR_KEYS, path)
     return ProjectorSpec(doc["kind"], particles,
-                         **{key: _PROJECTOR_FIELDS[key](value, f"{path}.{key}")
+                         **{key: _PROJECTOR_FIELDS[key][1](value, f"{path}.{key}")
                             for key, value in doc.items() if key != "kind"})
 
 
@@ -431,29 +309,74 @@ def _parse_nstate(doc, path: str):
 _QUERY_TYPES = {cls.tag: cls for cls in get_args(Query)}
 
 # the keys each query type's document must hold, then those it may hold
-_QUERY_KEYS = {
-    "abl_amplitude": (("type", "projector"), ("claim",)),
-    "weak_value": (("type", "projector"), ("claim",)),
-    "abl_probabilities": (("type", "projectors"), ("claim",)),
-    "weak_value_sum": (("type", "projectors"), ("claim",)),
-    "detailed_vs_global": (("type", "members"), ("claim",)),
-    "transition_element": (("type", "hamiltonian"), ("claim",)),
-    "predicate": (("type", "check", "operators"), ("state", "eigenvalue", "claim")),
+_QUERY_KEYS = {tag: (("type", *cls.keys), (*getattr(cls, "optional_keys", ()), "claim"))
+               for tag, cls in _QUERY_TYPES.items()}
+
+_MEMBERS = {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/member"}}
+
+# each key a query document may hold besides "type": the query field it fills,
+# the schema of its value and its reader (value, particle count, $-path)
+_QUERY_FIELDS = {
+    "projector": ("projector", {"$ref": "#/$defs/member"}, _parse_member),
+    "projectors": ("projectors", _MEMBERS, _parse_members),
+    "members": ("members", _MEMBERS, _parse_members),
+    "hamiltonian": ("hamiltonian", {"type": "array", "items": {"$ref": "#/$defs/hterm"}},
+                    _parse_terms),
+    "check": ("check", {"enum": _CHECKS}, lambda doc, n, path: _enum(doc, _CHECKS, path)),
+    "operators": ("operands",
+                  {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/opexpr"}},
+                  lambda docs, n, path: _items(
+                      docs, path, lambda d, at: _parse_opexpr(d, n, at), 1)),
+    "state": ("state", {"$ref": "#/$defs/nstate"},
+              lambda doc, n, path: _parse_nstate(doc, path)),
+    "eigenvalue": ("eigenvalue", {"$ref": "#/$defs/complex"},
+                   lambda doc, n, path: _complex(doc, path)),
+    "claim": ("claim", {"type": "string"}, lambda doc, n, path: _typed(doc, "string", path)),
 }
 
-# each key a query document may hold besides "type": the query field it fills
-# and its reader (value, particle count, $-path)
-_QUERY_FIELDS = {
-    "projector": ("projector", _parse_member),
-    "projectors": ("projectors", _parse_members),
-    "members": ("members", _parse_members),
-    "hamiltonian": ("hamiltonian", _parse_terms),
-    "check": ("check", lambda doc, n, path: _enum(doc, _CHECKS, path)),
-    "operators": ("operands", lambda docs, n, path: _items(
-        docs, path, lambda d, at: _parse_opexpr(d, n, at), 1)),
-    "state": ("state", lambda doc, n, path: _parse_nstate(doc, path)),
-    "eigenvalue": ("eigenvalue", lambda doc, n, path: _complex(doc, path)),
-    "claim": ("claim", lambda doc, n, path: _typed(doc, "string", path)),
+
+def _tagged_schema(tag: str, table: dict, schemas: dict) -> dict:
+    """The schema of an object whose ``tag`` value names its keys in ``table``:
+    one branch per value, in which each other key's value has its schema in
+    ``schemas``."""
+    return {
+        "type": "object",
+        "required": [tag],
+        "oneOf": [{"properties": {tag: {"const": value},
+                                  **{key: schemas[key] for key in (*required[1:], *optional)}},
+                   "required": list(required),
+                   "additionalProperties": False}
+                  for value, (required, optional) in table.items()],
+    }
+
+
+SCENARIO_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["name", "particles", "pre", "post", "queries"],
+    "additionalProperties": False,
+    "properties": {
+        "name": {"type": "string", "minLength": 1},
+        "particles": {"type": "integer", "minimum": 1, "maximum": MAX_PARTICLES},
+        "labels": {"enum": _LABELS},
+        "description": {"type": "string"},
+        "notes": {"type": "array", "items": {"type": "string"}},
+        "pre": {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/state"}},
+        "post": {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/state"}},
+        "queries": {"type": "array", "items": {"$ref": "#/$defs/query"}},
+    },
+    "$defs": {
+        "complex": _COMPLEX_PAIR,
+        "state": _STATE,
+        "projector": _tagged_schema(
+            "kind", _PROJECTOR_KEYS, {key: row[0] for key, row in _PROJECTOR_FIELDS.items()}),
+        "member": _MEMBER,
+        "hterm": _HAMILTONIAN_TERM,
+        "opexpr": _OPERATOR_EXPR,
+        "nstate": _NSTATE,
+        "query": _tagged_schema(
+            "type", _QUERY_KEYS, {key: row[1] for key, row in _QUERY_FIELDS.items()}),
+    },
 }
 
 
@@ -462,7 +385,7 @@ def _parse_query(doc, particles: int, path: str):
     fields = {}
     for key, value in doc.items():
         if key != "type":
-            name, read = _QUERY_FIELDS[key]
+            name, _, read = _QUERY_FIELDS[key]
             fields[name] = read(value, particles, f"{path}.{key}")
     return _QUERY_TYPES[doc["type"]](**fields)
 

@@ -7,10 +7,15 @@ vanishing verdict, every record echoes its query, and failed queries
 carry the error text instead of silently disappearing.
 
 Each query type is one frozen dataclass holding all it means: class
-attributes ``tag`` (its file ``type``) and ``kind``, ``particle_counts()``,
-``target(scheme)`` for its record, and ``results(selection, tol)``, which
-yields ``(name, value)`` pairs. A new query type is such a class in
-``Query`` plus a branch of the scenario schema. If ``results`` raises a
+attributes ``tag`` (its file ``type``), ``kind``, ``keys`` (the document
+keys it requires besides ``type``, in the order a missing one is reported)
+and, where it has any, ``optional_keys`` (those it may hold besides
+``claim``); ``particle_counts()``, ``target(scheme)`` for its record, and
+``results(selection, tol)``, which yields ``(name, value)`` pairs. A new
+query type is such a class added to ``Query``: :mod:`twobox.scenario_io`
+builds its schema branch and its key check from ``keys``, and reads each
+key through its row of ``_QUERY_FIELDS``, so a key no other type uses
+needs a row there too. If ``results`` raises a
 TwoBoxError, the record carries its message: an IllegitimateQuestionError
 keeps the results yielded before it, any other error discards them.
 
@@ -32,14 +37,15 @@ operator route of :mod:`twobox.engine` up to rounding in the last bits.
 from __future__ import annotations
 
 import math
-import numbers
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import Collection, Iterable, Sequence, Union
+from typing import Union
 
 from .engine import _abl_result, _linearity_checked, _weak_denominator, vanishes
 from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, InvalidArgumentError,
-                     NotAProjectorError, ScenarioNotFoundError, TwoBoxError, expect, quoted)
+                     NotAProjectorError, ScenarioNotFoundError, TwoBoxError, expect,
+                     expect_tolerance)
 from .hilbert import (
     DEFAULT_TOLERANCE,
     Ket,
@@ -123,6 +129,7 @@ class _OneProduct:
     projector: ProjectorProduct
     claim: str | None = None
     kind = "presence"
+    keys = ("projector",)
 
     def particle_counts(self):
         return _particle_counts((self.projector,))
@@ -154,6 +161,7 @@ class _ProductSet:
     projectors: tuple[ProjectorProduct, ...]
     claim: str | None = None
     kind = "presence"
+    keys = ("projectors",)
 
     def particle_counts(self):
         return _particle_counts(self.projectors)
@@ -206,6 +214,7 @@ class DetailedVsGlobalQuery:
     claim: str | None = None
     tag = "detailed_vs_global"
     kind = "presence"
+    keys = ("members",)
 
     def particle_counts(self):
         return _particle_counts(self.members)
@@ -234,6 +243,7 @@ class TransitionElementQuery:
     claim: str | None = None
     tag = "transition_element"
     kind = "transition"
+    keys = ("hamiltonian",)
 
     def particle_counts(self):
         return (expect(self.hamiltonian, HamiltonianSpec, "a HamiltonianSpec").n_particles,)
@@ -267,6 +277,8 @@ class PredicateQuery:
     claim: str | None = None
     tag = "predicate"
     kind = "predicate"
+    keys = ("check", "operators")
+    optional_keys = ("state", "eigenvalue")
 
     def __post_init__(self):
         if self.check not in PREDICATE_CHECKS:
@@ -359,16 +371,23 @@ class Scenario:
     labels: str = "box"
 
     def __post_init__(self):
-        if not self.name:
+        if not expect(self.name, str, "a name (str)"):
             raise InvalidArgumentError("a scenario needs a name")
+        expect(self.description, str, "a description (str)")
+        if isinstance(self.notes, str):  # one string per note, not one character each
+            raise InvalidArgumentError("expected a collection of notes, got str")
+        for note in expect(self.notes, Collection, "a collection of notes"):
+            expect(note, str, "a note (str)")
         label_scheme(self.labels)
         if len(self.pre) != self.n_particles or len(self.post) != self.n_particles:
             raise InvalidArgumentError("pre and post must list one state per particle")
         for spec in (*self.pre, *self.post):
             _single_pair(spec)
-        for query in self.queries:
+        for query in expect(self.queries, Collection, "a collection of queries"):
             if not isinstance(query, Query):
                 raise InvalidArgumentError(f"unknown query type {type(query).__name__}")
+            if query.claim is not None:
+                expect(query.claim, str, "a claim (str or None)")
             for count in query.particle_counts():
                 if count != self.n_particles:
                     raise InvalidArgumentError(
@@ -455,8 +474,7 @@ def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOLERANCE) -> Scenario
     negative one is allowed.
     """
     expect(scenario, Scenario, "a Scenario")
-    if not isinstance(tol, numbers.Real) or tol != tol:  # tol != tol: NaN
-        raise InvalidArgumentError(f"tolerance must be a real number, got {quoted(tol)}")
+    expect_tolerance(tol)
     scheme = label_scheme(scenario.labels)
     selection = _ProductSelection([_single_pair(f) for f in scenario.pre],
                                   [_single_pair(f) for f in scenario.post])

@@ -29,6 +29,8 @@ from twobox import (
     report_to_document,
     run_scenario,
 )
+from twobox import scenario_io
+from twobox.projectors import PROJECTOR_KINDS
 from twobox.scenarios import Query, QueryRecord, ResultValue, ScenarioReport
 
 TOL = 1e-12
@@ -112,6 +114,10 @@ QUERY_EXAMPLES = {
 }
 
 
+def test_the_schema_is_a_valid_draft_2020_12_schema():
+    Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+
+
 def test_every_query_type_is_one_record_and_one_schema_branch():
     schema_tags = set()
     for branch in SCENARIO_SCHEMA["$defs"]["query"]["oneOf"]:
@@ -120,9 +126,15 @@ def test_every_query_type_is_one_record_and_one_schema_branch():
     records = typing.get_args(Query)
     assert schema_tags == {cls.tag for cls in records} == set(QUERY_EXAMPLES)
     assert len(records) == len(schema_tags)
+    assert set(scenario_io._PROJECTOR_KEYS) == set(PROJECTOR_KINDS)
     for cls in records:
-        # tag and kind are class attributes, so repr and equality see the fields only
-        assert not {"tag", "kind"} & {f.name for f in dataclasses.fields(cls)}
+        # tag, kind and the key lists are class attributes, so repr and equality
+        # see the fields only
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert not {"tag", "kind", "keys", "optional_keys"} & fields
+        # each document key the class names is read into one of its fields
+        for key in (*cls.keys, *getattr(cls, "optional_keys", ()), "claim"):
+            assert scenario_io._QUERY_FIELDS[key][0] in fields
         query = {"type": cls.tag, **QUERY_EXAMPLES[cls.tag]}
         scenario = parse_scenario_document(minimal_doc(queries=[query]))
         assert type(scenario.queries[0]) is cls

@@ -36,22 +36,27 @@ from twobox import (
     abl_probabilities,
     apply,
     are_orthogonal,
+    basis_state,
     build_hamiltonian,
     build_projector,
     builtin_scenarios,
+    canonical_state_name,
     detailed_probability,
     global_probability,
     idempotency_defect,
     inner,
+    is_eigenstate,
     is_hermitian,
     is_projector,
     is_resolution_of_identity,
+    label_scheme,
     lookup_scenario,
     make_single_particle_state,
     relabel_to_spin,
     run_scenario,
     tensor,
     transition_element,
+    vanishes,
     weak_value,
     weak_value_sum,
 )
@@ -328,6 +333,51 @@ def eigenstate_query(state):
      "needs exactly two coefficients"),
     (lambda: Scenario("x", 2, ("+", "+"), ("+", "+"), (eigenstate_query(ExplicitState(5)),)),
      "expected a collection of amplitudes, got int"),
+    # a string is one label, not one label per character
+    (lambda: MeasurementSet([Operator.identity(1)] * 2, labels="ab"),
+     "expected an iterable of labels, got str"),
+    # every tolerance a library function takes is a real number other than NaN
+    (lambda: is_projector(Operator.identity(1), None), "tolerance must be a real number, got None"),
+    (lambda: is_hermitian(Operator.identity(1), "a"), "tolerance must be a real number"),
+    (lambda: are_orthogonal(Operator.identity(1), Operator.identity(1), float("nan")),
+     "tolerance must be a real number, got nan"),
+    (lambda: is_resolution_of_identity([Operator.identity(1)], "a"),
+     "tolerance must be a real number"),
+    (lambda: abl_probabilities(ONE_PARTICLE, MeasurementSet([Operator.identity(1)]), "x"),
+     "tolerance must be a real number, got 'x'"),
+    (lambda: is_eigenstate(Operator.identity(1), make_single_particle_state("+"), 1, "a"),
+     "tolerance must be a real number, got 'a'"),
+    (lambda: weak_value(ONE_PARTICLE, Operator.identity(1), 1j), "tolerance must be a real number"),
+    (lambda: weak_value_sum(ONE_PARTICLE, [], "a"), "tolerance must be a real number"),
+    (lambda: detailed_probability(ONE_PARTICLE, [], "a"), "tolerance must be a real number"),
+    (lambda: global_probability(ONE_PARTICLE, [Operator.identity(1)], None),
+     "tolerance must be a real number"),
+    (lambda: vanishes(0j, "a"), "tolerance must be a real number"),
+    # the text fields of a scenario are strings, which its report renders
+    (lambda: Scenario(5, 1, ("+",), ("+",), ()), r"expected a name \(str\), got int"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), (), description=5),
+     r"expected a description \(str\), got int"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), (), notes=(5,)), r"expected a note \(str\), got int"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), (), notes="ab"),
+     "expected a collection of notes, got str"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), (AblAmplitudeQuery((), claim=5),)),
+     r"expected a claim \(str or None\), got int"),
+    # names are looked up, so an unhashable one is unknown
+    (lambda: label_scheme(["box"]), r"unknown label scheme \['box'\]"),
+    (lambda: canonical_state_name(["+"]), r"unknown state name \['\+'\]"),
+    (lambda: basis_state(5), r"expected a basis label \(str\), got int"),
+    (lambda: basis_state("L", "spin"), "expected a LabelScheme, got str"),
+    (lambda: Ket([1, 0], "spin"), "expected a LabelScheme, got str"),
+    (lambda: Operator(np.eye(2), labels="spin"), "expected a LabelScheme, got str"),
+    (lambda: Operator.identity(1).with_labels("spin"), "expected a LabelScheme, got str"),
+    # a particle count is an integer, and a bool is none
+    (lambda: ProjectorSpec("box", True, particle=1, box="L"),
+     rf"n_particles must lie in 1\.\.{MAX_PARTICLES}$"),
+    (lambda: HamiltonianSpec((), True), rf"n_particles must lie in 1\.\.{MAX_PARTICLES}$"),
+    # refused before anything of size 2**n is allocated
+    (lambda: Operator.identity("x"), rf"n_particles must lie in 1\.\.{MAX_PARTICLES}$"),
+    (lambda: Operator.zero(MAX_PARTICLES + 8), rf"n_particles must lie in 1\.\.{MAX_PARTICLES}$"),
+    (lambda: Scenario("x", 1, ("+",), ("+",), 5), "expected a collection of queries, got int"),
 ])
 def test_bad_library_arguments_are_twobox_errors(build, message):
     with pytest.raises(TwoBoxError, match=message) as caught:
