@@ -23,8 +23,9 @@ weak-value denominator (``_weak_denominator``) and the linearity bound
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 from .errors import (
     DimensionMismatchError,

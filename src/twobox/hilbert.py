@@ -20,18 +20,22 @@ Which path runs: numpy runs on its first array use, not with the package.
 ``np`` below is a deferred handle on it, shared by ``projectors``: the
 module executes on its first attribute access. A scenario of named or
 coefficient-pair states and spec-built queries computes on the normalized
-``(cL, cR)`` pairs (``_single_pair``) in plain Python and never loads it;
-a ``Ket``, an ``Operator`` or a function given one does.
+``(cL, cR)`` pairs (``_single_pair``) in plain Python and never loads it,
+and so does its check of a state given by all its amplitudes
+(``_explicit_amplitudes``), which refuses what ``Ket`` refuses. A ``Ket``,
+an ``Operator`` or a function given one loads it.
 """
 
 from __future__ import annotations
 
+import cmath
 import importlib.util
 import math
 import sys
+from collections.abc import Collection, Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
 from functools import cache, reduce, wraps
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .errors import (DimensionMismatchError, InvalidAmplitudesError, InvalidArgumentError,
                      UnnormalizableStateError, expect, expect_tolerance, quoted)
@@ -135,7 +139,7 @@ def _as_array(values, ndim: int, what: str) -> np.ndarray:
     """A read-only complex vector or square matrix of side 2**n, n <= MAX_PARTICLES."""
     try:
         arr = np.array(values, dtype=np.complex128, copy=True)
-    except (TypeError, ValueError):  # non-numbers, or a ragged nesting
+    except (TypeError, ValueError, OverflowError):  # non-numbers, a ragged nesting, huge ints
         raise InvalidAmplitudesError(f"{what} must be an array of numbers") from None
     if arr.ndim != ndim or len(set(arr.shape)) != 1:
         shape = "a one dimensional sequence" if ndim == 1 else "a square matrix"
@@ -151,6 +155,48 @@ def _as_array(values, ndim: int, what: str) -> np.ndarray:
         raise InvalidAmplitudesError(f"{what} must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _norm_sq(amplitudes: Sequence[complex]) -> float:
+    """The squared Euclidean norm, summed exactly (``math.fsum``), so that it
+    does not depend on the CPU; inf or NaN where numpy's sum gives them."""
+    squares = [z.real * z.real for z in amplitudes] + [z.imag * z.imag for z in amplitudes]
+    try:
+        return math.fsum(squares)
+    except OverflowError:  # finite squares past the float range: the plain sum is inf or NaN
+        return sum(squares)
+
+
+def _explicit_amplitudes(values) -> tuple[complex, ...]:
+    """The amplitudes of a normalized state given in full, as a collection,
+    checked in plain Python as ``Ket`` checks them, with the same refusals in
+    the same order: numbers in one dimension, a length of 2**n >= 2,
+    n <= MAX_PARTICLES, finite, and a squared norm within DEFAULT_TOLERANCE of 1
+    (``_norm_sq``; only its digits in that refusal may differ from ``Ket``'s)."""
+    if isinstance(values, (str, bytes, Mapping, Set)) or not isinstance(values, Collection):
+        raise InvalidAmplitudesError("amplitudes must be an array of numbers")
+    try:
+        amplitudes = tuple(map(complex, values))
+    except (TypeError, ValueError, OverflowError):
+        # numpy reads rows of one length as a matrix, and anything else as no array
+        rows = {len(v) if isinstance(v, Collection) and not isinstance(v, str) else None
+                for v in values}
+        matrix = None not in rows and len(rows) == 1
+        shape = "form a one dimensional sequence" if matrix else "be an array of numbers"
+        raise InvalidAmplitudesError(f"amplitudes must {shape}") from None
+    dim = len(amplitudes)
+    n = dim.bit_length() - 1
+    if dim < 2 or 2**n != dim:
+        raise InvalidAmplitudesError(f"amplitudes dimension {dim} is not a power of two >= 2")
+    if n > MAX_PARTICLES:
+        raise InvalidAmplitudesError(
+            f"{n} particles exceeds the supported maximum of {MAX_PARTICLES}")
+    if not all(map(cmath.isfinite, amplitudes)):
+        raise InvalidAmplitudesError("amplitudes must be finite")
+    norm_sq = _norm_sq(amplitudes)
+    if abs(norm_sq - 1.0) > DEFAULT_TOLERANCE:
+        raise InvalidAmplitudesError(f"state vector is not normalized (squared norm {norm_sq!r})")
+    return amplitudes
 
 
 def _quiet(fn):
@@ -257,7 +303,9 @@ class Ket(_Vector):
 
     def __init__(self, amplitudes, labels: LabelScheme = BOX_LABELS):
         super().__init__(amplitudes, labels)
-        norm_sq = float(np.vdot(self._amplitudes, self._amplitudes).real)
+        parts = self._amplitudes.view(np.float64)  # no cross terms, which can make inf - inf
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.dot(parts, parts))
         if abs(norm_sq - 1.0) > DEFAULT_TOLERANCE:
             raise InvalidAmplitudesError(
                 f"state vector is not normalized (squared norm {norm_sq!r})")
@@ -465,6 +513,16 @@ def _single_pair(state: str | tuple[complex, complex]) -> tuple[complex, complex
     cL, cR = complex(cL.real / big, cL.imag / big), complex(cR.real / big, cR.imag / big)
     scale = math.sqrt(abs2(cL) + abs2(cR))
     return cL / scale, cR / scale
+
+
+def _product_amplitudes(pairs: Sequence[tuple[complex, complex]]) -> list[complex]:
+    """The amplitudes of the product of one-particle (cL, cR) pairs, in
+    :func:`tensor`'s label order and formed as it forms them: the product of
+    the first factors times the next one."""
+    amplitudes = list(pairs[0])
+    for pair in pairs[1:]:
+        amplitudes = [a * c for a in amplitudes for c in pair]
+    return amplitudes
 
 
 @cache

@@ -12,25 +12,25 @@ Which path runs: specs are answered without numpy on their label classes
 names, and ``all_same`` whether the rest are all in L, all in R or mixed,
 so one representative index per class answers for all its labels. The
 scenario layer checks completeness and projector-ness on the classes
-exactly, and ``_SpecChecks`` runs the structural checks of weighted sums
-there, as their built operators would. Built operators (``build_projector``,
-``build_hamiltonian``) are numpy arrays.
+exactly, and ``_SpecChecks`` runs the structural checks and the eigenstate
+residual of weighted sums there, as their built operators would. Built
+operators (``build_projector``, ``build_hamiltonian``) are numpy arrays.
 
 The structural checks of operators (``is_hermitian``, ``idempotency_defect``,
 ``is_projector``, ``are_orthogonal``, ``is_resolution_of_identity``) are
 their definitions in Operator arithmetic (``(op @ op - op).max_entry()`` and
 so on). They serve library callers and are the reference the label-class
-checks are tested against; no scenario run or command reaches them.
-``build_hamiltonian`` builds its diagonal on a stored array, term by term,
-because an ``eigenstate`` predicate needs the built operator.
+checks are tested against; no scenario run or command reaches them, nor
+``build_hamiltonian``, which builds its diagonal on a stored array, term by
+term.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import InvalidAmplitudesError, InvalidArgumentError, expect, expect_tolerance, quoted
 from .hilbert import (
@@ -42,6 +42,7 @@ from .hilbert import (
     UnnormalizedKet,
     _as_number,
     _check_particle_count,
+    _norm_sq,
     _operator,
     _operator_list,
     _quiet,
@@ -405,7 +406,8 @@ def _count_sum_is_projector(counts: Sequence[int], tol: float) -> bool:
 def _class_diagonals(hamiltonians: Sequence[HamiltonianSpec],
                      weights: Sequence[Sequence[complex]] | None = None):
     """The diagonals of weighted projector sums on the same n particles, one
-    entry per label class of all their terms, and the class weights.
+    entry per label class of all their terms, and the classes, as
+    :func:`_label_classes` gives them.
 
     Each entry is formed as :func:`build_hamiltonian` forms it, term by term
     in order, and a diagonal with an entry that is not finite is refused as
@@ -423,7 +425,21 @@ def _class_diagonals(hamiltonians: Sequence[HamiltonianSpec],
             entries.append(total)
         _check_entries(entries)
         diagonals.append(entries)
-    return diagonals, [w for _, w in classes]
+    return diagonals, classes
+
+
+def _class_keys(specs: Sequence[ProjectorSpec], n: int) -> list[int]:
+    """The representative index of its label class (:func:`_label_classes`) for
+    every basis index of n particles, in order: its bits of the particles the
+    specs touch, and with ``all_same`` among them its other bits kept when they
+    are all L or all R, else reduced to the first of them."""
+    touched = sum(1 << (n - k) for k in _touched(specs))
+    rest = (2**n - 1) ^ touched
+    if not rest or not any(spec.kind == "all_same" for spec in specs):
+        return [index & touched for index in range(2**n)]
+    mixed = 1 << (rest.bit_length() - 1)
+    return [index & touched | (split if split in (0, rest) else mixed)
+            for index in range(2**n) for split in (index & rest,)]
 
 
 def _check_entries(entries: Sequence[complex]) -> None:
@@ -447,7 +463,9 @@ def _class_max(entries: Sequence[complex]) -> float:
 
 class _SpecChecks:
     """The structural checks of weighted projector sums, computed on their
-    label classes (:func:`_class_diagonals`) with no 2**n array and no numpy.
+    label classes (:func:`_class_diagonals`) with no 2**n array and no numpy,
+    and their eigenstate residual, on the 2**n amplitudes of a state but
+    still without numpy.
 
     Every entry of a diagonal equals its class's entry, so each check returns
     what the same check of the built operators returns (:func:`is_hermitian`
@@ -458,7 +476,8 @@ class _SpecChecks:
     """
 
     def __init__(self, hamiltonians: Sequence[HamiltonianSpec]):
-        self.diagonals = _class_diagonals(hamiltonians)[0]
+        self.hamiltonians = hamiltonians
+        self.diagonals, self.classes = _class_diagonals(hamiltonians)
 
     def is_hermitian(self, k: int, tol: float) -> bool:
         return _class_max([z - z.conjugate() for z in self.diagonals[k]]) <= tol
@@ -480,6 +499,22 @@ class _SpecChecks:
                 and all(self.are_orthogonal(i, j, tol)
                         for i in range(count) for j in range(i + 1, count))
                 and _class_max([z - 1 for z in total]) <= tol)
+
+    def eigenstate_residual(self, k: int, amplitudes: Sequence[complex],
+                            eigenvalue: complex) -> float:
+        """:func:`~twobox.hilbert.eigenstate_residual` of sum k on the state with
+        these 2**n checked amplitudes: each label takes its class's entry
+        (:func:`_class_keys`), and an image entry that is not finite is refused
+        as the built operator's image is. The norm is summed exactly
+        (``hilbert._norm_sq``), so it may differ from numpy's in the last bit."""
+        entry = dict(zip((index for index, _ in self.classes), self.diagonals[k]))
+        specs = [proj for h in self.hamiltonians for _, proj in h.terms]
+        keys = _class_keys(specs, self.hamiltonians[0].n_particles)
+        image = [entry[key] * a for key, a in zip(keys, amplitudes)]
+        if not all(map(cmath.isfinite, image)):
+            raise InvalidAmplitudesError("amplitudes must be finite")
+        eigenvalue = complex(eigenvalue)
+        return math.sqrt(_norm_sq([z - eigenvalue * a for z, a in zip(image, amplitudes)]))
 
 
 def relabel_to_spin(value: Ket | UnnormalizedKet | Operator):

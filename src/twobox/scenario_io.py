@@ -42,7 +42,8 @@ from typing import Any, get_args
 
 from .errors import (InvalidAmplitudesError, ScenarioFileError, UnnormalizableStateError,
                      capped, expect, quoted)
-from .hilbert import MAX_PARTICLES, _SCHEMES, _STATE_ALIASES, Ket, _single_pair, abs2
+from .hilbert import (MAX_PARTICLES, _SCHEMES, _STATE_ALIASES, _explicit_amplitudes, _single_pair,
+                      abs2)
 from .projectors import HamiltonianSpec, ProjectorSpec
 from .scenarios import (
     PREDICATE_CHECKS,
@@ -297,8 +298,8 @@ def _parse_nstate(doc, path: str):
         return ProductState(_items(doc["product"], f"{path}.product", _parse_state, 1))
     _object(doc, path, ("amplitudes",))
     try:
-        amplitudes = _items(doc["amplitudes"], f"{path}.amplitudes", _complex, 2)
-        Ket(amplitudes)
+        amplitudes = _explicit_amplitudes(
+            _items(doc["amplitudes"], f"{path}.amplitudes", _complex, 2))
     except ScenarioFileError:
         raise
     except ValueError as exc:

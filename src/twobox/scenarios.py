@@ -29,9 +29,13 @@ element run on the label classes of its specs
 (``projectors._label_classes``), at most 3 * 2**|T| of them for the
 particles T the specs name. So do the ``is_projector``, ``orthogonal`` and
 ``resolution_of_identity`` predicates, as ``twobox check`` does
-(``projectors._SpecChecks``). Only an ``eigenstate`` predicate builds its
-operator and a 2**n state, and so loads numpy. The values match the
-operator route of :mod:`twobox.engine` up to rounding in the last bits.
+(``projectors._SpecChecks``). An ``eigenstate`` predicate forms the 2**n
+amplitudes of its state in plain Python, a product state's from its pairs
+and an explicit one checked as ``Ket`` checks it
+(``hilbert._explicit_amplitudes``), and its residual label by label from
+the class entries (``_SpecChecks.eigenstate_residual``). So no query loads
+numpy. The values match the operator route of :mod:`twobox.engine` and
+:func:`twobox.hilbert.eigenstate_residual` up to rounding in the last bits.
 """
 
 from __future__ import annotations
@@ -48,15 +52,14 @@ from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, Inva
                      expect_tolerance)
 from .hilbert import (
     DEFAULT_TOLERANCE,
-    Ket,
     _as_number,
+    _check_particle_count,
+    _explicit_amplitudes,
+    _product_amplitudes,
     _single_pair,
     abs2,
-    eigenstate_residual,
     label_scheme,
-    make_single_particle_state,
     canonical_state_name,
-    tensor,
 )
 from .projectors import (
     HamiltonianSpec,
@@ -69,7 +72,6 @@ from .projectors import (
     _format_coefficient,
     _product_amplitude,
     _product_table,
-    build_hamiltonian,
 )
 
 SingleStateSpec = Union[str, tuple[complex, complex]]
@@ -112,6 +114,14 @@ class _ProductSelection:
 
     def amplitude(self, product: ProjectorProduct) -> complex:
         return _product_amplitude(product, self.weights)
+
+
+def _collection(values, what: str):
+    """``values`` if it is a collection, and not a str, which would count as one
+    item per character; anything else refused."""
+    if isinstance(values, str):
+        raise InvalidArgumentError(f"expected {what}, got str")
+    return expect(values, Collection, what)
 
 
 def _particle_counts(products):
@@ -258,8 +268,8 @@ class TransitionElementQuery:
             # no entry of the built operator could overflow, so it would refuse nothing
             value = sum((c * selection.amplitude((spec,)) for c, spec in terms), 0j)
         else:  # refused as the built operator is refused, else summed class by class
-            (entries,), weights = _class_diagonals((self.hamiltonian,), selection.weights)
-            value = sum((e * w for e, w in zip(entries, weights)), 0j)
+            (entries,), classes = _class_diagonals((self.hamiltonian,), selection.weights)
+            value = sum((e * w for e, (_, w) in zip(entries, classes)), 0j)
         yield "transition_element", value
 
 
@@ -303,12 +313,12 @@ class PredicateQuery:
         for operand in self.operands:
             yield operand.n_particles
         if isinstance(self.state, ProductState):
-            factors = expect(self.state.factors, Collection, "a collection of state specs")
+            factors = _collection(self.state.factors, "a collection of state specs")
             for factor in factors:
                 _single_pair(factor)
             yield len(factors)
         elif isinstance(self.state, ExplicitState):
-            dim = len(expect(self.state.amplitudes, Collection, "a collection of amplitudes"))
+            dim = len(_collection(self.state.amplitudes, "a collection of amplitudes"))
             n = dim.bit_length() - 1
             if dim < 2 or 2**n != dim:
                 raise InvalidArgumentError("explicit state length must be a power of two >= 2")
@@ -326,15 +336,15 @@ class PredicateQuery:
                 f"with eigenvalue {_format_coefficient(complex(self.eigenvalue))}")
 
     def results(self, selection: _ProductSelection, tol: float):
+        checks = _SpecChecks(self.operands)
         if self.check == "eigenstate":
-            op = build_hamiltonian(self.operands[0])
-            ket = (tensor([make_single_particle_state(f) for f in self.state.factors])
-                   if isinstance(self.state, ProductState) else Ket(self.state.amplitudes))
-            residual = eigenstate_residual(op, ket, self.eigenvalue)
+            amplitudes = (_product_amplitudes([_single_pair(f) for f in self.state.factors])
+                          if isinstance(self.state, ProductState)
+                          else _explicit_amplitudes(self.state.amplitudes))
+            residual = checks.eigenstate_residual(0, amplitudes, self.eigenvalue)
             yield "is_eigenstate", residual <= tol
             yield "residual_norm", residual
             return
-        checks = _SpecChecks(self.operands)
         if self.check == "is_projector":
             hermitian, defect = checks.is_hermitian(0, tol), checks.idempotency_defect(0)
             yield "is_projector", hermitian and defect <= tol
@@ -374,13 +384,13 @@ class Scenario:
         if not expect(self.name, str, "a name (str)"):
             raise InvalidArgumentError("a scenario needs a name")
         expect(self.description, str, "a description (str)")
-        if isinstance(self.notes, str):  # one string per note, not one character each
-            raise InvalidArgumentError("expected a collection of notes, got str")
-        for note in expect(self.notes, Collection, "a collection of notes"):
+        for note in _collection(self.notes, "a collection of notes"):
             expect(note, str, "a note (str)")
         label_scheme(self.labels)
-        if len(self.pre) != self.n_particles or len(self.post) != self.n_particles:
-            raise InvalidArgumentError("pre and post must list one state per particle")
+        _check_particle_count(self.n_particles)
+        for states in (self.pre, self.post):
+            if len(_collection(states, "a collection of state specs")) != self.n_particles:
+                raise InvalidArgumentError("pre and post must list one state per particle")
         for spec in (*self.pre, *self.post):
             _single_pair(spec)
         for query in expect(self.queries, Collection, "a collection of queries"):

@@ -520,7 +520,7 @@ SPEC_BUILT_DOC = {
          "operators": [SD(1, 2, 3), SD(2, 3, 1), SD(1, 3, 2), {"kind": "all_same"}]},
     ],
 }
-# an explicit state, which only an amplitude vector can hold
+# an eigenstate predicate on an explicit state, which only an amplitude vector can hold
 EXPLICIT_DOC = {**SPEC_BUILT_DOC, "name": "explicit", "queries": SPEC_BUILT_DOC["queries"] + [
     {"type": "predicate", "check": "eigenstate", "operators": [{"kind": "all_same"}],
      "state": {"amplitudes": [[0.6, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0.8]]},
@@ -535,6 +535,8 @@ def test_spec_built_commands_load_neither_numpy_nor_jsonschema(tmp_path):
     # numpy runs only on first array use: its deferred module sits in sys.modules
     # from the start, so the test looks for a submodule that only running it imports.
     # Scenario files are checked by the package's own parser, never by jsonschema.
+    # Eigenstate predicates and explicit states are computed in plain Python too,
+    # so no command loads numpy.
     spec_built, explicit = tmp_path / "spec-built.json", tmp_path / "explicit.json"
     spec_built.write_text(json.dumps(SPEC_BUILT_DOC), encoding="utf-8")
     explicit.write_text(json.dumps(EXPLICIT_DOC), encoding="utf-8")
@@ -547,13 +549,13 @@ def test_spec_built_commands_load_neither_numpy_nor_jsonschema(tmp_path):
                 codes.append(main(argv))
         print(json.dumps([codes, "numpy._core" in sys.modules, "jsonschema" in sys.modules]))
     """
-    commands = SPEC_BUILT_COMMANDS + [["run", str(spec_built)]]
+    commands = SPEC_BUILT_COMMANDS + [["run", "eigenspace-degeneracy"], ["run", str(spec_built)]]
     result = _child(code, json.dumps(commands))
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0, 0, 2, 0, 0], False, False]
+    assert json.loads(result.stdout) == [[0, 0, 2, 0, 0, 0], False, False]
     result = _child(code, json.dumps([["run", str(explicit)]]))
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0], True, False]
+    assert json.loads(result.stdout) == [[0], False, False]
 
 
 def test_commands_print_the_same_bytes_with_numpy_loaded_or_not(tmp_path):
@@ -624,11 +626,13 @@ def test_no_input_ends_in_a_traceback(text, expression, particles):
 
 # the reference definitions stay off the command paths ---------------------------
 
-# the structural checks and matrix_element as Operator arithmetic: the reference
-# of the label-class checks, which scenario runs and `twobox check` use instead
+# the structural checks and matrix_element as Operator arithmetic, and the eigenstate
+# residual of a built operator on a built state: the reference of the label-class
+# checks, which scenario runs and `twobox check` use instead
 REFERENCES = [("twobox.projectors", name) for name in (
     "is_hermitian", "idempotency_defect", "is_projector", "are_orthogonal",
-    "is_resolution_of_identity")] + [("twobox.hilbert", "matrix_element")]
+    "is_resolution_of_identity", "build_hamiltonian")] + [
+    ("twobox.hilbert", name) for name in ("matrix_element", "eigenstate_residual", "tensor")]
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 """States, operators, and the elementary bracket operations."""
 
 import math
+import random
 from functools import reduce
 
 import numpy as np
@@ -18,6 +19,7 @@ from twobox import (
     Ket,
     Operator,
     SPIN_LABELS,
+    TwoBoxError,
     UnnormalizableStateError,
     UnnormalizedKet,
     abs2,
@@ -31,7 +33,7 @@ from twobox import (
     matrix_element,
     tensor,
 )
-from twobox.hilbert import _NAMED_STATES
+from twobox.hilbert import _NAMED_STATES, _explicit_amplitudes
 
 TOL = 1e-12
 S = 1 / math.sqrt(2)
@@ -352,3 +354,51 @@ def test_computed_values_are_read_only():
         with pytest.raises(ValueError):
             vec.amplitudes[0] = 0.0
     assert make_single_particle_state("+") is make_single_particle_state("plus")
+
+
+# entries of an amplitude vector: numbers of every kind and size, numeric and other
+# strings, and ints beyond the float range
+ENTRIES = st.one_of(
+    st.floats(), st.complex_numbers(), st.sampled_from([0.0, -0.0, 1.0, S, 1e308, -1.7e308]),
+    st.integers(-2, 2), st.just(10**400), st.booleans(),
+    st.sampled_from(["1", " 0.5 ", "(1+2j)", "nan", "1e999", "a", ""]))
+
+
+@st.composite
+def amplitude_vectors(draw):
+    """Vectors Ket accepts, ones a little off the unit norm, anything of a few entries,
+    and collections of other shapes: unordered, a matrix, a ragged nesting, too long."""
+    kind = draw(st.sampled_from(["unit", "entries", "other"]))
+    if kind == "entries":
+        return draw(st.lists(ENTRIES, max_size=9).map(draw(st.sampled_from([list, tuple]))))
+    if kind == "other":
+        return draw(st.sampled_from([
+            {1: 0, 0: 1}, {0, 1}, range(2), [[1, 0], [0, 1]], [[1, 0], [0]], np.array([S, -S * 1j]),
+            np.eye(2), [2**-6.5] * 2**13, [1e154] * 4, [1e155] * 8]))
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    values = [complex(rng.gauss(0, 1), rng.gauss(0, 1) if rng.random() < 0.5 else 0)
+              for _ in range(2**n)]
+    scale = math.sqrt(math.fsum(map(abs2, values)))
+    factor = 1 + draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11, 0.5]))
+    return [v / scale * factor for v in values]
+
+
+def refusal_or_amplitudes(call):
+    """The amplitudes ``call`` returns, or the type and message of its TwoBoxError;
+    each with the squared norm in a normalization refusal, else None."""
+    try:
+        return "accepted", tuple(map(complex, call())), None
+    except TwoBoxError as exc:
+        message, _, norm_sq = str(exc).partition(" (squared norm ")
+        return type(exc), message, float(norm_sq[:-1]) if norm_sq else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(amplitude_vectors())
+def test_explicit_amplitudes_are_refused_as_a_ket_refuses_them(values):
+    ours = refusal_or_amplitudes(lambda: _explicit_amplitudes(values))
+    theirs = refusal_or_amplitudes(lambda: Ket(values).amplitudes)
+    assert ours[:2] == theirs[:2]
+    if theirs[2] is not None:  # one is summed exactly, the other as numpy sums it
+        assert ours[2] == pytest.approx(theirs[2], rel=1e-14)

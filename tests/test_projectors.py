@@ -1,6 +1,7 @@
 """Correlation projectors, weighted sums, and structural predicates."""
 
 import math
+import random
 from functools import reduce
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import oracle
 from twobox import (
     AblAmplitudeQuery,
+    DEFAULT_TOLERANCE,
     DimensionMismatchError,
     HamiltonianSpec,
     InvalidArgumentError,
@@ -38,7 +40,8 @@ from twobox import (
     tensor,
     weak_value_sum,
 )
-from twobox.hilbert import eigenstate_residual
+from twobox.hilbert import (_explicit_amplitudes, _product_amplitudes, _single_pair,
+                            eigenstate_residual)
 from twobox.projectors import (_class_counts, _count_sum_is_projector, _counts_resolve_identity,
                                _product_table, _SpecChecks)
 
@@ -554,3 +557,66 @@ def test_spec_checks_on_label_classes_match_the_built_operators(n, data):
             assert abs(v - w) <= 1e-15 * max(1.0, abs(w))
         else:
             assert ours == theirs
+
+
+@st.composite
+def eigenstate_cases(draw, n):
+    """A weighted sum, an eigenvalue on its diagonal or off it, and a state:
+    a product of one-particle states, or all 2**n amplitudes, nonzero on one
+    eigenspace of the sum only or anywhere."""
+    # coefficients up to the float range and beyond; as no amplitude part exceeds 1,
+    # no part of a product does either, so a fused product overflows where Python's does
+    coefficients = draw(st.sampled_from([
+        st.one_of(FLOATS, st.sampled_from([math.inf, -math.inf])),
+        st.one_of(COMPLEX_COEFFICIENTS, st.builds(complex, HUGE, HUGE))]))
+    h = draw(hamiltonians(n, coefficients))
+    try:
+        diagonal = [complex(e) for e in build_hamiltonian(h).diagonal()]
+    except TwoBoxError:  # a refused sum: any eigenvalue, any state
+        diagonal = [0j] * 2**n
+    eigenvalue = draw(st.one_of(st.sampled_from(diagonal), coefficients,
+                                st.sampled_from([math.inf, 2.0, 1j])))
+    if draw(st.booleans()):
+        return h, eigenvalue, draw(st.lists(single_states, min_size=n, max_size=n)), None
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    support = ([b for b, e in enumerate(diagonal) if e == eigenvalue] if draw(st.booleans())
+               else range(2**n)) or [0]
+    values = [0j] * 2**n
+    for b in support:
+        values[b] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1) if rng.random() < 0.5 else 0)
+    scale = math.sqrt(math.fsum(map(oracle.abs2, values))) or 1.0
+    return h, eigenvalue, None, [v / scale for v in values]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_eigenstate_residual_on_label_classes_matches_the_built_operator(n, data):
+    h, eigenvalue, factors, values = data.draw(eigenstate_cases(n))
+
+    def by_classes():
+        checks = _SpecChecks([h])
+        amplitudes = (_product_amplitudes([_single_pair(f) for f in factors])
+                      if values is None else _explicit_amplitudes(values))
+        return checks.eigenstate_residual(0, amplitudes, eigenvalue)
+
+    def by_operator():
+        op = build_hamiltonian(h)
+        ket = (tensor([make_single_particle_state(f) for f in factors])
+               if values is None else Ket(values))
+        return eigenstate_residual(op, ket, eigenvalue)
+
+    ours, theirs = outcome(by_classes), outcome(by_operator)
+    if theirs[0] is not float:  # the same refusal, word for word
+        assert ours == theirs
+        return
+    assert ours[0] is float
+    v, w = float(ours[1]), float(theirs[1])
+    assert (v <= DEFAULT_TOLERANCE) == (w <= DEFAULT_TOLERANCE)
+    if not math.isfinite(w):
+        assert ours == theirs
+        return
+    # the norm is summed exactly on one side, and complex products may be fused on the other
+    entries = [*build_hamiltonian(h).diagonal(), complex(eigenvalue)]
+    scale = max(1.0, *(abs(x) for z in entries for x in (z.real, z.imag)))
+    assert abs(v - w) <= 1e-14 * scale

@@ -378,6 +378,21 @@ def eigenstate_query(state):
     (lambda: Operator.identity("x"), rf"n_particles must lie in 1\.\.{MAX_PARTICLES}$"),
     (lambda: Operator.zero(MAX_PARTICLES + 8), rf"n_particles must lie in 1\.\.{MAX_PARTICLES}$"),
     (lambda: Scenario("x", 1, ("+",), ("+",), 5), "expected a collection of queries, got int"),
+    # a scenario's particle count is one, and its states are one spec per particle
+    (lambda: Scenario("x", True, ("+",), ("+",), ()),
+     rf"n_particles must lie in 1\.\.{MAX_PARTICLES}$"),
+    (lambda: Scenario("x", MAX_PARTICLES + 1, ("+",) * (MAX_PARTICLES + 1),
+                      ("+",) * (MAX_PARTICLES + 1), ()),
+     rf"n_particles must lie in 1\.\.{MAX_PARTICLES}$"),
+    (lambda: Scenario("x", 2, "LR", "+-", ()), "expected a collection of state specs, got str"),
+    (lambda: Scenario("x", 2, ("+", "+"), 5, ()), "expected a collection of state specs, got int"),
+    (lambda: Scenario("x", 2, ("+", "+"), ("+", "+"), (eigenstate_query(ProductState("LR")),)),
+     "expected a collection of state specs, got str"),
+    (lambda: Scenario("x", 2, ("+", "+"), ("+", "+"), (eigenstate_query(ExplicitState("1000")),)),
+     "expected a collection of amplitudes, got str"),
+    # an int beyond the float range is no amplitude, and a squared norm past it is not 1
+    (lambda: Ket([10**400, 0]), "amplitudes must be an array of numbers"),
+    (lambda: Ket([0, 1e17 + 1e292j]), r"not normalized \(squared norm inf\)"),
 ])
 def test_bad_library_arguments_are_twobox_errors(build, message):
     with pytest.raises(TwoBoxError, match=message) as caught:
