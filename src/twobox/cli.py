@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-from .errors import ExpressionError, ScenarioFileError, TwoBoxError, quoted
+from .errors import ExpressionError, InvalidArgumentError, ScenarioFileError, TwoBoxError, quoted
 from .hilbert import DEFAULT_TOLERANCE
 from .projectors import PROJECTOR_KINDS, HamiltonianSpec, ProjectorSpec, _SpecChecks
 from .scenario_io import load_scenario_file, render_report_json
@@ -149,18 +149,18 @@ def _parse_int(tokens: _Tokens) -> int:
     kind, text, pos = tokens.next("number")
     if not text.isdigit():
         raise ExpressionError(f"column {pos}: expected an integer, found {quoted(text)}")
-    return int(text)
-
-
-def _parse_scalar_token(text: str, pos: int) -> complex:
-    if text == "i":
-        return 1j
-    if text.endswith("i"):
-        return float(text[:-1] or "1") * 1j
     try:
-        return complex(float(text))
-    except ValueError:
-        raise ExpressionError(f"column {pos}: bad number {quoted(text)}") from None
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ExpressionError(f"column {pos}: integer out of range {quoted(text)}") from None
+
+
+def _read_sign(tokens: _Tokens) -> int | None:
+    """1 or -1 for a '+' or '-' read off the stream, None where the next token is neither."""
+    item = tokens.peek()
+    if item is not None and item[0] == "symbol" and item[1] in "+-":
+        return 1 if tokens.next()[1] == "+" else -1
+    return None
 
 
 def _parse_coefficient(tokens: _Tokens) -> complex:
@@ -168,9 +168,8 @@ def _parse_coefficient(tokens: _Tokens) -> complex:
     if item is not None and item[0] == "symbol" and item[1] == "(":
         tokens.next()
         value = _parse_signed_scalar(tokens)
-        nxt = tokens.peek()
-        if nxt is not None and nxt[0] == "symbol" and nxt[1] in "+-":
-            sign = 1 if tokens.next()[1] == "+" else -1
+        sign = _read_sign(tokens)
+        if sign is not None:
             value += sign * _parse_signed_scalar(tokens)
         tokens.next("symbol", ")")
         return value
@@ -178,16 +177,17 @@ def _parse_coefficient(tokens: _Tokens) -> complex:
 
 
 def _parse_signed_scalar(tokens: _Tokens) -> complex:
-    sign = 1
-    item = tokens.peek()
-    if item is not None and item[0] == "symbol" and item[1] in "+-":
-        sign = 1 if tokens.next()[1] == "+" else -1
+    sign = _read_sign(tokens) or 1
     kind, text, pos = tokens.next()
     if kind == "name" and text == "i":
         return sign * 1j
     if kind != "number":
         raise ExpressionError(f"column {pos}: expected a number, found {quoted(text)}")
-    return sign * _parse_scalar_token(text, pos)
+    # a number token starts with a digit, so float() reads it
+    value = float(text.rstrip("i"))
+    if not math.isfinite(value):
+        raise ExpressionError(f"column {pos}: number out of range {quoted(text)}")
+    return sign * (value * 1j if text.endswith("i") else complex(value))
 
 
 def _parse_atom(tokens: _Tokens, particles: int) -> ProjectorSpec:
@@ -222,7 +222,7 @@ def _parse_atom(tokens: _Tokens, particles: int) -> ProjectorSpec:
         if text == "pair_same":
             return ProjectorSpec.pair_same(first, second, particles)
         return ProjectorSpec.pair_diff(first, second, particles)
-    except ValueError as exc:
+    except InvalidArgumentError as exc:
         raise ExpressionError(f"column {pos}: {exc}") from exc
 
 
@@ -232,30 +232,20 @@ def parse_operator_expression(text: str, particles: int) -> HamiltonianSpec:
     if tokens.peek() is None:
         raise ExpressionError("column 1: empty expression")
     terms = []
-    sign = 1
-    item = tokens.peek()
-    if item[0] == "symbol" and item[1] in "+-":
-        sign = 1 if tokens.next()[1] == "+" else -1
-    while True:
+    sign = _read_sign(tokens) or 1
+    while sign is not None:
         item = tokens.peek()
         if item is None:
             raise ExpressionError(f"column {len(text) + 1}: expected an operator term")
-        if item[0] == "name" and item[1] in PROJECTOR_KINDS:
+        if item[0] == "name" and item[1] != "i":  # _parse_atom refuses an unknown name
             coeff = complex(sign)
-        elif item[0] == "name" and item[1] != "i":
-            options = ", ".join(PROJECTOR_KINDS)
-            raise ExpressionError(
-                f"column {item[2]}: unknown operator {quoted(item[1])}; choose from {options}")
         else:
             coeff = sign * _parse_coefficient(tokens)
             tokens.next("symbol", "*")
         terms.append((coeff, _parse_atom(tokens, particles)))
-        item = tokens.peek()
-        if item is None:
-            break
-        if item[0] == "symbol" and item[1] in "+-":
-            sign = 1 if tokens.next()[1] == "+" else -1
-            continue
+        sign = _read_sign(tokens)
+    item = tokens.peek()
+    if item is not None:
         raise ExpressionError(f"column {item[2]}: expected '+' or '-', found {quoted(item[1])}")
     return HamiltonianSpec(tuple(terms), particles)
 

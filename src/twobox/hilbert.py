@@ -201,7 +201,8 @@ def _explicit_amplitudes(values) -> tuple[complex, ...]:
 
 def _quiet(fn):
     """``fn`` with numpy's overflow and invalid warnings off, for arithmetic whose
-    result ``_computed`` checks; the errstate is made per call, when numpy is needed."""
+    result ``_computed`` checks or, for a norm, reads inf; the errstate is made per
+    call, when numpy is needed."""
     @wraps(fn)
     def quiet(*args, **kwargs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -395,6 +396,7 @@ class Operator:
     def diagonal(self) -> np.ndarray:
         return (self._data if self._data.ndim == 1 else self._data.diagonal()).copy()
 
+    @_quiet
     def max_entry(self) -> float:
         """The largest entry magnitude, the max-entry norm of the matrix."""
         return float(np.max(np.abs(self._data)))
@@ -597,17 +599,14 @@ def inner(bra: KetLike, ket: KetLike) -> complex:
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
-def _image(op: Operator, ket: KetLike) -> np.ndarray:
-    op, ket = _operator(op), _state(ket)
-    if op.dim != ket.dim:
-        raise DimensionMismatchError(f"operator dimension {op.dim} does not match state dimension {ket.dim}")
-    return op._data @ ket.amplitudes if op._data.ndim == 2 else op._data * ket.amplitudes
-
-
 @_quiet
 def apply(op: Operator, ket: KetLike) -> UnnormalizedKet:
     """Apply an operator to a state. The result is deliberately unnormalized."""
-    return UnnormalizedKet._of(_image(op, ket), ket.labels)
+    op, ket = _operator(op), _state(ket)
+    if op.dim != ket.dim:
+        raise DimensionMismatchError(f"operator dimension {op.dim} does not match state dimension {ket.dim}")
+    image = op._data @ ket.amplitudes if op._data.ndim == 2 else op._data * ket.amplitudes
+    return UnnormalizedKet._of(image, ket.labels)
 
 
 @_quiet
@@ -621,8 +620,7 @@ def eigenstate_residual(op: Operator, ket: Ket, eigenvalue: complex) -> float:
     """The Euclidean norm of op|ket> - eigenvalue|ket>."""
     if not isinstance(ket, Ket):
         raise InvalidArgumentError("an eigenstate test expects a normalized Ket")
-    image = _computed(_image(op, ket), "amplitudes")
-    return float(np.linalg.norm(image - complex(eigenvalue) * ket.amplitudes))
+    return float(np.linalg.norm(apply(op, ket).amplitudes - complex(eigenvalue) * ket.amplitudes))
 
 
 def is_eigenstate(op: Operator, ket: Ket, eigenvalue: complex,

@@ -17,12 +17,12 @@ residual of weighted sums there, as their built operators would. Built
 operators (``build_projector``, ``build_hamiltonian``) are numpy arrays.
 
 The structural checks of operators (``is_hermitian``, ``idempotency_defect``,
-``is_projector``, ``are_orthogonal``, ``is_resolution_of_identity``) are
-their definitions in Operator arithmetic (``(op @ op - op).max_entry()`` and
-so on). They serve library callers and are the reference the label-class
-checks are tested against; no scenario run or command reaches them, nor
-``build_hamiltonian``, which builds its diagonal on a stored array, term by
-term.
+``is_projector``, ``are_orthogonal``, ``is_resolution_of_identity``) and
+``build_hamiltonian`` are their definitions in Operator arithmetic
+(``(op @ op - op).max_entry()``, the zero operator plus each
+``coeff * build_projector(proj)`` in term order, and so on). They serve
+library callers and are the reference the label-class checks are tested
+against; no scenario run or command reaches them.
 """
 
 from __future__ import annotations
@@ -45,11 +45,18 @@ from .hilbert import (
     _norm_sq,
     _operator,
     _operator_list,
-    _quiet,
     np,
 )
 
-PROJECTOR_KINDS = ("box", "pair_same", "pair_diff", "all_same", "sd")
+# the fields each projector kind names besides n_particles; it takes no others
+_KIND_FIELDS = {
+    "box": ("particle", "box"),
+    "pair_same": ("pair",),
+    "pair_diff": ("pair",),
+    "all_same": (),
+    "sd": ("pair", "other"),
+}
+PROJECTOR_KINDS = tuple(_KIND_FIELDS)
 
 
 def _check_particle(index: int, n_particles: int, what: str) -> None:
@@ -112,6 +119,9 @@ class ProjectorSpec:
         elif self.kind == "all_same":
             if self.n_particles < 2:
                 raise InvalidArgumentError("all_same needs at least two particles")
+        for name in self.__match_args__[2:]:  # the declared fields after kind and n_particles
+            if getattr(self, name) is not None and name not in _KIND_FIELDS[self.kind]:
+                raise InvalidArgumentError(f"{self.kind} takes no {name}")
 
     @classmethod
     def box_occupation(cls, particle: int, box: str, n_particles: int) -> "ProjectorSpec":
@@ -330,26 +340,20 @@ class HamiltonianSpec:
         return " + ".join(parts)
 
 
-@_quiet
 def build_hamiltonian(spec: HamiltonianSpec) -> Operator:
-    """Realize a weighted projector sum as one diagonal, adding the terms in
-    order to zeros; an empty term list gives the zero operator."""
-    n = expect(spec, HamiltonianSpec, "a HamiltonianSpec").n_particles
-    index = np.arange(2**n)
-    total = np.zeros(2**n, dtype=np.complex128)
-    for coeff, proj in spec.terms:
-        total += _holds(proj, index, n).astype(np.complex128) * coeff
-    return Operator._of(total, BOX_LABELS)  # a non-finite sum stays non-finite
+    """Realize a weighted projector sum, adding the terms in order to the zero
+    operator; an empty term list gives the zero operator."""
+    spec = expect(spec, HamiltonianSpec, "a HamiltonianSpec")
+    return sum((coeff * build_projector(proj) for coeff, proj in spec.terms),
+               start=Operator.zero(spec.n_particles))
 
 
-@_quiet
 def is_hermitian(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the operator equals its own adjoint, max-entry norm."""
     op, tol = _operator(op), expect_tolerance(tol)
     return (op - op.dagger()).max_entry() <= tol
 
 
-@_quiet
 def idempotency_defect(op: Operator) -> float:
     """Max-entry norm of op@op - op; zero for exact projectors."""
     op = _operator(op)
@@ -361,14 +365,12 @@ def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     return is_hermitian(op, tol) and idempotency_defect(op) <= tol
 
 
-@_quiet
 def are_orthogonal(a: Operator, b: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether both products a@b and b@a vanish within ``tol``."""
     a, b, tol = _operator(a), _operator(b), expect_tolerance(tol)
     return (a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol
 
 
-@_quiet
 def is_resolution_of_identity(projectors: Iterable[Operator],
                               tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the operators are mutually orthogonal projectors summing to one.

@@ -10,12 +10,12 @@ jsonschema holds the schema and the readers to each other.
 
 The ``projector`` and ``query`` definitions of the schema are built at
 import from the tables the readers use, one branch per kind or type:
-``_PROJECTOR_KEYS`` (each kind's keys) with ``_PROJECTOR_FIELDS`` (each
-key's value schema and reader), and ``_QUERY_KEYS``, taken from the
-``keys`` and ``optional_keys`` of the query classes, with ``_QUERY_FIELDS``
-(each key's query field, value schema and reader). So a query type is
-defined by its class alone; a key no other type uses adds one
-``_QUERY_FIELDS`` row. The enumerations (state names, label schemes,
+``_PROJECTOR_KEYS``, taken from the fields ``projectors`` names for each
+kind, with ``_PROJECTOR_FIELDS`` (each key's value schema and reader), and
+``_QUERY_KEYS``, taken from the ``keys`` and ``optional_keys`` of the query
+classes, with ``_QUERY_FIELDS`` (each key's query field, value schema and
+reader). So a query type is defined by its class alone; a key no other type
+uses adds one ``_QUERY_FIELDS`` row. The enumerations (state names, label schemes,
 predicate checks) come from the modules that define them. "integer"
 means a JSON integer: an int that is not a bool, so ``3.0`` is refused
 where an integer belongs. Complex numbers travel as [re, im] pairs at
@@ -44,7 +44,7 @@ from .errors import (InvalidAmplitudesError, ScenarioFileError, UnnormalizableSt
                      capped, expect, quoted)
 from .hilbert import (MAX_PARTICLES, _SCHEMES, _STATE_ALIASES, _explicit_amplitudes, _single_pair,
                       abs2)
-from .projectors import HamiltonianSpec, ProjectorSpec
+from .projectors import _KIND_FIELDS, HamiltonianSpec, ProjectorSpec
 from .scenarios import (
     PREDICATE_CHECKS,
     ExplicitState,
@@ -233,13 +233,7 @@ def _parse_state(doc, path: str) -> Any:
 
 
 # the keys each projector kind's document must hold (it may hold no others)
-_PROJECTOR_KEYS = {
-    "box": (("kind", "particle", "box"), ()),
-    "pair_same": (("kind", "pair"), ()),
-    "pair_diff": (("kind", "pair"), ()),
-    "all_same": (("kind",), ()),
-    "sd": (("kind", "pair", "other"), ()),
-}
+_PROJECTOR_KEYS = {kind: (("kind", *fields), ()) for kind, fields in _KIND_FIELDS.items()}
 _INTEGER = {"type": "integer"}
 # each key besides "kind": the schema of its value and its reader (value, $-path)
 _PROJECTOR_FIELDS = {

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -82,6 +83,7 @@ def test_run_transition_table(capsys):
     assert code == 0
     assert "[vanishing]" in out
     assert "-0.375 - 0.375i (= (-3-3i)/8)" in out
+    assert run_cli(capsys, "run", "--scenario", "transition") == (code, out, err)
 
 
 def test_run_spin_relabel_table(capsys):
@@ -438,6 +440,23 @@ def test_expression_parser_rejections():
         parse_operator_expression("   ", 3)
     with pytest.raises(ExpressionError, match="unknown operator"):
         parse_operator_expression("swap(1,2)", 3)
+    # each refusal carries one column, the column of what it refuses
+    for text, message in [
+            ("pair_same(1.5,2)", "column 11: expected an integer, found '1.5'"),
+            ("box(1,M)", "column 7: box letter must be L or R"),
+            ("sd(1,2)", "column 7: expected ';' before the marked particle"),
+            ("2*swap(1,2)", "column 3: unknown operator 'swap'; choose from box, "),
+            ("pair_same(1,2) +", "column 17: expected an operator term"),
+            # int() refuses more than 4300 digits, float() overflows to inf
+            ("pair_same(" + "9" * 4301 + ",2)", "column 11: integer out of range '9999"),
+            ("1e999*all_same", "column 1: number out of range '1e999'"),
+            ("(1+1e999i)*all_same", "column 4: number out of range '1e999i'")]:
+        with pytest.raises(ExpressionError, match=f"^{re.escape(message)}"):
+            parse_operator_expression(text, 3)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(["check", text, "--particles", "3"]) == 1
+        assert err.getvalue().count("\n") == 1 and message in err.getvalue()
     with pytest.raises(ExpressionError, match="expected '\\+' or '-'"):
         parse_operator_expression("all_same all_same", 3)
     with pytest.raises(ExpressionError, match="unexpected end"):
@@ -628,11 +647,13 @@ def test_no_input_ends_in_a_traceback(text, expression, particles):
 
 # the structural checks and matrix_element as Operator arithmetic, and the eigenstate
 # residual of a built operator on a built state: the reference of the label-class
-# checks, which scenario runs and `twobox check` use instead
+# checks, which scenario runs and `twobox check` use instead; build_projector and
+# apply are what build_hamiltonian and eigenstate_residual are made of
 REFERENCES = [("twobox.projectors", name) for name in (
     "is_hermitian", "idempotency_defect", "is_projector", "are_orthogonal",
-    "is_resolution_of_identity", "build_hamiltonian")] + [
-    ("twobox.hilbert", name) for name in ("matrix_element", "eigenstate_residual", "tensor")]
+    "is_resolution_of_identity", "build_hamiltonian", "build_projector")] + [
+    ("twobox.hilbert", name)
+    for name in ("matrix_element", "eigenstate_residual", "tensor", "apply")]
 
 
 @contextmanager

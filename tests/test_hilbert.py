@@ -212,6 +212,8 @@ def test_operator_algebra():
     assert np.array_equal((eye @ eye).entries, eye.entries)
     with pytest.raises(DimensionMismatchError):
         eye + Operator.identity(2)
+    with pytest.raises(TypeError):
+        eye + 1
     with pytest.raises(ValueError, match="square"):
         Operator(np.zeros((2, 3)))
     with pytest.raises(AttributeError):

@@ -189,6 +189,14 @@ def test_orthogonality():
         are_orthogonal(sd1, Operator.identity(2))
 
 
+def test_a_product_past_the_float_range_is_not_orthogonal():
+    # both parts of the product's entries are finite, but its magnitude is not
+    same = ProjectorSpec.pair_same(1, 2, 2)
+    sums = [HamiltonianSpec.of([(1e308 + 1e308j, same)]), HamiltonianSpec.of([(1.5, same)])]
+    assert _SpecChecks(sums).are_orthogonal(0, 1, DEFAULT_TOLERANCE) is False
+    assert are_orthogonal(*map(build_hamiltonian, sums)) is False
+
+
 def test_resolution_of_identity():
     refined = [build_projector(s) for s in (
         ProjectorSpec.sd(1, 2, 3, 3),
@@ -373,8 +381,8 @@ def outcome(call):
 
 
 def by_arithmetic(call):
-    """``outcome`` of a reference expression in Operator arithmetic; its max_entry
-    may warn of an overflowing magnitude, which is not what is compared."""
+    """``outcome`` of a reference expression in Operator arithmetic; a norm of its
+    arrays may warn of an overflowing magnitude, which is not what is compared."""
     with np.errstate(over="ignore", invalid="ignore"):
         return outcome(call)
 

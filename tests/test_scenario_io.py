@@ -91,6 +91,19 @@ def test_schema_violations_carry_a_path():
         parse_scenario_document(minimal_doc(queries=long_pair))
     with pytest.raises(ScenarioFileError, match=r"^\$\.queries\[0\]: .* not valid under any"):
         parse_scenario_document(minimal_doc(queries=[{"type": "no_such_query"}]))
+    # a member, an operator and a state are objects (or a member a list of them)
+    eigenstate = {"type": "predicate", "check": "eigenstate", "operators": [{"kind": "all_same"}],
+                  "eigenvalue": [1, 0]}
+    amplitudes = [[1, 0], 5] + [[0, 0]] * 6
+    for query, path, message in [
+            ({"type": "abl_amplitude", "projector": 5}, ".projector", "5 is not valid under any"),
+            ({**eigenstate, "operators": [5]}, ".operators[0]", "5 is not valid under any"),
+            ({**eigenstate, "state": 5}, ".state", "5 is not valid under any"),
+            ({**eigenstate, "state": {"amplitudes": amplitudes}}, ".state.amplitudes[1]",
+             "5 is not of type 'array'")]:
+        pattern = "^" + re.escape(f"$.queries[0]{path}: {message}")
+        with pytest.raises(ScenarioFileError, match=pattern):
+            parse_scenario_document(minimal_doc(queries=[query]))
     with pytest.raises(ScenarioFileError, match=r"^\$: Additional properties .*'extra' unexpected"):
         parse_scenario_document(minimal_doc(extra=1))
     with pytest.raises(ScenarioFileError, match=r"^\$\.name: '' is too short"):

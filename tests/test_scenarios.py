@@ -260,6 +260,11 @@ def eigenstate_query(state):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: ProjectorSpec.pair_same(1, 5, 3), "pair member 5 out of range 1..3"),
+    (lambda: ProjectorSpec.pair_same(1.5, 2, 3), "pair member must be an integer, got 1.5"),
+    # a spec sets only the fields its kind names
+    (lambda: ProjectorSpec("pair_same", 3, pair=(1, 2), other=5), "^pair_same takes no other$"),
+    (lambda: ProjectorSpec("box", 3, particle=1, box="L", pair=(1, 9)), "^box takes no pair$"),
+    (lambda: ProjectorSpec("all_same", 3, particle="x"), "^all_same takes no particle$"),
     (lambda: Scenario("x", 1, ("+",), ("+",), (), labels="polar"), "unknown label scheme"),
     (lambda: Scenario("x", 2, ("+", "+"), ("+", "+"), (PredicateQuery(
         "eigenstate", (HamiltonianSpec.of([(1, ProjectorSpec.all_same(2))]),),
@@ -299,6 +304,12 @@ def eigenstate_query(state):
     (lambda: abl_amplitude(1, Operator.identity(1)), "expected a PrePostSelection, got int"),
     (lambda: abl_amplitude(ONE_PARTICLE, 1), "expected an Operator, got int"),
     (lambda: transition_element(ONE_PARTICLE, 1), "expected an Operator, got int"),
+    (lambda: abl_amplitude(ONE_PARTICLE, Operator.identity(2)),
+     "operator dimension 4 does not match the selection dimension 2"),
+    (lambda: abl_probabilities(ONE_PARTICLE, MeasurementSet([Operator.identity(2)])),
+     "measurement dimension 4 does not match the selection dimension 2"),
+    (lambda: transition_element(ONE_PARTICLE, Operator.identity(2)),
+     "operator dimension 4 does not match the selection dimension 2"),
     (lambda: weak_value(1, Operator.identity(1)), "expected a PrePostSelection, got int"),
     (lambda: MeasurementSet([1]), "expected an Operator, got int"),
     (lambda: MeasurementSet(5), "expected an iterable of Operators, got int"),
@@ -428,6 +439,7 @@ def test_failed_queries_become_error_records():
             WeakValueQuery((ProjectorSpec.box_occupation(1, "L", 1),)),
             AblProbabilitiesQuery(((ProjectorSpec.box_occupation(1, "L", 1),),
                                    (ProjectorSpec.box_occupation(1, "R", 1),))),
+            AblProbabilitiesQuery(()),
         ),
     )
     report = run_scenario(scenario)
@@ -435,6 +447,7 @@ def test_failed_queries_become_error_records():
     assert report.records[0].error == "orthogonal pre/postselection"
     assert report.records[0].results == ()
     assert report.records[1].error == "impossible postselection"
+    assert report.records[2].error == "a measurement set needs at least one projector"
     # a negative library tolerance still refuses the exact zero overlap
     assert run_scenario(scenario, tol=-1.0).records[0].error == "orthogonal pre/postselection"
 
@@ -613,6 +626,19 @@ def test_spec_built_queries_agree_with_the_operator_api(pre, post, tol):
         assert len(record.results) == len(expected), record.target
         for result, value in zip(record.results, expected):
             assert abs(result.value - value) <= 1e-12 * max(1, abs(value)), result.name
+
+
+@pytest.mark.parametrize("post", [("+", "+"), ("+i", "+i")])
+def test_transition_element_past_the_float_range_sums_class_by_class(post):
+    # the coefficient magnitudes sum to inf, so the query sums the entries of its
+    # label classes, as the built operator would be summed
+    box = lambda b: ProjectorSpec.box_occupation(1, b, 2)
+    query = TransitionElementQuery(HamiltonianSpec.of([(1.7e308, box("L")), (1.7e308, box("R"))]))
+    record = run_scenario(Scenario("huge", 2, ("+", "+"), post, (query,))).records[0]
+    sel = PrePostSelection(tensor([make_single_particle_state("+")] * 2),
+                           tensor([make_single_particle_state(f) for f in post]))
+    expected = transition_element(sel, build_hamiltonian(query.hamiltonian))
+    assert abs(values(record)["transition_element"] - expected) <= 1e-15 * abs(expected)
 
 
 def test_weak_value_sum_cross_checks_the_factorized_amplitudes(monkeypatch):
