@@ -410,5 +410,25 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """``main`` for a process of its own (``python -m twobox``, the ``twobox``
+    script). A reader that closes standard output early, as ``| head -1``
+    does, ends the run with exit 1 and one error line, not a traceback."""
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when the process starts with stdout closed
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit, which would fail once more
+        # and print "Exception ignored"; what is left of the output goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            print("error: standard output was closed", file=sys.stderr)
+        except OSError:  # stderr is closed too
+            pass
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
@@ -39,8 +38,8 @@ from .errors import (
     expect,
     expect_tolerance,
 )
-from .hilbert import (DEFAULT_TOLERANCE, Ket, Operator, _operator, _operator_list, _state, abs2,
-                      inner, matrix_element)
+from .hilbert import (DEFAULT_TOLERANCE, Ket, Operator, _Record, _operator, _operator_list, _state,
+                      abs2, inner, matrix_element)
 from .projectors import is_projector, is_resolution_of_identity
 
 
@@ -53,17 +52,14 @@ def vanishes(value: complex, tol: float = DEFAULT_TOLERANCE) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class PrePostSelection:
+class PrePostSelection(_Record):
     """A preselected and a postselected state on the same particle count."""
 
-    pre: Ket
-    post: Ket
-
-    def __post_init__(self):
-        if _state(self.pre).dim != _state(self.post).dim:
+    def __init__(self, pre: Ket, post: Ket):
+        if _state(pre).dim != _state(post).dim:
             raise DimensionMismatchError(
-                f"pre and post dimensions differ: {self.pre.dim} vs {self.post.dim}")
+                f"pre and post dimensions differ: {pre.dim} vs {post.dim}")
+        self.__dict__.update(pre=pre, post=post)
 
     @property
     def n_particles(self) -> int:
@@ -133,13 +129,13 @@ def _selection(value) -> PrePostSelection:
     return expect(value, PrePostSelection, "a PrePostSelection")
 
 
-@dataclass(frozen=True)
-class AblResult:
+class AblResult(_Record):
     """Amplitudes and conditional probabilities for one complete measurement."""
 
-    amplitudes: tuple[complex, ...]
-    probabilities: tuple[float, ...]
-    normalization: float
+    def __init__(self, amplitudes: tuple[complex, ...], probabilities: tuple[float, ...],
+                 normalization: float):
+        self.__dict__.update(amplitudes=amplitudes, probabilities=probabilities,
+                             normalization=normalization)
 
 
 def abl_amplitude(selection: PrePostSelection, op: Operator) -> complex:

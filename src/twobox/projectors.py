@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .errors import InvalidAmplitudesError, InvalidArgumentError, expect, expect_tolerance, quoted
 from .hilbert import (
@@ -40,6 +39,7 @@ from .hilbert import (
     Ket,
     Operator,
     UnnormalizedKet,
+    _Record,
     _as_number,
     _check_particle_count,
     _norm_sq,
@@ -66,8 +66,7 @@ def _check_particle(index: int, n_particles: int, what: str) -> None:
         raise InvalidArgumentError(f"{what} {quoted(index)} out of range 1..{n_particles}")
 
 
-@dataclass(frozen=True)
-class ProjectorSpec:
+class ProjectorSpec(_Record):
     """A symbolic description of one correlation projector.
 
     kind
@@ -79,49 +78,43 @@ class ProjectorSpec:
                     occupies the other one
     """
 
-    kind: str
-    n_particles: int
-    particle: int | None = None
-    box: str | None = None
-    pair: tuple[int, int] | None = None
-    other: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in PROJECTOR_KINDS:
-            raise InvalidArgumentError(f"unknown projector kind {quoted(self.kind)}")
-        _check_particle_count(self.n_particles)
-        if self.kind == "box":
-            _check_particle(self.particle, self.n_particles, "particle")
-            if self.box not in ("L", "R"):
-                raise InvalidArgumentError(f"box must be 'L' or 'R', got {quoted(self.box)}")
-        elif self.kind in ("pair_same", "pair_diff", "sd"):
-            if self.n_particles < 2:
-                raise InvalidArgumentError(f"{self.kind} needs at least two particles")
+    def __init__(self, kind: str, n_particles: int, particle: int | None = None,
+                 box: str | None = None, pair: tuple[int, int] | None = None,
+                 other: int | None = None):
+        if kind not in PROJECTOR_KINDS:
+            raise InvalidArgumentError(f"unknown projector kind {quoted(kind)}")
+        _check_particle_count(n_particles)
+        if kind == "box":
+            _check_particle(particle, n_particles, "particle")
+            if box not in ("L", "R"):
+                raise InvalidArgumentError(f"box must be 'L' or 'R', got {quoted(box)}")
+        elif kind in ("pair_same", "pair_diff", "sd"):
+            if n_particles < 2:
+                raise InvalidArgumentError(f"{kind} needs at least two particles")
             try:
-                i, j = self.pair
+                i, j = pair
             except (TypeError, ValueError):
                 raise InvalidArgumentError(
-                    f"{self.kind} needs a pair of two particles, got {quoted(self.pair)}") from None
-            _check_particle(i, self.n_particles, "pair member")
-            _check_particle(j, self.n_particles, "pair member")
+                    f"{kind} needs a pair of two particles, got {quoted(pair)}") from None
+            _check_particle(i, n_particles, "pair member")
+            _check_particle(j, n_particles, "pair member")
             if i == j:
                 raise InvalidArgumentError("pair members must be distinct")
-            if i > j:
-                object.__setattr__(self, "pair", (j, i))
-            else:
-                object.__setattr__(self, "pair", (i, j))
-            if self.kind == "sd":
-                if self.n_particles < 3:
+            pair = (j, i) if i > j else (i, j)
+            if kind == "sd":
+                if n_particles < 3:
                     raise InvalidArgumentError("sd needs at least three particles")
-                _check_particle(self.other, self.n_particles, "other particle")
-                if self.other in self.pair:
+                _check_particle(other, n_particles, "other particle")
+                if other in pair:
                     raise InvalidArgumentError("the marked particle must differ from the pair")
-        elif self.kind == "all_same":
-            if self.n_particles < 2:
+        elif kind == "all_same":
+            if n_particles < 2:
                 raise InvalidArgumentError("all_same needs at least two particles")
+        self.__dict__.update(kind=kind, n_particles=n_particles, particle=particle, box=box,
+                             pair=pair, other=other)
         for name in self.__match_args__[2:]:  # the declared fields after kind and n_particles
-            if getattr(self, name) is not None and name not in _KIND_FIELDS[self.kind]:
-                raise InvalidArgumentError(f"{self.kind} takes no {name}")
+            if self.__dict__[name] is not None and name not in _KIND_FIELDS[kind]:
+                raise InvalidArgumentError(f"{kind} takes no {name}")
 
     @classmethod
     def box_occupation(cls, particle: int, box: str, n_particles: int) -> "ProjectorSpec":
@@ -298,8 +291,7 @@ def _terms(terms) -> tuple[tuple[complex, ProjectorSpec], ...]:
     return tuple(checked)
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
+class HamiltonianSpec(_Record):
     """A weighted sum of correlation projectors.
 
     terms holds (coefficient, projector) pairs; all projectors must act
@@ -307,16 +299,14 @@ class HamiltonianSpec:
     when the term list is empty.
     """
 
-    terms: tuple[tuple[complex, ProjectorSpec], ...]
-    n_particles: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _terms(self.terms))
-        _check_particle_count(self.n_particles)
-        for _, p in self.terms:
-            if p.n_particles != self.n_particles:
+    def __init__(self, terms: tuple[tuple[complex, ProjectorSpec], ...], n_particles: int):
+        terms = _terms(terms)
+        _check_particle_count(n_particles)
+        for _, p in terms:
+            if p.n_particles != n_particles:
                 raise InvalidArgumentError(
-                    f"term {p.label()} acts on {p.n_particles} particles, expected {self.n_particles}")
+                    f"term {p.label()} acts on {p.n_particles} particles, expected {n_particles}")
+        self.__dict__.update(terms=terms, n_particles=n_particles)
 
     @classmethod
     def of(cls, terms: Iterable[tuple[complex, ProjectorSpec]],

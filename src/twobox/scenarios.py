@@ -6,7 +6,7 @@ one produces an immutable report in which every amplitude carries a
 vanishing verdict, every record echoes its query, and failed queries
 carry the error text instead of silently disappearing.
 
-Each query type is one frozen dataclass holding all it means: class
+Each query type is one frozen record holding all it means: class
 attributes ``tag`` (its file ``type``), ``kind``, ``keys`` (the document
 keys it requires besides ``type``, in the order a missing one is reported)
 and, where it has any, ``optional_keys`` (those it may hold besides
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection, Iterable, Sequence
-from dataclasses import dataclass
 from functools import cache
 from typing import Union
 
@@ -52,6 +51,7 @@ from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, Inva
                      expect_tolerance)
 from .hilbert import (
     DEFAULT_TOLERANCE,
+    _Record,
     _as_number,
     _check_particle_count,
     _explicit_amplitudes,
@@ -80,18 +80,18 @@ SingleStateSpec = Union[str, tuple[complex, complex]]
 ProjectorProduct = tuple[ProjectorSpec, ...]
 
 
-@dataclass(frozen=True)
-class ProductState:
+class ProductState(_Record):
     """An n-particle state given factor by factor."""
 
-    factors: tuple[SingleStateSpec, ...]
+    def __init__(self, factors: tuple[SingleStateSpec, ...]):
+        self.__dict__.update(factors=factors)
 
 
-@dataclass(frozen=True)
-class ExplicitState:
+class ExplicitState(_Record):
     """An n-particle state given as a full normalized amplitude vector."""
 
-    amplitudes: tuple[complex, ...]
+    def __init__(self, amplitudes: tuple[complex, ...]):
+        self.__dict__.update(amplitudes=amplitudes)
 
 
 NParticleState = Union[ProductState, ExplicitState]
@@ -133,13 +133,13 @@ def _particle_counts(products):
 
 
 # the query classes below these two bases add no fields, so they keep the
-# generated __init__, __repr__ and __eq__, which name the subclass
-@dataclass(frozen=True)
-class _OneProduct:
-    projector: ProjectorProduct
-    claim: str | None = None
+# bases' __init__; repr and equality name the subclass
+class _OneProduct(_Record):
     kind = "presence"
     keys = ("projector",)
+
+    def __init__(self, projector: ProjectorProduct, claim: str | None = None):
+        self.__dict__.update(projector=projector, claim=claim)
 
     def particle_counts(self):
         return _particle_counts((self.projector,))
@@ -166,12 +166,12 @@ class WeakValueQuery(_OneProduct):
         yield "overlap", selection.overlap
 
 
-@dataclass(frozen=True)
-class _ProductSet:
-    projectors: tuple[ProjectorProduct, ...]
-    claim: str | None = None
+class _ProductSet(_Record):
     kind = "presence"
     keys = ("projectors",)
+
+    def __init__(self, projectors: tuple[ProjectorProduct, ...], claim: str | None = None):
+        self.__dict__.update(projectors=projectors, claim=claim)
 
     def particle_counts(self):
         return _particle_counts(self.projectors)
@@ -218,13 +218,13 @@ class WeakValueSumQuery(_ProductSet):
                                                    len(table) + len(self.projectors))
 
 
-@dataclass(frozen=True)
-class DetailedVsGlobalQuery:
-    members: tuple[ProjectorProduct, ...]
-    claim: str | None = None
+class DetailedVsGlobalQuery(_Record):
     tag = "detailed_vs_global"
     kind = "presence"
     keys = ("members",)
+
+    def __init__(self, members: tuple[ProjectorProduct, ...], claim: str | None = None):
+        self.__dict__.update(members=members, claim=claim)
 
     def particle_counts(self):
         return _particle_counts(self.members)
@@ -247,13 +247,13 @@ class DetailedVsGlobalQuery:
         yield "global", abs2(sum(amplitudes))
 
 
-@dataclass(frozen=True)
-class TransitionElementQuery:
-    hamiltonian: HamiltonianSpec
-    claim: str | None = None
+class TransitionElementQuery(_Record):
     tag = "transition_element"
     kind = "transition"
     keys = ("hamiltonian",)
+
+    def __init__(self, hamiltonian: HamiltonianSpec, claim: str | None = None):
+        self.__dict__.update(hamiltonian=hamiltonian, claim=claim)
 
     def particle_counts(self):
         return (expect(self.hamiltonian, HamiltonianSpec, "a HamiltonianSpec").n_particles,)
@@ -276,38 +276,36 @@ class TransitionElementQuery:
 PREDICATE_CHECKS = ("is_projector", "orthogonal", "resolution_of_identity", "eigenstate")
 
 
-@dataclass(frozen=True)
-class PredicateQuery:
+class PredicateQuery(_Record):
     """Structural checks: projector-ness, orthogonality, completeness, eigenstates."""
 
-    check: str
-    operands: tuple[HamiltonianSpec, ...] = ()
-    state: NParticleState | None = None
-    eigenvalue: complex | None = None
-    claim: str | None = None
     tag = "predicate"
     kind = "predicate"
     keys = ("check", "operators")
     optional_keys = ("state", "eigenvalue")
 
-    def __post_init__(self):
-        if self.check not in PREDICATE_CHECKS:
-            raise InvalidArgumentError(f"unknown predicate check {self.check!r}")
-        for operand in expect(self.operands, Sequence, "a sequence of HamiltonianSpecs"):
+    def __init__(self, check: str, operands: tuple[HamiltonianSpec, ...] = (),
+                 state: NParticleState | None = None, eigenvalue: complex | None = None,
+                 claim: str | None = None):
+        if check not in PREDICATE_CHECKS:
+            raise InvalidArgumentError(f"unknown predicate check {check!r}")
+        for operand in expect(operands, Sequence, "a sequence of HamiltonianSpecs"):
             expect(operand, HamiltonianSpec, "a HamiltonianSpec")
         counts = {"is_projector": 1, "orthogonal": 2, "eigenstate": 1}
-        want = counts.get(self.check)
-        if want is not None and len(self.operands) != want:
-            raise InvalidArgumentError(f"{self.check} takes exactly {want} operand(s)")
-        if self.check == "resolution_of_identity" and not self.operands:
+        want = counts.get(check)
+        if want is not None and len(operands) != want:
+            raise InvalidArgumentError(f"{check} takes exactly {want} operand(s)")
+        if check == "resolution_of_identity" and not operands:
             raise InvalidArgumentError("resolution_of_identity needs at least one operand")
-        if self.check == "eigenstate":
-            if self.state is None or self.eigenvalue is None:
+        if check == "eigenstate":
+            if state is None or eigenvalue is None:
                 raise InvalidArgumentError("eigenstate needs a state and an eigenvalue")
-            expect(self.state, (ProductState, ExplicitState), "a ProductState or ExplicitState")
-            _as_number(self.eigenvalue, "eigenvalue")
-        elif self.state is not None or self.eigenvalue is not None:
-            raise InvalidArgumentError(f"{self.check} takes no state or eigenvalue")
+            expect(state, (ProductState, ExplicitState), "a ProductState or ExplicitState")
+            _as_number(eigenvalue, "eigenvalue")
+        elif state is not None or eigenvalue is not None:
+            raise InvalidArgumentError(f"{check} takes no state or eigenvalue")
+        self.__dict__.update(check=check, operands=operands, state=state, eigenvalue=eigenvalue,
+                             claim=claim)
 
     def particle_counts(self):
         for operand in self.operands:
@@ -367,76 +365,61 @@ Query = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """A runnable bundle of selection and queries."""
 
-    name: str
-    n_particles: int
-    pre: tuple[SingleStateSpec, ...]
-    post: tuple[SingleStateSpec, ...]
-    queries: tuple[Query, ...]
-    description: str = ""
-    notes: tuple[str, ...] = ()
-    labels: str = "box"
-
-    def __post_init__(self):
-        if not expect(self.name, str, "a name (str)"):
+    def __init__(self, name: str, n_particles: int, pre: tuple[SingleStateSpec, ...],
+                 post: tuple[SingleStateSpec, ...], queries: tuple[Query, ...],
+                 description: str = "", notes: tuple[str, ...] = (), labels: str = "box"):
+        if not expect(name, str, "a name (str)"):
             raise InvalidArgumentError("a scenario needs a name")
-        expect(self.description, str, "a description (str)")
-        for note in _collection(self.notes, "a collection of notes"):
+        expect(description, str, "a description (str)")
+        for note in _collection(notes, "a collection of notes"):
             expect(note, str, "a note (str)")
-        label_scheme(self.labels)
-        _check_particle_count(self.n_particles)
-        for states in (self.pre, self.post):
-            if len(_collection(states, "a collection of state specs")) != self.n_particles:
+        label_scheme(labels)
+        _check_particle_count(n_particles)
+        for states in (pre, post):
+            if len(_collection(states, "a collection of state specs")) != n_particles:
                 raise InvalidArgumentError("pre and post must list one state per particle")
-        for spec in (*self.pre, *self.post):
+        for spec in (*pre, *post):
             _single_pair(spec)
-        for query in expect(self.queries, Collection, "a collection of queries"):
+        for query in expect(queries, Collection, "a collection of queries"):
             if not isinstance(query, Query):
                 raise InvalidArgumentError(f"unknown query type {type(query).__name__}")
             if query.claim is not None:
                 expect(query.claim, str, "a claim (str or None)")
             for count in query.particle_counts():
-                if count != self.n_particles:
+                if count != n_particles:
                     raise InvalidArgumentError(
-                        f"query targets {count} particles but the scenario has {self.n_particles}")
+                        f"query targets {count} particles but the scenario has {n_particles}")
+        self.__dict__.update(name=name, n_particles=n_particles, pre=pre, post=post,
+                             queries=queries, description=description, notes=notes,
+                             labels=labels)
 
 
-@dataclass(frozen=True)
-class ResultValue:
+class ResultValue(_Record):
     """One named number or verdict inside a query record."""
 
-    name: str
-    value: complex | float | bool
-    vanishing: bool | None
+    def __init__(self, name: str, value: complex | float | bool, vanishing: bool | None):
+        self.__dict__.update(name=name, value=value, vanishing=vanishing)
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(_Record):
     """Echo of one query with its results, or with the error it raised."""
 
-    index: int
-    query_type: str
-    kind: str
-    target: str
-    claim: str | None
-    results: tuple[ResultValue, ...]
-    error: str | None
+    def __init__(self, index: int, query_type: str, kind: str, target: str, claim: str | None,
+                 results: tuple[ResultValue, ...], error: str | None):
+        self.__dict__.update(index=index, query_type=query_type, kind=kind, target=target,
+                             claim=claim, results=results, error=error)
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    scenario: str
-    description: str
-    labels: str
-    n_particles: int
-    pre: tuple[str, ...]
-    post: tuple[str, ...]
-    notes: tuple[str, ...]
-    tolerance: float
-    records: tuple[QueryRecord, ...]
+class ScenarioReport(_Record):
+    def __init__(self, scenario: str, description: str, labels: str, n_particles: int,
+                 pre: tuple[str, ...], post: tuple[str, ...], notes: tuple[str, ...],
+                 tolerance: float, records: tuple[QueryRecord, ...]):
+        self.__dict__.update(scenario=scenario, description=description, labels=labels,
+                             n_particles=n_particles, pre=pre, post=post, notes=notes,
+                             tolerance=tolerance, records=records)
 
     def has_errors(self) -> bool:
         return any(r.error is not None for r in self.records)

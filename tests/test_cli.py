@@ -507,13 +507,17 @@ def test_module_entry_point():
     assert "pigeonhole3" in result.stdout
 
 
-def _child(code, *argv):
-    """Run ``code`` in a fresh interpreter that imports the package from this tree."""
+def _child_env():
+    """The environment of a fresh interpreter that imports the package from this tree."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def _child(code, *argv):
+    """Run ``code`` in a fresh interpreter that imports the package from this tree."""
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=60, env=_child_env())
 
 
 BOX = lambda p, b: {"kind": "box", "particle": p, "box": b}
@@ -550,12 +554,17 @@ SPEC_BUILT_COMMANDS = [["list"], ["run", "pigeonhole3", "--format", "json"],
                        ["check", "pair_same(1,2) + pair_same(2,3)", "--particles", "3"]]
 
 
+# stdlib modules no command needs: dataclasses pulls in inspect, and inspect the rest
+UNUSED_STDLIB = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+
+
 def test_spec_built_commands_load_neither_numpy_nor_jsonschema(tmp_path):
     # numpy runs only on first array use: its deferred module sits in sys.modules
     # from the start, so the test looks for a submodule that only running it imports.
     # Scenario files are checked by the package's own parser, never by jsonschema.
     # Eigenstate predicates and explicit states are computed in plain Python too,
-    # so no command loads numpy.
+    # so no command loads numpy. The value types are plain classes, so no command
+    # loads dataclasses or what it imports either.
     spec_built, explicit = tmp_path / "spec-built.json", tmp_path / "explicit.json"
     spec_built.write_text(json.dumps(SPEC_BUILT_DOC), encoding="utf-8")
     explicit.write_text(json.dumps(EXPLICIT_DOC), encoding="utf-8")
@@ -566,15 +575,53 @@ def test_spec_built_commands_load_neither_numpy_nor_jsonschema(tmp_path):
         for argv in json.loads(sys.argv[1]):
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(main(argv))
-        print(json.dumps([codes, "numpy._core" in sys.modules, "jsonschema" in sys.modules]))
+        print(json.dumps([codes, "numpy._core" in sys.modules, "jsonschema" in sys.modules,
+                          [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
     """
+    # the benchmark's five commands: list, a builtin as JSON and as a table, check, a file
     commands = SPEC_BUILT_COMMANDS + [["run", "eigenspace-degeneracy"], ["run", str(spec_built)]]
-    result = _child(code, json.dumps(commands))
+    result = _child(code, json.dumps(commands), json.dumps(UNUSED_STDLIB))
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0, 0, 2, 0, 0, 0], False, False]
-    result = _child(code, json.dumps([["run", str(explicit)]]))
+    assert json.loads(result.stdout) == [[0, 0, 2, 0, 0, 0], False, False, []]
+    result = _child(code, json.dumps([["run", str(explicit)]]), json.dumps(UNUSED_STDLIB))
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0], False, False]
+    assert json.loads(result.stdout) == [[0], False, False, []]
+
+
+def test_importing_the_cli_loads_every_module_the_benchmark_trace_reads():
+    # the traced cli benchmark imports twobox.cli and then wraps functions it finds
+    # in these modules by name, so none of them may load later than the cli
+    modules = ["twobox.hilbert", "twobox.projectors", "twobox.engine", "twobox.scenarios",
+               "twobox.scenario_io"]
+    code = "import json, sys, twobox.cli; print(json.dumps([m in sys.modules for m in sys.argv[1:]]))"
+    result = _child(code, *modules)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [True] * len(modules)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["list"], ["run", "pigeonhole3", "--format", "json"]])
+def test_a_closed_stdout_ends_in_one_error_line(argv, unbuffered):
+    # the reader is gone before the command writes, as after `| head -1`, so every
+    # write to stdout fails with a broken pipe, buffered or not
+    env = {**_child_env(), "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "twobox", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == "error: standard output was closed\n"
+
+
+def test_a_process_started_without_stdout_runs_as_before():
+    # with file descriptor 1 closed from the start, sys.stdout is None and print is a no-op
+    result = subprocess.run([sys.executable, "-m", "twobox", "list"], stderr=subprocess.PIPE,
+                            text=True, timeout=60, env=_child_env(),
+                            preexec_fn=lambda: os.close(1))
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_commands_print_the_same_bytes_with_numpy_loaded_or_not(tmp_path):
