@@ -13,8 +13,8 @@ amplitude of the summed projector, and the two genuinely differ.
 
 The public functions take built operators and any states; they serve
 library callers and are the reference in the tests. A scenario run
-computes the same quantities factor by factor on its product selection
-(:mod:`twobox.scenarios`). Both go through the rules written once here
+computes the same quantities on the label classes of its specs between
+the factors of its product selection (:mod:`twobox.scenarios`). Both go through the rules written once here
 over plain amplitudes: the ABL normalization (``_abl_result``), the
 weak-value denominator (``_weak_denominator``) and the linearity bound
 (``_linearity_checked``).
@@ -119,6 +119,10 @@ class MeasurementSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("MeasurementSet is immutable")
+
+    def __reduce__(self):
+        # copied and unpickled through the constructor, which checks again
+        return MeasurementSet, (self._projectors, self._labels)
 
 
 ProjectorSet = Union[MeasurementSet, Sequence[Operator]]

@@ -94,15 +94,7 @@ class _Record:
         return NotImplemented
 
     def __hash__(self):
-        # The first hash of a class writes out its field tuple as code, which then
-        # serves the class as a hand-written __hash__ would: a generic
-        # hash(tuple(self.__dict__.values())) takes 1.5-1.8x as long per call. No
-        # command hashes a record, so none pays the compile (about 30 us a class
-        # on a 2-core Xeon).
-        cls = type(self)
-        fields = "".join(f"self.{name}, " for name in cls.__match_args__)
-        cls.__hash__ = eval(f"lambda self: hash(({fields}))")
-        return hash(self)
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
@@ -332,6 +324,10 @@ class _Vector:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # copied and unpickled through the public constructor, which checks again
+        return type(self), (self._amplitudes, self._labels)
+
     def __repr__(self) -> str:
         terms = []
         for i, a in enumerate(self._amplitudes):
@@ -495,6 +491,12 @@ class Operator:
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
+
+    def __reduce__(self):
+        # copied and unpickled through the public constructors, in the stored form
+        if self._data.ndim == 1:
+            return Operator.from_diagonal, (self._data, self._labels)
+        return Operator, (self._data, self._labels)
 
     def __repr__(self) -> str:
         return f"Operator(n_particles={self.n_particles}, labels={self._labels.name!r})"

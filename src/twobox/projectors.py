@@ -1,20 +1,22 @@
 """Correlation projectors on the n-particle two-box space.
 
 Every projector here is diagonal in the box basis, so each is built and
-stored as its 0/1 diagonal: one bit test per basis index, where bit
-n - k of the index is 1 exactly when particle k sits in box R. The same
-bit tests (``_holds``) give a product of specs its amplitude between two
-product states without any 2**n array, summing over the labels of the
-particles the specs touch only (``_product_amplitude``).
+stored as its 0/1 diagonal: one bit test per basis index (``_holds``),
+where bit n - k of the index is 1 exactly when particle k sits in box R.
 
-Which path runs: specs are answered without numpy on their label classes
-(``_label_classes``). A spec tests only the boxes of the particles it
-names, and ``all_same`` whether the rest are all in L, all in R or mixed,
-so one representative index per class answers for all its labels. The
+Which path runs: specs are answered without numpy on their label classes,
+and ``_label_classes`` is the one place that decides them. A spec tests
+only the boxes of the particles it names, and ``all_same`` whether the
+rest are all in L, all in R or mixed, so the bit tests of one
+representative index per class answer for all its labels. The amplitude
+of a product of specs between two product states is the summed weight of
+its classes on which every spec holds (``_product_amplitude``). The
 scenario layer checks completeness and projector-ness on the classes
-exactly, and ``_SpecChecks`` runs the structural checks and the eigenstate
-residual of weighted sums there, as their built operators would. Built
-operators (``build_projector``, ``build_hamiltonian``) are numpy arrays.
+exactly, and ``_SpecChecks`` runs the structural checks of weighted sums
+on their class entries, as their built operators would, and their
+eigenstate residual on the same entries label by label (``_entry``).
+Built operators (``build_projector``, ``build_hamiltonian``) are numpy
+arrays.
 
 The structural checks of operators (``is_hermitian``, ``idempotency_defect``,
 ``is_projector``, ``are_orthogonal``, ``is_resolution_of_identity``) and
@@ -185,35 +187,40 @@ def _touched(specs: Iterable[ProjectorSpec]) -> set[int]:
 def _label_classes(specs: Sequence[ProjectorSpec], n: int,
                    weights: Sequence[Sequence[complex]] | None = None) -> list[tuple[int, complex]]:
     """The label classes of ``specs`` on n particles, as (representative basis
-    index, weight) pairs.
+    index, weight) pairs: the one place that decides which labels the specs
+    cannot tell apart.
 
     A spec tests only the boxes of the particles it names (T), and
     ``all_same`` also whether the others are all in L, all in R or mixed. So
     every spec holds or fails on a whole class of labels that agree on T (and
     on that split, if ``all_same`` is among the specs): at most 3 * 2**|T|
     classes, one representative each. The weight of a class is the sum over
-    its labels of prod_k c_k(b_k), for ``weights`` as in
-    :func:`_product_amplitude` and formed as it forms them; without
-    ``weights``, the class's size.
+    its labels of prod_k c_k(b_k), with ``weights[k - 1]`` holding
+    c_k(b) = conj(post_k[b]) pre_k[b] for b = L, R: the product over T of the
+    class's factors, times prod_k (c_k(L) + c_k(R)) over the other particles
+    (with the split, their all-L product, their all-R product or what
+    remains). Without ``weights``, a class weighs its size.
     """
     touched = _touched(specs)
+    split = len(touched) < n and "all_same" in [spec.kind for spec in specs]
     classes = [(0, 1)]  # over the particles in T
-    untouched, left, right, rest = [], 1, 1, 1
-    for k in range(1, n + 1):
-        c_left, c_right = weights[k - 1] if weights else (1, 1)
-        bit = 1 << (n - k)
+    left = right = rest = 1
+    for k, (c_left, c_right) in enumerate(weights or [(1, 1)] * n, start=1):
         if k in touched:
+            bit = 1 << (n - k)
             classes = ([(index, w * c_left) for index, w in classes]
                        + [(index | bit, w * c_right) for index, w in classes])
         else:
-            untouched.append(bit)
-            left, right, rest = left * c_left, right * c_right, rest * (c_left + c_right)
-    splits = [(0, rest)]
-    if untouched and any(spec.kind == "all_same" for spec in specs):
-        splits = [(0, left), (sum(untouched), right)]
-        if len(untouched) >= 2:  # the mixed labels: all of them but the two uniform ones
-            splits.append((untouched[0], rest - left - right))
-    return [(index | split, w * v) for index, w in classes for split, v in splits]
+            rest *= c_left + c_right
+            if split:
+                left, right = left * c_left, right * c_right
+    if not split:
+        return [(index, w * rest) for index, w in classes]
+    untouched = [1 << (n - k) for k in range(1, n + 1) if k not in touched]
+    splits = [(0, left), (sum(untouched), right)]
+    if len(untouched) >= 2:  # the mixed labels: all of them but the two uniform ones
+        splits.append((untouched[0], rest - left - right))
+    return [(index | bits, w * v) for index, w in classes for bits, v in splits]
 
 
 def _product_table(products: Sequence[Sequence[ProjectorSpec]], n: int,
@@ -231,33 +238,16 @@ def _class_counts(products: Sequence[Sequence[ProjectorSpec]], n: int) -> list[i
 
 def _product_amplitude(product: Sequence[ProjectorSpec],
                        weights: Sequence[Sequence[complex]]) -> complex:
-    """<post|P|pre> for the product P of specs between two product states.
-
-    ``weights[k - 1]`` holds c_k(b) = conj(post_k[b]) pre_k[b] for b = L, R.
-    The sum over basis states factorizes: only the labels of the particles
-    the specs touch are summed over, kept by the bit tests of
-    :func:`build_projector`, and every other particle k contributes
-    c_k(L) + c_k(R). ``all_same`` holds only on the two uniform labels.
-    The empty product gives <post|pre>.
+    """<post|P|pre> for the product P of specs between two product states, with
+    ``weights`` as in :func:`_label_classes`: the summed weights of the label
+    classes of P on which every spec of P holds, by the bit tests of
+    :func:`build_projector`. The empty product gives <post|pre>.
     """
     n = len(weights)
-    rest = 1
-    if any(spec.kind == "all_same" for spec in product):
-        labels = [(0, math.prod(w[0] for w in weights)),
-                  (2**n - 1, math.prod(w[1] for w in weights))]
-    else:
-        touched = _touched(product)
-        labels = [(0, 1)]
-        for k, (c_left, c_right) in enumerate(weights, start=1):
-            if k in touched:
-                r_bit = 1 << (n - k)
-                labels = ([(index, w * c_left) for index, w in labels]
-                          + [(index | r_bit, w * c_right) for index, w in labels])
-            else:
-                rest *= c_left + c_right
+    classes = _label_classes(product, n, weights)
     for spec in product:
-        labels = [(index, w) for index, w in labels if _holds(spec, index, n)]
-    return sum((w for _, w in labels), 0j) * rest
+        classes = [(index, w) for index, w in classes if _holds(spec, index, n)]
+    return sum([w for _, w in classes], 0j)
 
 
 def _format_number(x: float) -> str:
@@ -395,43 +385,31 @@ def _count_sum_is_projector(counts: Sequence[int], tol: float) -> bool:
     return max(c * (c - 1) for c in counts) <= tol
 
 
+def _entry(terms: Sequence[tuple[complex, ProjectorSpec]], index: int, n: int) -> complex:
+    """The diagonal entry at basis index ``index`` of the weighted projector sum
+    of ``terms`` on n particles, formed as :func:`build_hamiltonian` forms it:
+    term by term, in order."""
+    total = 0j
+    for coeff, proj in terms:
+        total += (1 + 0j if _holds(proj, index, n) else 0j) * coeff
+    return total
+
+
 def _class_diagonals(hamiltonians: Sequence[HamiltonianSpec],
                      weights: Sequence[Sequence[complex]] | None = None):
     """The diagonals of weighted projector sums on the same n particles, one
-    entry per label class of all their terms, and the classes, as
-    :func:`_label_classes` gives them.
-
-    Each entry is formed as :func:`build_hamiltonian` forms it, term by term
-    in order, and a diagonal with an entry that is not finite is refused as
-    that function refuses it.
+    entry (:func:`_entry`) per label class of all their terms, and the classes,
+    as :func:`_label_classes` gives them. A diagonal with an entry that is not
+    finite is refused as :func:`build_hamiltonian` refuses it.
     """
     n = hamiltonians[0].n_particles
     classes = _label_classes([proj for h in hamiltonians for _, proj in h.terms], n, weights)
     diagonals = []
     for h in hamiltonians:
-        entries = []
-        for index, _ in classes:
-            total = 0j
-            for coeff, proj in h.terms:
-                total += (1 + 0j if _holds(proj, index, n) else 0j) * coeff
-            entries.append(total)
+        entries = [_entry(h.terms, index, n) for index, _ in classes]
         _check_entries(entries)
         diagonals.append(entries)
     return diagonals, classes
-
-
-def _class_keys(specs: Sequence[ProjectorSpec], n: int) -> list[int]:
-    """The representative index of its label class (:func:`_label_classes`) for
-    every basis index of n particles, in order: its bits of the particles the
-    specs touch, and with ``all_same`` among them its other bits kept when they
-    are all L or all R, else reduced to the first of them."""
-    touched = sum(1 << (n - k) for k in _touched(specs))
-    rest = (2**n - 1) ^ touched
-    if not rest or not any(spec.kind == "all_same" for spec in specs):
-        return [index & touched for index in range(2**n)]
-    mixed = 1 << (rest.bit_length() - 1)
-    return [index & touched | (split if split in (0, rest) else mixed)
-            for index in range(2**n) for split in (index & rest,)]
 
 
 def _check_entries(entries: Sequence[complex]) -> None:
@@ -469,7 +447,7 @@ class _SpecChecks:
 
     def __init__(self, hamiltonians: Sequence[HamiltonianSpec]):
         self.hamiltonians = hamiltonians
-        self.diagonals, self.classes = _class_diagonals(hamiltonians)
+        self.diagonals = _class_diagonals(hamiltonians)[0]
 
     def is_hermitian(self, k: int, tol: float) -> bool:
         return _class_max([z - z.conjugate() for z in self.diagonals[k]]) <= tol
@@ -495,14 +473,12 @@ class _SpecChecks:
     def eigenstate_residual(self, k: int, amplitudes: Sequence[complex],
                             eigenvalue: complex) -> float:
         """:func:`~twobox.hilbert.eigenstate_residual` of sum k on the state with
-        these 2**n checked amplitudes: each label takes its class's entry
-        (:func:`_class_keys`), and an image entry that is not finite is refused
+        these 2**n checked amplitudes: each label takes its entry (:func:`_entry`),
+        the bits its class has, and an image entry that is not finite is refused
         as the built operator's image is. The norm is summed exactly
         (``hilbert._norm_sq``), so it may differ from numpy's in the last bit."""
-        entry = dict(zip((index for index, _ in self.classes), self.diagonals[k]))
-        specs = [proj for h in self.hamiltonians for _, proj in h.terms]
-        keys = _class_keys(specs, self.hamiltonians[0].n_particles)
-        image = [entry[key] * a for key, a in zip(keys, amplitudes)]
+        h = self.hamiltonians[k]
+        image = [_entry(h.terms, index, h.n_particles) * a for index, a in enumerate(amplitudes)]
         if not all(map(cmath.isfinite, image)):
             raise InvalidAmplitudesError("amplitudes must be finite")
         eigenvalue = complex(eigenvalue)

@@ -21,21 +21,23 @@ keeps the results yielded before it, any other error discards them.
 
 Which path runs: the selection of a scenario is a product state, kept as
 each particle's normalized (cL, cR) pair, so every query built from
-projector specs (all but ``predicate``) is computed factor by factor
-(``projectors._product_amplitude``) in plain Python, with no 2**n array and
-no numpy. Its preconditions (completeness, projector-ness), the
-cross-check of a weak-value sum and the overflow refusal of a transition
-element run on the label classes of its specs
-(``projectors._label_classes``), at most 3 * 2**|T| of them for the
-particles T the specs name. So do the ``is_projector``, ``orthogonal`` and
+projector specs (all but ``predicate``) is computed on the label classes
+of its specs (``projectors._label_classes``) in plain Python, with no
+2**n array and no numpy: at most 3 * 2**|T| classes for the particles T
+the specs name. An amplitude is the summed weight of the classes on which
+its product holds (``projectors._product_amplitude``); its preconditions
+(completeness, projector-ness), the cross-check of a weak-value sum and
+the overflow refusal of a transition element read the classes of all the
+query's specs. So do the ``is_projector``, ``orthogonal`` and
 ``resolution_of_identity`` predicates, as ``twobox check`` does
 (``projectors._SpecChecks``). An ``eigenstate`` predicate forms the 2**n
 amplitudes of its state in plain Python, a product state's from its pairs
 and an explicit one checked as ``Ket`` checks it
 (``hilbert._explicit_amplitudes``), and its residual label by label from
-the class entries (``_SpecChecks.eigenstate_residual``). So no query loads
-numpy. The values match the operator route of :mod:`twobox.engine` and
-:func:`twobox.hilbert.eigenstate_residual` up to rounding in the last bits.
+the entries its classes have (``_SpecChecks.eigenstate_residual``). So no
+query loads numpy. The values match the operator route of
+:mod:`twobox.engine` and :func:`twobox.hilbert.eigenstate_residual` up to
+rounding in the last bits.
 """
 
 from __future__ import annotations
@@ -101,9 +103,10 @@ class _ProductSelection:
     """The product pre- and postselection of a run, kept particle by particle.
 
     ``weights[k - 1]`` holds c_k(b) = conj(post_k[b]) pre_k[b] for b = L, R,
-    formed with Python's complex product from the normalized (cL, cR) pairs,
-    so every spec-built amplitude factorizes (``_product_amplitude``) and
-    <post|pre> is the product of c_k(L) + c_k(R).
+    formed with Python's complex product from the normalized (cL, cR) pairs.
+    Every spec-built amplitude is then a sum over the label classes of its
+    own specs (``_product_amplitude``), and <post|pre>, the empty product's,
+    is the product of c_k(L) + c_k(R).
     """
 
     def __init__(self, pre: list[tuple[complex, complex]], post: list[tuple[complex, complex]]):

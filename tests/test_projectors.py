@@ -290,9 +290,13 @@ def specs_on(n):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_factorized_amplitudes_match_the_oracle_and_the_mask_path(n, data):
-    product = tuple(data.draw(st.lists(st.sampled_from(specs_on(n)), max_size=3)))
-    pre_f = data.draw(st.lists(single_states, min_size=n, max_size=n))
-    post_f = data.draw(st.lists(single_states, min_size=n, max_size=n))
+    # all_same as often as every other kind together, alongside named specs
+    product = tuple(data.draw(st.lists(class_specs(n), max_size=3)))
+    if data.draw(st.booleans()):
+        pre_f, post_f = data.draw(near_orthogonal_states(n))
+    else:
+        pre_f = data.draw(st.lists(single_states, min_size=n, max_size=n))
+        post_f = data.draw(st.lists(single_states, min_size=n, max_size=n))
     report = run_scenario(Scenario("factorized", n, tuple(pre_f), tuple(post_f),
                                    (AblAmplitudeQuery(product), AblAmplitudeQuery(()))))
     amplitude, overlap = (record.results[0].value for record in report.records)

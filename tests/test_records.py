@@ -1,6 +1,8 @@
-"""The library's frozen value types: value semantics, reprs and pickling."""
+"""The library's frozen value types: value semantics, reprs, copies and pickling."""
 
+import copy
 import pickle
+import struct
 
 import pytest
 
@@ -12,21 +14,25 @@ from twobox import (
     DetailedVsGlobalQuery,
     ExplicitState,
     HamiltonianSpec,
+    InvalidAmplitudesError,
     Ket,
+    Operator,
     PrePostSelection,
     PredicateQuery,
     ProductState,
     ProjectorSpec,
     Scenario,
     TransitionElementQuery,
+    UnnormalizedKet,
     WeakValueQuery,
     WeakValueSumQuery,
     render_report_json,
     run_scenario,
 )
-from twobox.engine import AblResult
-from twobox.hilbert import LabelScheme
-from twobox.scenarios import QueryRecord, ResultValue, ScenarioReport, lookup_scenario
+from twobox.engine import AblResult, MeasurementSet
+from twobox.hilbert import LabelScheme, _Record
+from twobox.scenarios import (QueryRecord, ResultValue, ScenarioReport, builtin_scenarios,
+                              lookup_scenario)
 
 BOX = "ProjectorSpec(kind='box', n_particles=2, particle=1, box='L', pair=None, other=None)"
 SAME = "ProjectorSpec(kind='pair_same', n_particles=2, particle=None, box=None, pair=(1, 2), other=None)"
@@ -156,14 +162,80 @@ def test_match_args_keep_the_field_order():
             assert (kind, n, particle, box, pair, other) == ("sd", 3, None, None, (1, 2), 3)
 
 
-# a PrePostSelection holds Kets, which compare by identity and refuse unpickling
-PICKLED = [(r, text) for r, text in CASES if type(r) is not PrePostSelection]
-
-
-@pytest.mark.parametrize("record, text", PICKLED, ids=[type(r).__name__ for r, _ in PICKLED])
+@pytest.mark.parametrize("record, text", CASES, ids=IDS)
 def test_a_pickle_round_trip_returns_an_equal_record(record, text):
-    copy = pickle.loads(pickle.dumps(record))
-    assert type(copy) is type(record) and copy == record and repr(copy) == text
+    copied = pickle.loads(pickle.dumps(record))
+    assert type(copied) is type(record) and repr(copied) == text
+    if type(record) is PrePostSelection:  # whose Kets compare by identity
+        for name in ("pre", "post"):
+            state, twin = getattr(record, name), getattr(copied, name)
+            assert type(twin) is Ket and twin is not state
+            assert twin.amplitudes.tolist() == state.amplitudes.tolist()
+    else:
+        assert copied == record
+
+
+def _records_in(value):
+    """Every record in ``value``, itself included, through tuples and fields."""
+    if isinstance(value, _Record):
+        yield value
+        value = tuple(vars(value).values())
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _records_in(item)
+
+
+def test_a_record_hashes_as_its_field_tuple():
+    # every record a builtin scenario and its report hold, at every depth
+    records = [r for s in builtin_scenarios() for r in _records_in((s, run_scenario(s)))]
+    assert {type(r).__name__ for r in records} >= {
+        "Scenario", "ScenarioReport", "QueryRecord", "ResultValue", "ProjectorSpec",
+        "HamiltonianSpec", "PredicateQuery", "TransitionElementQuery"}
+    for record in records:
+        assert hash(record) == hash(tuple(getattr(record, f) for f in record.__match_args__))
+
+
+def _values():
+    return [
+        Ket([0.6, 0.8j], SPIN_LABELS),
+        UnnormalizedKet([2, 0, 0, 1j]),
+        Operator.from_diagonal([1, 0, 0.5j, 0], SPIN_LABELS),
+        Operator([[1, 2j], [3, 4]]),
+        MeasurementSet([Operator.from_diagonal([1, 0]), Operator([[0, 0], [0, 1]])], ["a", "b"]),
+    ]
+
+
+def _stored(value):
+    """A value's type, labels and stored numbers, in their storage form."""
+    if isinstance(value, MeasurementSet):
+        return type(value), value.labels, [_stored(op) for op in value]
+    data = value.amplitudes if isinstance(value, (Ket, UnnormalizedKet)) else value._data
+    return type(value), value.labels, data.ndim, data.tolist()
+
+
+@pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
+                                 lambda value: pickle.loads(pickle.dumps(value))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_states_operators_and_measurement_sets_copy_and_pickle(how):
+    for value in _values():
+        twin = how(value)
+        assert twin is not value and _stored(twin) == _stored(value)
+    # a PrePostSelection of them goes the same way
+    selection = how(PrePostSelection(Ket([1, 0]), Ket([0.6, 0.8])))
+    assert selection.post.amplitudes.tolist() == [0.6, 0.8]
+
+
+def test_an_unpickled_value_is_checked_again():
+    # the same pickle with one amplitude or entry changed is refused as the constructor refuses it
+    for value, old, new, message in [
+            (Ket([0.6, 0.8]), 0.6, 0.7, "not normalized"),
+            (Operator.from_diagonal([1, 0.5]), 0.5, float("nan"), "diagonal must be finite"),
+            (Operator([[1, 0.5], [0, 1]]), 0.5, float("inf"), "entries must be finite")]:
+        data = pickle.dumps(value)
+        forged = data.replace(struct.pack("<d", old), struct.pack("<d", new))
+        assert forged != data
+        with pytest.raises(InvalidAmplitudesError, match=message):
+            pickle.loads(forged)
 
 
 def label_copy(scheme):
