@@ -137,10 +137,9 @@ class _Tokens:
         if item is None:
             raise ExpressionError(f"column {len(self.text) + 1}: unexpected end of expression")
         kind, text, pos = item
-        if expect_kind is not None and kind != expect_kind:
-            raise ExpressionError(f"column {pos}: expected {expect_kind}, found {quoted(text)}")
-        if expect_text is not None and text != expect_text:
-            raise ExpressionError(f"column {pos}: expected {expect_text!r}, found {quoted(text)}")
+        if expect_kind not in (None, kind) or expect_text not in (None, text):
+            wanted = expect_kind if expect_text is None else repr(expect_text)
+            raise ExpressionError(f"column {pos}: expected {wanted}, found {quoted(text)}")
         self.cursor += 1
         return item
 

@@ -395,21 +395,20 @@ def _entry(terms: Sequence[tuple[complex, ProjectorSpec]], index: int, n: int) -
     return total
 
 
-def _class_diagonals(hamiltonians: Sequence[HamiltonianSpec],
-                     weights: Sequence[Sequence[complex]] | None = None):
+def _class_diagonals(hamiltonians: Sequence[HamiltonianSpec]) -> list[list[complex]]:
     """The diagonals of weighted projector sums on the same n particles, one
-    entry (:func:`_entry`) per label class of all their terms, and the classes,
-    as :func:`_label_classes` gives them. A diagonal with an entry that is not
-    finite is refused as :func:`build_hamiltonian` refuses it.
+    entry (:func:`_entry`) per label class of all their terms, in the order
+    :func:`_label_classes` gives the classes. A diagonal with an entry that is
+    not finite is refused as :func:`build_hamiltonian` refuses it.
     """
     n = hamiltonians[0].n_particles
-    classes = _label_classes([proj for h in hamiltonians for _, proj in h.terms], n, weights)
+    classes = _label_classes([proj for h in hamiltonians for _, proj in h.terms], n)
     diagonals = []
     for h in hamiltonians:
         entries = [_entry(h.terms, index, n) for index, _ in classes]
         _check_entries(entries)
         diagonals.append(entries)
-    return diagonals, classes
+    return diagonals
 
 
 def _check_entries(entries: Sequence[complex]) -> None:
@@ -447,7 +446,7 @@ class _SpecChecks:
 
     def __init__(self, hamiltonians: Sequence[HamiltonianSpec]):
         self.hamiltonians = hamiltonians
-        self.diagonals = _class_diagonals(hamiltonians)[0]
+        self.diagonals = _class_diagonals(hamiltonians)
 
     def is_hermitian(self, k: int, tol: float) -> bool:
         return _class_max([z - z.conjugate() for z in self.diagonals[k]]) <= tol

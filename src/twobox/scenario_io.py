@@ -8,19 +8,23 @@ and the wording of a JSON Schema validator, so malformed input fails
 with a path instead of a stack trace. A differential test against
 jsonschema holds the schema and the readers to each other.
 
-The ``projector`` and ``query`` definitions of the schema are built at
-import from the tables the readers use, one branch per kind or type:
-``_PROJECTOR_KEYS``, taken from the fields ``projectors`` names for each
-kind, with ``_PROJECTOR_FIELDS`` (each key's value schema and reader), and
-``_QUERY_KEYS``, taken from the ``keys`` and ``optional_keys`` of the query
-classes, with ``_QUERY_FIELDS`` (each key's query field, value schema and
-reader). So a query type is defined by its class alone; a key no other type
-uses adds one ``_QUERY_FIELDS`` row. The enumerations (state names, label schemes,
-predicate checks) come from the modules that define them. "integer"
-means a JSON integer: an int that is not a bool, so ``3.0`` is refused
-where an integer belongs. Complex numbers travel as [re, im] pairs at
-full double precision, which makes rendered reports parse back into
-equal values.
+The schema is built at import from the tables the readers use, so each
+object's keys are stated once. An object read by key (the ``{cL, cR}``
+pair, a Hamiltonian term, a ``{terms}`` sum, a ``product`` or
+``amplitudes`` state) has one field table, each key's value schema and
+reader, from which ``_object_schema`` builds its branch and ``_read`` its
+key check. The ``projector`` and ``query`` definitions take one branch per
+kind or type: ``_PROJECTOR_KEYS`` (the fields ``projectors`` names per
+kind) with ``_PROJECTOR_FIELDS``, and ``_QUERY_KEYS`` (the ``keys`` and
+``optional_keys`` of the query classes) with ``_QUERY_FIELDS``, each key's
+query field, value schema and reader. So a query type is defined by its
+class alone; a key no other type uses adds one ``_QUERY_FIELDS`` row. The
+top-level key check reads the schema's own ``required`` and ``properties``.
+The enumerations (state names, label schemes, predicate checks) come from
+the modules that define them. "integer" means a JSON integer: an int
+that is not a bool, so ``3.0`` is refused where an integer belongs.
+Complex numbers travel as [re, im] pairs at full double precision, which
+makes rendered reports parse back into equal values.
 
 ``report_to_document`` is the declared shape of a report document.
 ``render_report_json`` writes that shape directly from the report, one
@@ -69,74 +73,11 @@ _COMPLEX_PAIR = {
     "minItems": 2,
 }
 
-_STATE = {
-    "oneOf": [
-        {"enum": _STATE_NAMES},
-        {
-            "type": "object",
-            "required": ["cL", "cR"],
-            "additionalProperties": False,
-            "properties": {
-                "cL": {"$ref": "#/$defs/complex"},
-                "cR": {"$ref": "#/$defs/complex"},
-            },
-        },
-    ],
-}
-
 # a projector object, or an array of them meaning their product
 _MEMBER = {
     "oneOf": [
         {"$ref": "#/$defs/projector"},
         {"type": "array", "items": {"$ref": "#/$defs/projector"}},
-    ],
-}
-
-_HAMILTONIAN_TERM = {
-    "type": "object",
-    "required": ["projector"],
-    "additionalProperties": False,
-    "properties": {
-        "coeff": {"$ref": "#/$defs/complex"},
-        "projector": {"$ref": "#/$defs/projector"},
-    },
-}
-
-# a single projector or an explicit weighted sum of them
-_OPERATOR_EXPR = {
-    "oneOf": [
-        {"$ref": "#/$defs/projector"},
-        {
-            "type": "object",
-            "required": ["terms"],
-            "additionalProperties": False,
-            "properties": {
-                "terms": {"type": "array", "items": {"$ref": "#/$defs/hterm"}},
-            },
-        },
-    ],
-}
-
-_NSTATE = {
-    "oneOf": [
-        {
-            "type": "object",
-            "required": ["product"],
-            "additionalProperties": False,
-            "properties": {
-                "product": {"type": "array", "minItems": 1,
-                            "items": {"$ref": "#/$defs/state"}},
-            },
-        },
-        {
-            "type": "object",
-            "required": ["amplitudes"],
-            "additionalProperties": False,
-            "properties": {
-                "amplitudes": {"type": "array", "minItems": 2,
-                               "items": {"$ref": "#/$defs/complex"}},
-            },
-        },
     ],
 }
 
@@ -178,8 +119,9 @@ def _items(values, path: str, read, min_items: int = 0) -> tuple:
                  for k, value in enumerate(_array(values, path, min_items)))
 
 
-def _object(value, path: str, required: tuple, optional: tuple = ()) -> dict:
-    """``value``, refused unless it is an object with every required key and no other."""
+def _object(value, path: str, required, optional=()) -> dict:
+    """``value``, refused unless it is an object with every ``required`` key and
+    no key outside ``required`` and ``optional`` (collections of keys)."""
     _typed(value, "object", path)
     for key in required:
         if key not in value:
@@ -202,6 +144,22 @@ def _tagged(value, tag: str, table: dict, path: str) -> dict:
     return _object(value, path, *keys)
 
 
+# A field table maps each key an object may hold to (its value schema, its reader);
+# the keys it must hold come with it, the table itself where it must hold them all.
+
+def _object_schema(fields: dict, required) -> dict:
+    return {"type": "object", "required": list(required), "additionalProperties": False,
+            "properties": {key: row[0] for key, row in fields.items()}}
+
+
+def _read(doc, fields: dict, required, path: str, *args) -> dict:
+    """The values of an object with the ``required`` keys and no key outside
+    ``fields``, each read in document order by its row's reader:
+    ``read(value, *args, its $-path)``."""
+    _object(doc, path, required, fields)
+    return {key: fields[key][1](value, *args, f"{path}.{key}") for key, value in doc.items()}
+
+
 def _pair(value, item: str, path: str) -> tuple:
     """A two-entry array whose entries are of the JSON type ``item``."""
     if len(_typed(value, "array", path)) > 2:
@@ -219,12 +177,16 @@ def _complex(value, path: str) -> complex:
         raise InvalidAmplitudesError("coefficients must lie within the float range") from None
 
 
+_COMPLEX = {"$ref": "#/$defs/complex"}
+# the {cL, cR} coefficients of a single-particle state; it must hold both
+_PAIR_FIELDS = {"cL": (_COMPLEX, _complex), "cR": (_COMPLEX, _complex)}
+
+
 def _parse_state(doc, path: str) -> Any:
     if not isinstance(doc, dict):
         return _enum(doc, _STATE_NAMES, path)
-    _object(doc, path, ("cL", "cR"))
     try:
-        parts = {key: _complex(value, f"{path}.{key}") for key, value in doc.items()}
+        parts = _read(doc, _PAIR_FIELDS, _PAIR_FIELDS, path)
         pair = (parts["cL"], parts["cR"])
         _single_pair(pair)
     except (InvalidAmplitudesError, UnnormalizableStateError) as exc:
@@ -264,10 +226,15 @@ def _parse_members(docs, particles: int, path: str) -> tuple[tuple[ProjectorSpec
     return _items(docs, path, lambda d, at: _parse_member(d, particles, at), 1)
 
 
+# a Hamiltonian term: its coefficient (1 if absent) and its projector
+_TERM_FIELDS = {
+    "coeff": (_COMPLEX, lambda value, n, path: _complex(value, path)),
+    "projector": ({"$ref": "#/$defs/projector"}, _parse_projector),
+}
+
+
 def _parse_term(doc, particles: int, path: str) -> tuple[complex, ProjectorSpec]:
-    _object(doc, path, ("projector",), ("coeff",))
-    read = {"coeff": _complex, "projector": lambda p, at: _parse_projector(p, particles, at)}
-    fields = {key: read[key](value, f"{path}.{key}") for key, value in doc.items()}
+    fields = _read(doc, _TERM_FIELDS, ("projector",), path, particles)
     return fields.get("coeff", 1 + 0j), fields["projector"]
 
 
@@ -276,29 +243,42 @@ def _parse_terms(docs, particles: int, path: str) -> HamiltonianSpec:
                            particles)
 
 
+# an explicit weighted sum of projectors, the alternative to a single projector
+_SUM_FIELDS = {"terms": ({"type": "array", "items": {"$ref": "#/$defs/hterm"}}, _parse_terms)}
+
+
 def _parse_opexpr(doc, particles: int, path: str) -> HamiltonianSpec:
     if not isinstance(doc, dict):
         _fail(path, f"{quoted(doc)} is not valid under any of the given schemas")
     if "terms" in doc and "kind" not in doc:
-        return _parse_terms(_object(doc, path, ("terms",))["terms"], particles, f"{path}.terms")
+        return _read(doc, _SUM_FIELDS, _SUM_FIELDS, path, particles)["terms"]
     return HamiltonianSpec(((1 + 0j, _parse_projector(doc, particles, path)),), particles)
+
+
+# the two forms of an n-particle state: a product of single-particle states,
+# or its 2**n amplitudes
+_PRODUCT_FIELDS = {
+    "product": ({"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/state"}},
+                lambda docs, path: ProductState(_items(docs, path, _parse_state, 1))),
+}
+_AMPLITUDES_FIELDS = {
+    "amplitudes": ({"type": "array", "minItems": 2, "items": _COMPLEX},
+                   lambda docs, path: ExplicitState(
+                       _explicit_amplitudes(_items(docs, path, _complex, 2)))),
+}
 
 
 def _parse_nstate(doc, path: str):
     if not isinstance(doc, dict):
         _fail(path, f"{quoted(doc)} is not valid under any of the given schemas")
     if "amplitudes" not in doc or "product" in doc:
-        _object(doc, path, ("product",))
-        return ProductState(_items(doc["product"], f"{path}.product", _parse_state, 1))
-    _object(doc, path, ("amplitudes",))
+        return _read(doc, _PRODUCT_FIELDS, _PRODUCT_FIELDS, path)["product"]
     try:
-        amplitudes = _explicit_amplitudes(
-            _items(doc["amplitudes"], f"{path}.amplitudes", _complex, 2))
+        return _read(doc, _AMPLITUDES_FIELDS, _AMPLITUDES_FIELDS, path)["amplitudes"]
     except ScenarioFileError:
         raise
     except ValueError as exc:
         raise ScenarioFileError(f"{path}: {exc}") from exc
-    return ExplicitState(amplitudes)
 
 
 _QUERY_TYPES = {cls.tag: cls for cls in get_args(Query)}
@@ -315,8 +295,7 @@ _QUERY_FIELDS = {
     "projector": ("projector", {"$ref": "#/$defs/member"}, _parse_member),
     "projectors": ("projectors", _MEMBERS, _parse_members),
     "members": ("members", _MEMBERS, _parse_members),
-    "hamiltonian": ("hamiltonian", {"type": "array", "items": {"$ref": "#/$defs/hterm"}},
-                    _parse_terms),
+    "hamiltonian": ("hamiltonian", *_SUM_FIELDS["terms"]),
     "check": ("check", {"enum": _CHECKS}, lambda doc, n, path: _enum(doc, _CHECKS, path)),
     "operators": ("operands",
                   {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/opexpr"}},
@@ -324,7 +303,7 @@ _QUERY_FIELDS = {
                       docs, path, lambda d, at: _parse_opexpr(d, n, at), 1)),
     "state": ("state", {"$ref": "#/$defs/nstate"},
               lambda doc, n, path: _parse_nstate(doc, path)),
-    "eigenvalue": ("eigenvalue", {"$ref": "#/$defs/complex"},
+    "eigenvalue": ("eigenvalue", _COMPLEX,
                    lambda doc, n, path: _complex(doc, path)),
     "claim": ("claim", {"type": "string"}, lambda doc, n, path: _typed(doc, "string", path)),
 }
@@ -362,13 +341,15 @@ SCENARIO_SCHEMA = {
     },
     "$defs": {
         "complex": _COMPLEX_PAIR,
-        "state": _STATE,
+        "state": {"oneOf": [{"enum": _STATE_NAMES}, _object_schema(_PAIR_FIELDS, _PAIR_FIELDS)]},
         "projector": _tagged_schema(
             "kind", _PROJECTOR_KEYS, {key: row[0] for key, row in _PROJECTOR_FIELDS.items()}),
         "member": _MEMBER,
-        "hterm": _HAMILTONIAN_TERM,
-        "opexpr": _OPERATOR_EXPR,
-        "nstate": _NSTATE,
+        "hterm": _object_schema(_TERM_FIELDS, ("projector",)),
+        "opexpr": {"oneOf": [{"$ref": "#/$defs/projector"},
+                             _object_schema(_SUM_FIELDS, _SUM_FIELDS)]},
+        "nstate": {"oneOf": [_object_schema(_PRODUCT_FIELDS, _PRODUCT_FIELDS),
+                             _object_schema(_AMPLITUDES_FIELDS, _AMPLITUDES_FIELDS)]},
         "query": _tagged_schema(
             "type", _QUERY_KEYS, {key: row[1] for key, row in _QUERY_FIELDS.items()}),
     },
@@ -393,8 +374,7 @@ def parse_scenario_document(doc) -> Scenario:
     first structural problem, and with a query index on semantic ones,
     such as particle indices outside 1..particles.
     """
-    _object(doc, "$", ("name", "particles", "pre", "post", "queries"),
-            ("labels", "description", "notes"))
+    _object(doc, "$", SCENARIO_SCHEMA["required"], SCENARIO_SCHEMA["properties"])
     name = _typed(doc["name"], "string", "$.name")
     if not name:
         _fail("$.name", f"{quoted(name)} is too short (minLength 1)")

@@ -26,18 +26,19 @@ of its specs (``projectors._label_classes``) in plain Python, with no
 2**n array and no numpy: at most 3 * 2**|T| classes for the particles T
 the specs name. An amplitude is the summed weight of the classes on which
 its product holds (``projectors._product_amplitude``); its preconditions
-(completeness, projector-ness), the cross-check of a weak-value sum and
-the overflow refusal of a transition element read the classes of all the
-query's specs. So do the ``is_projector``, ``orthogonal`` and
-``resolution_of_identity`` predicates, as ``twobox check`` does
-(``projectors._SpecChecks``). An ``eigenstate`` predicate forms the 2**n
-amplitudes of its state in plain Python, a product state's from its pairs
-and an explicit one checked as ``Ket`` checks it
-(``hilbert._explicit_amplitudes``), and its residual label by label from
-the entries its classes have (``_SpecChecks.eigenstate_residual``). So no
-query loads numpy. The values match the operator route of
-:mod:`twobox.engine` and :func:`twobox.hilbert.eigenstate_residual` up to
-rounding in the last bits.
+(completeness, projector-ness) and the cross-check of a weak-value sum read
+the classes of all the query's specs. So do the ``is_projector``,
+``orthogonal`` and ``resolution_of_identity`` predicates, as ``twobox
+check`` does (``projectors._SpecChecks``). A transition element is always
+the sum over its terms of coefficient times amplitude; its classes only
+decide whether its built operator would overflow, and so be refused. An
+``eigenstate`` predicate forms the 2**n amplitudes of its state in plain
+Python, a product state's from its pairs and an explicit one checked as
+``Ket`` checks it (``hilbert._explicit_amplitudes``), and its residual
+label by label from the entries its classes have
+(``_SpecChecks.eigenstate_residual``). So no query loads numpy. The values
+match the operator route of :mod:`twobox.engine` and
+:func:`twobox.hilbert.eigenstate_residual` up to rounding in the last bits.
 """
 
 from __future__ import annotations
@@ -266,14 +267,11 @@ class TransitionElementQuery(_Record):
 
     def results(self, selection: _ProductSelection, tol: float):
         terms = self.hamiltonian.terms
-        if (math.isfinite(sum(abs(c.real) for c, _ in terms))
+        if not (math.isfinite(sum(abs(c.real) for c, _ in terms))
                 and math.isfinite(sum(abs(c.imag) for c, _ in terms))):
-            # no entry of the built operator could overflow, so it would refuse nothing
-            value = sum((c * selection.amplitude((spec,)) for c, spec in terms), 0j)
-        else:  # refused as the built operator is refused, else summed class by class
-            (entries,), classes = _class_diagonals((self.hamiltonian,), selection.weights)
-            value = sum((e * w for e, (_, w) in zip(entries, classes)), 0j)
-        yield "transition_element", value
+            # an entry of the built operator may overflow: refused as it is refused
+            _class_diagonals((self.hamiltonian,))
+        yield "transition_element", sum((c * selection.amplitude((spec,)) for c, spec in terms), 0j)
 
 
 PREDICATE_CHECKS = ("is_projector", "orthogonal", "resolution_of_identity", "eigenstate")

@@ -450,7 +450,12 @@ def test_expression_parser_rejections():
             # int() refuses more than 4300 digits, float() overflows to inf
             ("pair_same(" + "9" * 4301 + ",2)", "column 11: integer out of range '9999"),
             ("1e999*all_same", "column 1: number out of range '1e999'"),
-            ("(1+1e999i)*all_same", "column 4: number out of range '1e999i'")]:
+            ("(1+1e999i)*all_same", "column 4: number out of range '1e999i'"),
+            # an expected symbol is named by its text, whatever token stands there
+            ("pair_same(1 2)", "column 13: expected ',', found '2'"),
+            ("box 1", "column 5: expected '(', found '1'"),
+            ("2 pair_same(1,2)", "column 3: expected '*', found 'pair_same'"),
+            ("pair_same(1;2)", "column 12: expected ',', found ';'")]:
         with pytest.raises(ExpressionError, match=f"^{re.escape(message)}"):
             parse_operator_expression(text, 3)
         err = io.StringIO()

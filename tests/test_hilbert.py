@@ -212,8 +212,9 @@ def test_operator_algebra():
     assert np.array_equal((eye @ eye).entries, eye.entries)
     with pytest.raises(DimensionMismatchError):
         eye + Operator.identity(2)
-    with pytest.raises(TypeError):
-        eye + 1
+    for combine in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y):
+        with pytest.raises(TypeError):
+            combine(eye, 1)
     with pytest.raises(ValueError, match="square"):
         Operator(np.zeros((2, 3)))
     with pytest.raises(AttributeError):
@@ -261,6 +262,7 @@ def test_repr_is_compact():
     assert text.startswith("Ket(")
     assert "..." in text  # eight terms, shown truncated
     assert repr(UnnormalizedKet([0.0, 0.0])) == "UnnormalizedKet(0)"
+    assert repr(Operator.identity(1)) == "Operator(n_particles=1, labels='box')"
 
 
 def test_default_tolerance_value():

@@ -112,6 +112,9 @@ def test_schema_violations_carry_a_path():
         parse_scenario_document(minimal_doc(particles=MAX_PARTICLES + 1))
     with pytest.raises(ScenarioFileError, match=r"^\$\.post: \[\] is too short"):
         parse_scenario_document(minimal_doc(post=[]))
+    with pytest.raises(ScenarioFileError,
+                       match=r"^\$\.pre\[0\]\.cL: \[1\] is too short \(minItems 2\)$"):
+        parse_scenario_document(minimal_doc(pre=[{"cL": [1], "cR": [0, 1]}, "+", "+"]))
 
 
 # one valid query document per query type, without its "type"
@@ -128,6 +131,14 @@ QUERY_EXAMPLES = {
 
 def test_the_schema_is_a_valid_draft_2020_12_schema():
     Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+
+
+def test_the_published_schema_does_not_drift():
+    # the schema is built from the readers' tables at import; scenario_schema.json
+    # holds its published text, key order included
+    path = os.path.join(os.path.dirname(__file__), "scenario_schema.json")
+    with open(path, encoding="utf-8") as handle:
+        assert json.dumps(SCENARIO_SCHEMA) == json.dumps(json.load(handle))
 
 
 def test_every_query_type_is_one_record_and_one_schema_branch():

@@ -629,9 +629,10 @@ def test_spec_built_queries_agree_with_the_operator_api(pre, post, tol):
 
 
 @pytest.mark.parametrize("post", [("+", "+"), ("+i", "+i")])
-def test_transition_element_past_the_float_range_sums_class_by_class(post):
-    # the coefficient magnitudes sum to inf, so the query sums the entries of its
-    # label classes, as the built operator would be summed
+def test_transition_element_past_the_float_range_matches_the_built_operator(post):
+    # the coefficient magnitudes sum to inf, so the query asks its label classes
+    # whether the built operator is refused; it is not, and the per-term sum
+    # matches the built operator's element
     box = lambda b: ProjectorSpec.box_occupation(1, b, 2)
     query = TransitionElementQuery(HamiltonianSpec.of([(1.7e308, box("L")), (1.7e308, box("R"))]))
     record = run_scenario(Scenario("huge", 2, ("+", "+"), post, (query,))).records[0]
