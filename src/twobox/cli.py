@@ -15,46 +15,52 @@ import re
 import sys
 
 from .errors import ExpressionError, InvalidArgumentError, ScenarioFileError, TwoBoxError, quoted
-from .hilbert import DEFAULT_TOLERANCE
-from .projectors import PROJECTOR_KINDS, HamiltonianSpec, ProjectorSpec, _SpecChecks
+from .hilbert import DEFAULT_TOLERANCE, MAX_PARTICLES
+from .projectors import (PROJECTOR_KINDS, HamiltonianSpec, ProjectorSpec, _are_orthogonal,
+                         _class_diagonals, _idempotency_defect, _is_hermitian, _resolves_identity)
 from .scenario_io import load_scenario_file, render_report_json
 from .scenarios import ScenarioReport, builtin_scenarios, lookup_scenario, run_scenario
 
 
-def format_complex(z: complex, sig: int = 6) -> str:
-    """Render a complex number as "a + bi" with ``sig`` significant digits."""
+_DIGITS = 6  # significant digits of a number in a table
+_MAX_DENOMINATOR = 64  # the largest denominator an exact-fraction tag names
+
+
+def format_complex(z: complex) -> str:
+    """Render a complex number as "a + bi" with ``_DIGITS`` significant digits."""
     re_part = z.real + 0.0
     im_part = z.imag + 0.0
     if re_part == 0.0 and im_part == 0.0:
         return "0"
     if im_part == 0.0:
-        return f"{re_part:.{sig}g}"
+        return f"{re_part:.{_DIGITS}g}"
     if re_part == 0.0:
         sign = "-" if im_part < 0 else ""
-        return f"{sign}{abs(im_part):.{sig}g}i"
+        return f"{sign}{abs(im_part):.{_DIGITS}g}i"
     sign = "+" if im_part > 0 else "-"
-    return f"{re_part:.{sig}g} {sign} {abs(im_part):.{sig}g}i"
+    return f"{re_part:.{_DIGITS}g} {sign} {abs(im_part):.{_DIGITS}g}i"
 
 
 def _imag_token(q: int) -> str:
     return "i" if q == 1 else f"{q}i"
 
 
-def fraction_annotation(z: complex, tol: float = DEFAULT_TOLERANCE,
-                        max_denominator: int = 64) -> str | None:
-    """An exact-fraction tag such as "(= (1+i)/8)" when one matches within tol.
+def fraction_annotation(z: complex) -> str | None:
+    """An exact-fraction tag such as "(= (1+i)/8)" when one matches within
+    ``DEFAULT_TOLERANCE``.
 
-    Only small denominators are recognized; integers need no tag, and
-    unmatched values get none, as do values that are not finite or too
-    large to scale by the denominators.
+    Only denominators up to ``_MAX_DENOMINATOR`` are recognized; integers
+    need no tag, and unmatched values get none, as do values that are not
+    finite or too large to scale by the denominators.
     """
     z = complex(z)
-    if not all(math.isfinite(part * max_denominator) for part in (z.real, z.imag)):
+    if not all(math.isfinite(part * _MAX_DENOMINATOR) for part in (z.real, z.imag)):
         return None
-    for den in range(1, max_denominator + 1):
+    for den in range(1, _MAX_DENOMINATOR + 1):
         p = round(z.real * den)
         q = round(z.imag * den)
-        if abs(z.real - p / den) <= tol and abs(z.imag - q / den) <= tol:
+        if (abs(z.real - p / den) <= DEFAULT_TOLERANCE
+                and abs(z.imag - q / den) <= DEFAULT_TOLERANCE):
             if den == 1:
                 return None
             if q == 0:
@@ -282,6 +288,17 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {quoted(text)}")
 
 
+def _particles(text: str) -> int:
+    """The --particles value: an integer in 1..MAX_PARTICLES."""
+    try:
+        if 1 <= int(text) <= MAX_PARTICLES:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"particles must be an integer in 1..{MAX_PARTICLES}, got {quoted(text)}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="twobox",
                      description="pre- and postselected computations for particles in two boxes")
@@ -303,7 +320,7 @@ def _build_parser() -> _Parser:
     p_check = sub.add_parser("check", help="check operator expressions for projector structure")
     p_check.add_argument("expression",
                          help="an operator expression, or a path to a file with one per line")
-    p_check.add_argument("--particles", type=int, default=3)
+    p_check.add_argument("--particles", type=_particles, default=3)
     p_check.add_argument("--format", choices=("table", "json"), default="table")
     p_check.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     p_check.set_defaults(handler=_cmd_check)
@@ -357,12 +374,12 @@ def _cmd_check(args) -> int:
     parsed = parse_operator_expressions(text, args.particles)
     if not parsed:
         raise ExpressionError("no operator expressions found")
-    checks = _SpecChecks([spec for _, spec in parsed])
+    diagonals = _class_diagonals([spec for _, spec in parsed])
     tol = args.tolerance
 
     entries = []
-    for k, (expr, _) in enumerate(parsed):
-        hermitian, defect = checks.is_hermitian(k, tol), checks.idempotency_defect(k)
+    for (expr, _), diagonal in zip(parsed, diagonals):
+        hermitian, defect = _is_hermitian(diagonal, tol), _idempotency_defect(diagonal)
         entries.append({"expression": expr, "hermitian": hermitian,
                         "is_projector": hermitian and defect <= tol,
                         "idempotency_defect": defect})
@@ -373,11 +390,11 @@ def _cmd_check(args) -> int:
     }
     if len(parsed) > 1:
         payload["pairwise_orthogonal"] = [
-            {"pair": [i, j], "orthogonal": checks.are_orthogonal(i, j, tol)}
+            {"pair": [i, j], "orthogonal": _are_orthogonal(diagonals[i], diagonals[j], tol)}
             for i in range(len(parsed))
             for j in range(i + 1, len(parsed))
         ]
-        payload["resolution_of_identity"] = checks.is_resolution_of_identity(tol)
+        payload["resolution_of_identity"] = _resolves_identity(diagonals, tol)
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))

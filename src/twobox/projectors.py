@@ -10,11 +10,14 @@ only the boxes of the particles it names, and ``all_same`` whether the
 rest are all in L, all in R or mixed, so the bit tests of one
 representative index per class answer for all its labels. The amplitude
 of a product of specs between two product states is the summed weight of
-its classes on which every spec holds (``_product_amplitude``). The
-scenario layer checks completeness and projector-ness on the classes
-exactly, and ``_SpecChecks`` runs the structural checks of weighted sums
-on their class entries, as their built operators would, and their
-eigenstate residual on the same entries label by label (``_entry``).
+its classes on which every spec holds (``_product_amplitude``). One set of
+structural checks (``_is_hermitian``, ``_idempotency_defect``,
+``_are_orthogonal``, ``_resolves_identity``) runs on a class diagonal, one
+entry per class, as the same checks of the built operators would: the
+entries of weighted sums (``_class_diagonals``) for predicates and ``twobox
+check``, and the 0/1 holds of products (``_product_table``) for a
+measurement's completeness and a member sum's projector-ness.
+``_eigenstate_residual`` reads the same entries label by label (``_entry``).
 Built operators (``build_projector``, ``build_hamiltonian``) are numpy
 arrays.
 
@@ -231,11 +234,6 @@ def _product_table(products: Sequence[Sequence[ProjectorSpec]], n: int,
             for index, w in _label_classes([spec for p in products for spec in p], n, weights)]
 
 
-def _class_counts(products: Sequence[Sequence[ProjectorSpec]], n: int) -> list[int]:
-    """How many of the products hold on each label class of them."""
-    return [sum(holds) for _, holds in _product_table(products, n)]
-
-
 def _product_amplitude(product: Sequence[ProjectorSpec],
                        weights: Sequence[Sequence[complex]]) -> complex:
     """<post|P|pre> for the product P of specs between two product states, with
@@ -367,24 +365,6 @@ def is_resolution_of_identity(projectors: Iterable[Operator],
             and (total - Operator.identity(total.n_particles)).max_entry() <= tol)
 
 
-def _counts_resolve_identity(counts: Sequence[int], tol: float) -> bool:
-    """:func:`is_resolution_of_identity` for the diagonal operators of products
-    that hold ``counts`` times on the label classes, computed exactly: their
-    sum misses the identity by max |count - 1|. Every other defect is no
-    larger: a 0/1 diagonal has hermitian and idempotency defects 0, and two
-    products that overlap have a product with entry 1 where the count is 2
-    or more."""
-    return max(max(counts) - 1, 1 - min(counts)) <= tol
-
-
-def _count_sum_is_projector(counts: Sequence[int], tol: float) -> bool:
-    """:func:`is_projector` for the sum of the diagonal operators of products
-    that hold ``counts`` times on the label classes, computed exactly: its
-    idempotency defect is max |count^2 - count|, and its hermitian defect, 0,
-    is no larger."""
-    return max(c * (c - 1) for c in counts) <= tol
-
-
 def _entry(terms: Sequence[tuple[complex, ProjectorSpec]], index: int, n: int) -> complex:
     """The diagonal entry at basis index ``index`` of the weighted projector sum
     of ``terms`` on n particles, formed as :func:`build_hamiltonian` forms it:
@@ -416,72 +396,60 @@ def _check_entries(entries: Sequence[complex]) -> None:
         raise InvalidAmplitudesError("operator diagonal must be finite")
 
 
-def _magnitude(z: complex) -> float:
-    try:
-        return abs(z)
-    except OverflowError:  # finite parts whose magnitude exceeds the float range
-        return math.inf
-
-
 def _class_max(entries: Sequence[complex]) -> float:
     """``Operator.max_entry`` of a diagonal given by its class entries, refused
     as a built operator is refused if an entry is not finite."""
     _check_entries(entries)
-    return max(map(_magnitude, entries))
+    try:
+        return max(map(abs, entries))
+    except OverflowError:  # finite parts whose magnitude exceeds the float range
+        return math.inf
 
 
-class _SpecChecks:
-    """The structural checks of weighted projector sums, computed on their
-    label classes (:func:`_class_diagonals`) with no 2**n array and no numpy,
-    and their eigenstate residual, on the 2**n amplitudes of a state but
-    still without numpy.
+# The structural checks of weighted projector sums, on their class diagonals
+# (:func:`_class_diagonals`, or the 0/1 holds of products from
+# :func:`_product_table`) with no 2**n array and no numpy. Every entry of a
+# diagonal equals its class's entry, so each check returns what the same check
+# of the built operators returns (:func:`is_hermitian` and so on), and raises
+# what it raises. For real coefficients the values are the same bits, and on
+# 0/1 holds they are exact integers. Complex ones may differ in the last bits,
+# as numpy's complex product may be fused and Python's is not; for the same
+# reason one product decides orthogonality here, as Python's commutes bit for bit.
 
-    Every entry of a diagonal equals its class's entry, so each check returns
-    what the same check of the built operators returns (:func:`is_hermitian`
-    and so on), and raises what it raises. For real coefficients the values
-    are the same bits. Complex ones may differ in the last bits, as numpy's
-    complex product may be fused and Python's is not; for the same reason one
-    product decides orthogonality here, as Python's commutes bit for bit.
-    """
+def _is_hermitian(d: Sequence[complex], tol: float) -> bool:
+    return _class_max([z - z.conjugate() for z in d]) <= tol
 
-    def __init__(self, hamiltonians: Sequence[HamiltonianSpec]):
-        self.hamiltonians = hamiltonians
-        self.diagonals = _class_diagonals(hamiltonians)
 
-    def is_hermitian(self, k: int, tol: float) -> bool:
-        return _class_max([z - z.conjugate() for z in self.diagonals[k]]) <= tol
+def _idempotency_defect(d: Sequence[complex]) -> float:
+    return _class_max([z * z - z for z in d])
 
-    def idempotency_defect(self, k: int) -> float:
-        return _class_max([z * z - z for z in self.diagonals[k]])
 
-    def are_orthogonal(self, i: int, j: int, tol: float) -> bool:
-        return _class_max([a * b for a, b in zip(self.diagonals[i], self.diagonals[j])]) <= tol
+def _are_orthogonal(a: Sequence[complex], b: Sequence[complex], tol: float) -> bool:
+    return _class_max([x * y for x, y in zip(a, b)]) <= tol
 
-    def is_resolution_of_identity(self, tol: float) -> bool:
-        total = self.diagonals[0]
-        for entries in self.diagonals[1:]:
-            total = [a + b for a, b in zip(total, entries)]
-            _check_entries(total)
-        count = len(self.diagonals)
-        return (all(self.is_hermitian(k, tol) and self.idempotency_defect(k) <= tol
-                    for k in range(count))
-                and all(self.are_orthogonal(i, j, tol)
-                        for i in range(count) for j in range(i + 1, count))
-                and _class_max([z - 1 for z in total]) <= tol)
 
-    def eigenstate_residual(self, k: int, amplitudes: Sequence[complex],
-                            eigenvalue: complex) -> float:
-        """:func:`~twobox.hilbert.eigenstate_residual` of sum k on the state with
-        these 2**n checked amplitudes: each label takes its entry (:func:`_entry`),
-        the bits its class has, and an image entry that is not finite is refused
-        as the built operator's image is. The norm is summed exactly
-        (``hilbert._norm_sq``), so it may differ from numpy's in the last bit."""
-        h = self.hamiltonians[k]
-        image = [_entry(h.terms, index, h.n_particles) * a for index, a in enumerate(amplitudes)]
-        if not all(map(cmath.isfinite, image)):
-            raise InvalidAmplitudesError("amplitudes must be finite")
-        eigenvalue = complex(eigenvalue)
-        return math.sqrt(_norm_sq([z - eigenvalue * a for z, a in zip(image, amplitudes)]))
+def _resolves_identity(ds: Sequence[Sequence[complex]], tol: float) -> bool:
+    total = ds[0]
+    for entries in ds[1:]:
+        total = [a + b for a, b in zip(total, entries)]
+        _check_entries(total)
+    return (all(_is_hermitian(d, tol) and _idempotency_defect(d) <= tol for d in ds)
+            and all(_are_orthogonal(a, b, tol) for i, a in enumerate(ds) for b in ds[i + 1:])
+            and _class_max([z - 1 for z in total]) <= tol)
+
+
+def _eigenstate_residual(h: HamiltonianSpec, amplitudes: Sequence[complex],
+                         eigenvalue: complex) -> float:
+    """:func:`~twobox.hilbert.eigenstate_residual` of ``h`` on the state with
+    these 2**n checked amplitudes: each label takes its entry (:func:`_entry`),
+    the bits its class has, and an image entry that is not finite is refused
+    as the built operator's image is. The norm is summed exactly
+    (``hilbert._norm_sq``), so it may differ from numpy's in the last bit."""
+    image = [_entry(h.terms, index, h.n_particles) * a for index, a in enumerate(amplitudes)]
+    if not all(map(cmath.isfinite, image)):
+        raise InvalidAmplitudesError("amplitudes must be finite")
+    eigenvalue = complex(eigenvalue)
+    return math.sqrt(_norm_sq([z - eigenvalue * a for z, a in zip(image, amplitudes)]))
 
 
 def relabel_to_spin(value: Ket | UnnormalizedKet | Operator):

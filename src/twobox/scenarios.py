@@ -25,18 +25,21 @@ projector specs (all but ``predicate``) is computed on the label classes
 of its specs (``projectors._label_classes``) in plain Python, with no
 2**n array and no numpy: at most 3 * 2**|T| classes for the particles T
 the specs name. An amplitude is the summed weight of the classes on which
-its product holds (``projectors._product_amplitude``); its preconditions
-(completeness, projector-ness) and the cross-check of a weak-value sum read
-the classes of all the query's specs. So do the ``is_projector``,
-``orthogonal`` and ``resolution_of_identity`` predicates, as ``twobox
-check`` does (``projectors._SpecChecks``). A transition element is always
-the sum over its terms of coefficient times amplitude; its classes only
-decide whether its built operator would overflow, and so be refused. An
-``eigenstate`` predicate forms the 2**n amplitudes of its state in plain
-Python, a product state's from its pairs and an explicit one checked as
-``Ket`` checks it (``hilbert._explicit_amplitudes``), and its residual
-label by label from the entries its classes have
-(``_SpecChecks.eigenstate_residual``). So no query loads numpy. The values
+its product holds (``projectors._product_amplitude``); the cross-check of
+a weak-value sum reads the classes of all the query's specs. Its
+preconditions and the ``is_projector``, ``orthogonal`` and
+``resolution_of_identity`` predicates run one set of structural checks on
+class diagonals, as ``twobox check`` does (``projectors._is_hermitian``
+and its siblings): a measurement set's completeness on the 0/1 holds of
+its products, a member sum's projector-ness on how many members hold per
+class, and a predicate on the entries of its weighted sums. A transition
+element is always the sum over its terms of coefficient times amplitude;
+its classes only decide whether its built operator would overflow, and so
+be refused. An ``eigenstate`` predicate forms the 2**n amplitudes of its
+state in plain Python, a product state's from its pairs and an explicit
+one checked as ``Ket`` checks it (``hilbert._explicit_amplitudes``), and
+its residual label by label from the entries its classes have
+(``projectors._eigenstate_residual``). So no query loads numpy. The values
 match the operator route of :mod:`twobox.engine` and
 :func:`twobox.hilbert.eigenstate_residual` up to rounding in the last bits.
 """
@@ -67,14 +70,15 @@ from .hilbert import (
 from .projectors import (
     HamiltonianSpec,
     ProjectorSpec,
-    _SpecChecks,
-    _class_counts,
+    _are_orthogonal,
     _class_diagonals,
-    _count_sum_is_projector,
-    _counts_resolve_identity,
+    _eigenstate_residual,
     _format_coefficient,
+    _idempotency_defect,
+    _is_hermitian,
     _product_amplitude,
     _product_table,
+    _resolves_identity,
 )
 
 SingleStateSpec = Union[str, tuple[complex, complex]]
@@ -190,7 +194,8 @@ class AblProbabilitiesQuery(_ProductSet):
     def results(self, selection: _ProductSelection, tol: float):
         if not self.projectors:
             raise InvalidArgumentError("a measurement set needs at least one projector")
-        if not _counts_resolve_identity(_class_counts(self.projectors, selection.n_particles), tol):
+        table = _product_table(self.projectors, selection.n_particles)
+        if not _resolves_identity(list(zip(*(holds for _, holds in table))), tol):
             raise IncompleteMeasurementError("incomplete measurement")
         outcome = _abl_result([selection.amplitude(p) for p in self.projectors], tol)
         labels = [_product_label(p) for p in self.projectors]
@@ -246,7 +251,9 @@ class DetailedVsGlobalQuery(_Record):
         yield "detailed", sum(abs2(a) for a in amplitudes)
         if not self.members:
             raise InvalidArgumentError("global probability needs at least one projector")
-        if not _count_sum_is_projector(_class_counts(self.members, selection.n_particles), tol):
+        # the class diagonal of the member sum: how many members hold on each class
+        total = [sum(holds) for _, holds in _product_table(self.members, selection.n_particles)]
+        if not (_is_hermitian(total, tol) and _idempotency_defect(total) <= tol):
             raise IllegitimateQuestionError("not a legitimate question")
         yield "global", abs2(sum(amplitudes))
 
@@ -335,24 +342,24 @@ class PredicateQuery(_Record):
                 f"with eigenvalue {_format_coefficient(complex(self.eigenvalue))}")
 
     def results(self, selection: _ProductSelection, tol: float):
-        checks = _SpecChecks(self.operands)
+        diagonals = _class_diagonals(self.operands)  # refuses a diagonal that is not finite
         if self.check == "eigenstate":
             amplitudes = (_product_amplitudes([_single_pair(f) for f in self.state.factors])
                           if isinstance(self.state, ProductState)
                           else _explicit_amplitudes(self.state.amplitudes))
-            residual = checks.eigenstate_residual(0, amplitudes, self.eigenvalue)
+            residual = _eigenstate_residual(self.operands[0], amplitudes, self.eigenvalue)
             yield "is_eigenstate", residual <= tol
             yield "residual_norm", residual
             return
         if self.check == "is_projector":
-            hermitian, defect = checks.is_hermitian(0, tol), checks.idempotency_defect(0)
+            hermitian, defect = _is_hermitian(diagonals[0], tol), _idempotency_defect(diagonals[0])
             yield "is_projector", hermitian and defect <= tol
             yield "hermitian", hermitian
             yield "idempotency_defect", defect
         elif self.check == "orthogonal":
-            yield "orthogonal", checks.are_orthogonal(0, 1, tol)
+            yield "orthogonal", _are_orthogonal(*diagonals, tol)
         else:
-            yield "resolution_of_identity", checks.is_resolution_of_identity(tol)
+            yield "resolution_of_identity", _resolves_identity(diagonals, tol)
 
 
 Query = Union[

@@ -356,6 +356,14 @@ def test_tolerance_must_be_finite_and_positive(capsys, command, value):
     assert err == f"error: argument --tolerance: tolerance must be positive and finite, got {value!r}\n"
 
 
+@pytest.mark.parametrize("value", ["0", "13", "x"])
+def test_particles_must_lie_in_range(capsys, value):
+    # refused at the flag, not blamed on the expression
+    code, out, err = run_cli(capsys, "check", "pair_same(1,2)", "--particles", value)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument --particles: particles must be an integer in 1..12, got {value!r}\n"
+
+
 def test_usage_errors_exit_one(capsys):
     code, out, err = run_cli(capsys)
     assert code == 1

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 import oracle
 from twobox import (
     AblAmplitudeQuery,
+    AblProbabilitiesQuery,
     DEFAULT_TOLERANCE,
+    DetailedVsGlobalQuery,
     DimensionMismatchError,
     HamiltonianSpec,
     InvalidArgumentError,
     Ket,
     Operator,
+    PredicateQuery,
     PrePostSelection,
     ProjectorSpec,
     SPIN_LABELS,
@@ -42,8 +45,9 @@ from twobox import (
 )
 from twobox.hilbert import (_explicit_amplitudes, _product_amplitudes, _single_pair,
                             eigenstate_residual)
-from twobox.projectors import (_class_counts, _count_sum_is_projector, _counts_resolve_identity,
-                               _product_table, _SpecChecks)
+from twobox.projectors import (_are_orthogonal, _class_diagonals, _eigenstate_residual,
+                               _idempotency_defect, _is_hermitian, _product_table,
+                               _resolves_identity)
 
 
 def sample_specs(n):
@@ -193,7 +197,7 @@ def test_a_product_past_the_float_range_is_not_orthogonal():
     # both parts of the product's entries are finite, but its magnitude is not
     same = ProjectorSpec.pair_same(1, 2, 2)
     sums = [HamiltonianSpec.of([(1e308 + 1e308j, same)]), HamiltonianSpec.of([(1.5, same)])]
-    assert _SpecChecks(sums).are_orthogonal(0, 1, DEFAULT_TOLERANCE) is False
+    assert _are_orthogonal(*_class_diagonals(sums), DEFAULT_TOLERANCE) is False
     assert are_orthogonal(*map(build_hamiltonian, sums)) is False
 
 
@@ -333,6 +337,18 @@ def measurement_products(draw, n):
     return complete
 
 
+def resolves_identity(table, tol):
+    """The completeness check of ``abl_probabilities`` on a product table: one
+    0/1 diagonal per product."""
+    return _resolves_identity(list(zip(*(holds for _, holds in table))), tol)
+
+
+def sum_is_projector(counts, tol):
+    """The projector check of a ``detailed_vs_global`` member sum on its class
+    diagonal: how many members hold on each class."""
+    return _is_hermitian(counts, tol) and _idempotency_defect(counts) <= tol
+
+
 @pytest.mark.parametrize("tol", [-1.0, 1e-300, 1e-12, 0.5, 1.0, 2.0])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=2, max_value=5))
@@ -346,10 +362,10 @@ def test_exact_mask_checks_give_the_operator_verdicts(tol, data, n):
     assert sum(size for size, _ in table) == 2**n
     assert sum(size * count for (size, _), count in zip(table, counts)) == sum(
         op.diagonal().real.sum() for op in ops)
-    assert _counts_resolve_identity(counts, tol) == is_resolution_of_identity(ops, tol)
-    assert _count_sum_is_projector(counts, tol) == is_projector(sum(ops[1:], start=ops[0]), tol)
+    assert resolves_identity(table, tol) == is_resolution_of_identity(ops, tol)
+    assert sum_is_projector(counts, tol) == is_projector(sum(ops[1:], start=ops[0]), tol)
     first = [holds[0] for _, holds in table]
-    assert _count_sum_is_projector(first, tol) == is_projector(ops[0], tol)
+    assert sum_is_projector(first, tol) == is_projector(ops[0], tol)
 
 
 # magnitudes up to the largest double, so that squares, sums, differences and
@@ -483,9 +499,10 @@ def test_label_classes_give_the_operator_verdicts(n, data):
                          else product_sets(n))
     ops = [reduce(lambda a, b: a @ b, map(build_projector, p), Operator.identity(n))
            for p in products]
-    counts = _class_counts(products, n)
-    assert _counts_resolve_identity(counts, tol) == is_resolution_of_identity(ops, tol)
-    assert _count_sum_is_projector(counts, tol) == is_projector(sum(ops[1:], start=ops[0]), tol)
+    table = _product_table(products, n)
+    counts = [sum(holds) for _, holds in table]
+    assert resolves_identity(table, tol) == is_resolution_of_identity(ops, tol)
+    assert sum_is_projector(counts, tol) == is_projector(sum(ops[1:], start=ops[0]), tol)
 
     # the weak-value-sum cross-check on classes never fails, and the query gives what
     # the operator route gives; a tolerance of 0.5 or more would refuse most overlaps
@@ -510,6 +527,60 @@ def test_label_classes_give_the_operator_verdicts(n, data):
             abs(expected) + len(products)) / overlap
 
 
+@st.composite
+def single_spec_sets(draw, n):
+    """One-spec products that often form a complete measurement, with a member
+    dropped, doubled or added, or one to four drawn at random."""
+    i, j = (draw(st.permutations(range(1, n + 1)))[:2] if n >= 2 else (1, None))
+    choices = [[ProjectorSpec.box_occupation(i, b, n) for b in "LR"]]
+    if n >= 2:
+        choices.append([ProjectorSpec.pair_same(i, j, n), ProjectorSpec.pair_diff(i, j, n)])
+    if n == 3:
+        choices.append([ProjectorSpec.sd(1, 2, 3, 3), ProjectorSpec.sd(2, 3, 1, 3),
+                        ProjectorSpec.sd(3, 1, 2, 3), ProjectorSpec.all_same(3)])
+    specs = list(draw(st.sampled_from(choices)))
+    change = draw(st.sampled_from(["none", "drop", "double", "add", "random"]))
+    if change == "drop":
+        specs.pop()
+    elif change == "double":
+        specs.append(specs[0])
+    elif change == "add":
+        specs.append(draw(class_specs(n)))
+    elif change == "random":
+        specs = draw(st.lists(class_specs(n), min_size=1, max_size=4))
+    return specs
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_queries_and_predicates_agree_on_completeness_and_projector_sums(n, data):
+    """A measurement set is refused as incomplete exactly when the
+    ``resolution_of_identity`` predicate on its specs reads false, and a
+    ``detailed_vs_global`` question is refused exactly when ``is_projector`` of
+    the summed members reads false."""
+    tol = data.draw(st.sampled_from(CLASS_TOLS))
+    specs = data.draw(single_spec_sets(n))
+    pre_f = data.draw(st.lists(single_states, min_size=n, max_size=n))
+    post_f = data.draw(st.lists(single_states, min_size=n, max_size=n))
+    products = tuple((spec,) for spec in specs)
+    queries = (
+        AblProbabilitiesQuery(products),
+        PredicateQuery("resolution_of_identity",
+                       tuple(HamiltonianSpec.of([(1, spec)]) for spec in specs)),
+        DetailedVsGlobalQuery(products),
+        PredicateQuery("is_projector", (HamiltonianSpec.of([(1, spec) for spec in specs]),)),
+    )
+    abl, resolution, members, summed = run_scenario(
+        Scenario("agree", n, tuple(pre_f), tuple(post_f), queries), tol).records
+    assert (abl.error == "incomplete measurement") == (not resolution.results[0].value)
+    is_projector_sum = summed.results[0].value
+    if tol >= 0:
+        assert (members.error == "not a legitimate question") == (not is_projector_sum)
+    else:  # a negative tolerance refuses every member before the sum is asked about
+        assert members.error == "non-projector member" and not is_projector_sum
+
+
 def hamiltonians(n, coefficients):
     return st.lists(st.tuples(coefficients, class_specs(n)), max_size=3).map(
         lambda terms: HamiltonianSpec.of(terms, n))
@@ -517,14 +588,15 @@ def hamiltonians(n, coefficients):
 
 def spec_check_outcomes(hamiltonians, tol, by_classes):
     """``outcome`` of every structural check of the sums: on their label classes
-    (``_SpecChecks``, as predicate queries and ``twobox check`` run them) or on
-    the built operators."""
+    (as predicate queries and ``twobox check`` run them) or on the built
+    operators."""
     try:
         if by_classes:
-            checks = _SpecChecks(hamiltonians)
-            hermitian, defect = checks.is_hermitian, checks.idempotency_defect
-            orthogonal = checks.are_orthogonal
-            resolution = lambda: checks.is_resolution_of_identity(tol)
+            diagonals = _class_diagonals(hamiltonians)
+            hermitian = lambda k, tol: _is_hermitian(diagonals[k], tol)
+            defect = lambda k: _idempotency_defect(diagonals[k])
+            orthogonal = lambda i, j, tol: _are_orthogonal(diagonals[i], diagonals[j], tol)
+            resolution = lambda: _resolves_identity(diagonals, tol)
         else:
             ops = [build_hamiltonian(h) for h in hamiltonians]
             hermitian = lambda k, tol: is_hermitian(ops[k], tol)
@@ -607,10 +679,10 @@ def test_eigenstate_residual_on_label_classes_matches_the_built_operator(n, data
     h, eigenvalue, factors, values = data.draw(eigenstate_cases(n))
 
     def by_classes():
-        checks = _SpecChecks([h])
+        _class_diagonals([h])  # refuses a diagonal that is not finite, as a predicate does
         amplitudes = (_product_amplitudes([_single_pair(f) for f in factors])
                       if values is None else _explicit_amplitudes(values))
-        return checks.eigenstate_residual(0, amplitudes, eigenvalue)
+        return _eigenstate_residual(h, amplitudes, eigenvalue)
 
     def by_operator():
         op = build_hamiltonian(h)
