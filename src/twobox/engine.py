@@ -45,7 +45,12 @@ from .projectors import is_projector, is_resolution_of_identity
 
 def vanishes(value: complex, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether a reported number counts as zero at the given tolerance."""
-    tol = expect_tolerance(tol)
+    return _vanishes(value, expect_tolerance(tol))
+
+
+def _vanishes(value: complex, tol: float) -> bool:
+    """:func:`vanishes` at a tolerance already checked, as a scenario run checks
+    its tolerance once for all its values."""
     try:
         return abs(value) <= tol
     except OverflowError:  # finite parts whose magnitude exceeds the float range

@@ -86,7 +86,8 @@ def expect_tolerance(tol):
     """``tol`` if it is a real number other than NaN, else an InvalidArgumentError:
     the one check of a tolerance argument. A negative one is allowed. A float
     skips the ``numbers.Real`` test, an ABC check that costs several times the
-    comparison it guards, and ``vanishes`` runs this once per reported value."""
+    comparison it guards. A scenario run checks its tolerance once, and its
+    reported values are then judged without this check."""
     if (type(tol) is not float and not isinstance(tol, numbers.Real)) or tol != tol:  # NaN
         raise InvalidArgumentError(f"tolerance must be a real number, got {quoted(tol)}")
     return tol

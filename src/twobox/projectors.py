@@ -1,13 +1,15 @@
 """Correlation projectors on the n-particle two-box space.
 
 Every projector here is diagonal in the box basis, so each is built and
-stored as its 0/1 diagonal: one bit test per basis index (``_holds``),
-where bit n - k of the index is 1 exactly when particle k sits in box R.
+stored as its 0/1 diagonal. Bit n - k of a basis index is 1 exactly when
+particle k sits in box R, and each spec is one pattern (``_pattern``): a
+mask of the bits it reads and the values it allows there, so the spec holds
+at ``index`` when ``index & mask`` is one of them.
 
 Which path runs: specs are answered without numpy on their label classes,
 and ``_label_classes`` is the one place that decides them. A spec tests
 only the boxes of the particles it names, and ``all_same`` whether the
-rest are all in L, all in R or mixed, so the bit tests of one
+rest are all in L, all in R or mixed, so the patterns tested at one
 representative index per class answer for all its labels. The amplitude
 of a product of specs between two product states is the summed weight of
 its classes on which every spec holds (``_product_amplitude``). One set of
@@ -16,8 +18,10 @@ structural checks (``_is_hermitian``, ``_idempotency_defect``,
 entry per class, as the same checks of the built operators would: the
 entries of weighted sums (``_class_diagonals``) for predicates and ``twobox
 check``, and the 0/1 holds of products (``_product_table``) for a
-measurement's completeness and a member sum's projector-ness.
-``_eigenstate_residual`` reads the same entries label by label (``_entry``).
+measurement's completeness and a member sum's projector-ness. Each pass is
+one plain loop over the classes with each spec's pattern formed once, and
+``_entries`` forms the diagonal entries of a weighted sum the same way, for
+the class diagonals and label by label for ``_eigenstate_residual``.
 Built operators (``build_projector``, ``build_hamiltonian``) are numpy
 arrays.
 
@@ -158,40 +162,42 @@ class ProjectorSpec(_Record):
         return "all_same"
 
 
-def _holds(spec: ProjectorSpec, index, n: int):
-    """Whether ``spec`` holds at basis index ``index`` of n particles: an int,
-    or an integer array for a whole diagonal at once."""
-    if spec.kind == "all_same":
-        return (index == 0) | (index == 2**n - 1)
+def _pattern(spec: ProjectorSpec, n: int) -> tuple[int, tuple[int, ...]]:
+    """``(mask, allowed)`` of ``spec`` on n particles: it holds at basis index
+    ``index`` exactly when ``index & mask`` is in ``allowed``. ``mask`` has the
+    bits of the particles the spec names (of every particle for ``all_same``)."""
     if spec.kind == "box":
-        return (index >> (n - spec.particle)) & 1 == "LR".index(spec.box)
-    i, j = spec.pair
-    bit_i, bit_j = (index >> (n - i)) & 1, (index >> (n - j)) & 1  # 1 where in R
+        bit = 1 << (n - spec.particle)
+        return bit, ((0,) if spec.box == "L" else (bit,))
+    if spec.kind == "all_same":
+        every = (1 << n) - 1
+        return every, (0, every)
+    bit_i, bit_j = 1 << (n - spec.pair[0]), 1 << (n - spec.pair[1])
     if spec.kind == "pair_same":
-        return bit_i == bit_j
+        return bit_i | bit_j, (0, bit_i | bit_j)
     if spec.kind == "pair_diff":
-        return bit_i != bit_j
-    return (bit_i == bit_j) & ((index >> (n - spec.other)) & 1 != bit_i)  # sd
+        return bit_i | bit_j, (bit_i, bit_j)
+    bit_o = 1 << (n - spec.other)  # sd: the pair in one box, the marked particle in the other
+    return bit_i | bit_j | bit_o, (bit_o, bit_i | bit_j)
 
 
 def build_projector(spec: ProjectorSpec) -> Operator:
     """Realize a :class:`ProjectorSpec` as its 0/1 diagonal."""
     n = expect(spec, ProjectorSpec, "a ProjectorSpec").n_particles
-    mask = _holds(spec, np.arange(2**n), n)
-    return Operator._of(mask.astype(np.complex128), BOX_LABELS)
-
-
-def _touched(specs: Iterable[ProjectorSpec]) -> set[int]:
-    """The particles whose boxes the specs test by name; ``all_same`` names none."""
-    return {k for spec in specs
-            for k in (spec.particle, spec.other, *(spec.pair or ())) if k is not None}
+    mask, allowed = _pattern(spec, n)
+    masked = np.arange(2**n) & mask
+    holds = masked == allowed[0]
+    for value in allowed[1:]:
+        holds |= masked == value
+    return Operator._of(holds.astype(np.complex128), BOX_LABELS)
 
 
 def _label_classes(specs: Sequence[ProjectorSpec], n: int,
-                   weights: Sequence[Sequence[complex]] | None = None) -> list[tuple[int, complex]]:
-    """The label classes of ``specs`` on n particles, as (representative basis
-    index, weight) pairs: the one place that decides which labels the specs
-    cannot tell apart.
+                   weights: Sequence[Sequence[complex]] | None = None
+                   ) -> tuple[list[int], list[complex]]:
+    """The label classes of ``specs`` on n particles, as two lists in class
+    order: a representative basis index and the weight of each class. This is
+    the one place that decides which labels the specs cannot tell apart.
 
     A spec tests only the boxes of the particles it names (T), and
     ``all_same`` also whether the others are all in L, all in R or mixed. So
@@ -204,48 +210,82 @@ def _label_classes(specs: Sequence[ProjectorSpec], n: int,
     (with the split, their all-L product, their all-R product or what
     remains). Without ``weights``, a class weighs its size.
     """
-    touched = _touched(specs)
-    split = len(touched) < n and "all_same" in [spec.kind for spec in specs]
-    classes = [(0, 1)]  # over the particles in T
+    touched, split = 0, False  # the bits of the particles in T; whether all_same is asked
+    for spec in specs:
+        if spec.kind == "all_same":
+            split = True
+        else:
+            touched |= _pattern(spec, n)[0]
+    untouched = ((1 << n) - 1) ^ touched
+    split = split and untouched != 0
+    indices, ws = [0], [1]
     left = right = rest = 1
-    for k, (c_left, c_right) in enumerate(weights or [(1, 1)] * n, start=1):
-        if k in touched:
-            bit = 1 << (n - k)
-            classes = ([(index, w * c_left) for index, w in classes]
-                       + [(index | bit, w * c_right) for index, w in classes])
+    bit = 1 << n
+    for c_left, c_right in weights or [(1, 1)] * n:  # particle k has bit n - k
+        bit >>= 1
+        if touched & bit:  # every class so far splits into its L and its R half
+            for t in range(len(indices)):
+                indices.append(indices[t] | bit)
+                ws.append(ws[t] * c_right)
+                ws[t] *= c_left
         else:
             rest *= c_left + c_right
             if split:
                 left, right = left * c_left, right * c_right
     if not split:
-        return [(index, w * rest) for index, w in classes]
-    untouched = [1 << (n - k) for k in range(1, n + 1) if k not in touched]
-    splits = [(0, left), (sum(untouched), right)]
-    if len(untouched) >= 2:  # the mixed labels: all of them but the two uniform ones
-        splits.append((untouched[0], rest - left - right))
-    return [(index | bits, w * v) for index, w in classes for bits, v in splits]
+        for t in range(len(ws)):
+            ws[t] *= rest
+        return indices, ws
+    first = 1 << (untouched.bit_length() - 1)  # the first untouched particle
+    splits = [(0, left), (untouched, right)]
+    if untouched != first:  # the mixed labels: all of them but the two uniform ones
+        splits.append((first, rest - left - right))
+    split_indices, split_ws = [], []
+    for index, w in zip(indices, ws):
+        for bits, v in splits:
+            split_indices.append(index | bits)
+            split_ws.append(w * v)
+    return split_indices, split_ws
 
 
 def _product_table(products: Sequence[Sequence[ProjectorSpec]], n: int,
                    weights: Sequence[Sequence[complex]] | None = None):
     """Per label class of the products: its weight (see :func:`_label_classes`)
     and whether each product holds there."""
-    return [(w, [all(_holds(spec, index, n) for spec in product) for product in products])
-            for index, w in _label_classes([spec for p in products for spec in p], n, weights)]
+    patterns = [[_pattern(spec, n) for spec in product] for product in products]
+    indices, ws = _label_classes([spec for p in products for spec in p], n, weights)
+    table = []
+    for index, w in zip(indices, ws):
+        holds = []
+        for product in patterns:
+            for mask, allowed in product:
+                if index & mask not in allowed:
+                    holds.append(False)
+                    break
+            else:
+                holds.append(True)
+        table.append((w, holds))
+    return table
 
 
 def _product_amplitude(product: Sequence[ProjectorSpec],
                        weights: Sequence[Sequence[complex]]) -> complex:
     """<post|P|pre> for the product P of specs between two product states, with
-    ``weights`` as in :func:`_label_classes`: the summed weights of the label
-    classes of P on which every spec of P holds, by the bit tests of
-    :func:`build_projector`. The empty product gives <post|pre>.
+    ``weights`` as in :func:`_label_classes`: the weights of the label classes
+    of P on which every spec of P holds, added in class order. The empty
+    product gives <post|pre>.
     """
     n = len(weights)
-    classes = _label_classes(product, n, weights)
-    for spec in product:
-        classes = [(index, w) for index, w in classes if _holds(spec, index, n)]
-    return sum([w for _, w in classes], 0j)
+    patterns = [_pattern(spec, n) for spec in product]
+    indices, ws = _label_classes(product, n, weights)
+    total = 0j
+    for index, w in zip(indices, ws):
+        for mask, allowed in patterns:
+            if index & mask not in allowed:
+                break
+        else:
+            total += w
+    return total
 
 
 def _format_number(x: float) -> str:
@@ -365,27 +405,32 @@ def is_resolution_of_identity(projectors: Iterable[Operator],
             and (total - Operator.identity(total.n_particles)).max_entry() <= tol)
 
 
-def _entry(terms: Sequence[tuple[complex, ProjectorSpec]], index: int, n: int) -> complex:
-    """The diagonal entry at basis index ``index`` of the weighted projector sum
-    of ``terms`` on n particles, formed as :func:`build_hamiltonian` forms it:
-    term by term, in order."""
-    total = 0j
-    for coeff, proj in terms:
-        total += (1 + 0j if _holds(proj, index, n) else 0j) * coeff
-    return total
+def _entries(terms: Sequence[tuple[complex, ProjectorSpec]], indices: Iterable[int],
+             n: int) -> list[complex]:
+    """The diagonal entries at the basis indices ``indices`` of the weighted
+    projector sum of ``terms`` on n particles, each formed as
+    :func:`build_hamiltonian` forms it: term by term, in order."""
+    patterns = [(coeff, *_pattern(proj, n)) for coeff, proj in terms]
+    entries = []
+    for index in indices:
+        total = 0j
+        for coeff, mask, allowed in patterns:
+            total += (1 + 0j if index & mask in allowed else 0j) * coeff
+        entries.append(total)
+    return entries
 
 
 def _class_diagonals(hamiltonians: Sequence[HamiltonianSpec]) -> list[list[complex]]:
     """The diagonals of weighted projector sums on the same n particles, one
-    entry (:func:`_entry`) per label class of all their terms, in the order
+    entry (:func:`_entries`) per label class of all their terms, in the order
     :func:`_label_classes` gives the classes. A diagonal with an entry that is
     not finite is refused as :func:`build_hamiltonian` refuses it.
     """
     n = hamiltonians[0].n_particles
-    classes = _label_classes([proj for h in hamiltonians for _, proj in h.terms], n)
+    indices, _ = _label_classes([proj for h in hamiltonians for _, proj in h.terms], n)
     diagonals = []
     for h in hamiltonians:
-        entries = [_entry(h.terms, index, n) for index, _ in classes]
+        entries = _entries(h.terms, indices, n)
         _check_entries(entries)
         diagonals.append(entries)
     return diagonals
@@ -441,11 +486,13 @@ def _resolves_identity(ds: Sequence[Sequence[complex]], tol: float) -> bool:
 def _eigenstate_residual(h: HamiltonianSpec, amplitudes: Sequence[complex],
                          eigenvalue: complex) -> float:
     """:func:`~twobox.hilbert.eigenstate_residual` of ``h`` on the state with
-    these 2**n checked amplitudes: each label takes its entry (:func:`_entry`),
+    these 2**n checked amplitudes: each label takes its entry (:func:`_entries`),
     the bits its class has, and an image entry that is not finite is refused
     as the built operator's image is. The norm is summed exactly
     (``hilbert._norm_sq``), so it may differ from numpy's in the last bit."""
-    image = [_entry(h.terms, index, h.n_particles) * a for index, a in enumerate(amplitudes)]
+    image = _entries(h.terms, range(len(amplitudes)), h.n_particles)
+    for index, a in enumerate(amplitudes):
+        image[index] *= a
     if not all(map(cmath.isfinite, image)):
         raise InvalidAmplitudesError("amplitudes must be finite")
     eigenvalue = complex(eigenvalue)

@@ -25,8 +25,10 @@ projector specs (all but ``predicate``) is computed on the label classes
 of its specs (``projectors._label_classes``) in plain Python, with no
 2**n array and no numpy: at most 3 * 2**|T| classes for the particles T
 the specs name. An amplitude is the summed weight of the classes on which
-its product holds (``projectors._product_amplitude``); the cross-check of
-a weak-value sum reads the classes of all the query's specs. Its
+its product holds (``projectors._product_amplitude``), added in class order
+with each spec tested as one (mask, allowed) pattern (``projectors._pattern``)
+at a representative index; the cross-check of a weak-value sum reads the
+classes of all the query's specs. Its
 preconditions and the ``is_projector``, ``orthogonal`` and
 ``resolution_of_identity`` predicates run one set of structural checks on
 class diagonals, as ``twobox check`` does (``projectors._is_hermitian``
@@ -38,10 +40,13 @@ its classes only decide whether its built operator would overflow, and so
 be refused. An ``eigenstate`` predicate forms the 2**n amplitudes of its
 state in plain Python, a product state's from its pairs and an explicit
 one checked as ``Ket`` checks it (``hilbert._explicit_amplitudes``), and
-its residual label by label from the entries its classes have
-(``projectors._eigenstate_residual``). So no query loads numpy. The values
+its residual label by label from the entries of its sum, formed as the
+class diagonals' are (``projectors._entries``,
+``projectors._eigenstate_residual``). So no query loads numpy. The values
 match the operator route of :mod:`twobox.engine` and
 :func:`twobox.hilbert.eigenstate_residual` up to rounding in the last bits.
+``run_scenario`` checks its tolerance once; each reported value is then
+judged vanishing or not against it with no further check.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from collections.abc import Collection, Iterable, Sequence
 from functools import cache
 from typing import Union
 
-from .engine import _abl_result, _linearity_checked, _weak_denominator, vanishes
+from .engine import _abl_result, _linearity_checked, _vanishes, _weak_denominator
 from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, InvalidArgumentError,
                      NotAProjectorError, ScenarioNotFoundError, TwoBoxError, expect,
                      expect_tolerance)
@@ -392,7 +397,7 @@ class Scenario(_Record):
         for spec in (*pre, *post):
             _single_pair(spec)
         for query in expect(queries, Collection, "a collection of queries"):
-            if not isinstance(query, Query):
+            if not isinstance(query, Query.__args__):
                 raise InvalidArgumentError(f"unknown query type {type(query).__name__}")
             if query.claim is not None:
                 expect(query.claim, str, "a claim (str or None)")
@@ -437,13 +442,15 @@ def _result(name: str, value, tol: float) -> ResultValue:
     if isinstance(value, bool):
         return ResultValue(name, value, None)
     if isinstance(value, complex):
-        return ResultValue(name, value, vanishes(value, tol))
-    return ResultValue(name, float(value), vanishes(float(value), tol))
+        return ResultValue(name, value, _vanishes(value, tol))
+    return ResultValue(name, float(value), _vanishes(float(value), tol))
 
 
 def _product_label(product: ProjectorProduct) -> str:
     if not product:
         return "identity"
+    if len(product) == 1:
+        return product[0].label()
     return "*".join(spec.label() for spec in product)
 
 

@@ -45,9 +45,10 @@ from twobox import (
 )
 from twobox.hilbert import (_explicit_amplitudes, _product_amplitudes, _single_pair,
                             eigenstate_residual)
-from twobox.projectors import (_are_orthogonal, _class_diagonals, _eigenstate_residual,
-                               _idempotency_defect, _is_hermitian, _product_table,
-                               _resolves_identity)
+from twobox.projectors import (_are_orthogonal, _check_entries, _class_diagonals,
+                               _eigenstate_residual, _entries, _idempotency_defect, _is_hermitian,
+                               _product_amplitude, _product_table, _resolves_identity)
+from twobox.scenarios import _ProductSelection
 
 
 def sample_specs(n):
@@ -478,15 +479,16 @@ def product_sets(n):
 
 @st.composite
 def near_orthogonal_states(draw, n):
-    """Pre- and postselection factors; on one particle post may be nearly
-    orthogonal to pre, so that <post|pre> is small beside the weights it is
-    summed from."""
+    """Pre- and postselection factors; on one particle post may be orthogonal
+    or nearly orthogonal to pre, so that <post|pre> is zero or small beside
+    the weights it is summed from."""
     pre = draw(st.lists(single_states, min_size=n, max_size=n))
     post = draw(st.lists(single_states, min_size=n, max_size=n))
     if draw(st.booleans()):
         k = draw(st.integers(0, n - 1))
         cL, cR = oracle.NAMED[pre[k]] if isinstance(pre[k], str) else pre[k]
-        post[k] = (-cR.conjugate() + draw(st.sampled_from([1e-9, 1e-4, 0.1])), cL.conjugate())
+        offset = draw(st.sampled_from([0.0, 1e-9, 1e-4, 0.1]))
+        post[k] = (-cR.conjugate() + offset, cL.conjugate())
     return tuple(pre), tuple(post)
 
 
@@ -704,3 +706,113 @@ def test_eigenstate_residual_on_label_classes_matches_the_built_operator(n, data
     entries = [*build_hamiltonian(h).diagonal(), complex(eigenvalue)]
     scale = max(1.0, *(abs(x) for z in entries for x in (z.real, z.imag)))
     assert abs(v - w) <= 1e-14 * scale
+
+
+# the (mask, allowed) patterns against the list route they replaced -------------------
+#
+# Below is the label-class route as it was written before the patterns: per-step
+# lists of (index, weight) pairs, one bit test per spec and class. The pattern
+# route must give the same bits, sign of zero included, as every report value is
+# formed from them.
+
+def reference_holds(spec, index, n):
+    if spec.kind == "all_same":
+        return (index == 0) | (index == 2**n - 1)
+    if spec.kind == "box":
+        return (index >> (n - spec.particle)) & 1 == "LR".index(spec.box)
+    i, j = spec.pair
+    bit_i, bit_j = (index >> (n - i)) & 1, (index >> (n - j)) & 1
+    if spec.kind == "pair_same":
+        return bit_i == bit_j
+    if spec.kind == "pair_diff":
+        return bit_i != bit_j
+    return (bit_i == bit_j) & ((index >> (n - spec.other)) & 1 != bit_i)
+
+
+def reference_label_classes(specs, n, weights=None):
+    touched = {k for spec in specs
+               for k in (spec.particle, spec.other, *(spec.pair or ())) if k is not None}
+    split = len(touched) < n and "all_same" in [spec.kind for spec in specs]
+    classes = [(0, 1)]
+    left = right = rest = 1
+    for k, (c_left, c_right) in enumerate(weights or [(1, 1)] * n, start=1):
+        if k in touched:
+            bit = 1 << (n - k)
+            classes = ([(index, w * c_left) for index, w in classes]
+                       + [(index | bit, w * c_right) for index, w in classes])
+        else:
+            rest *= c_left + c_right
+            if split:
+                left, right = left * c_left, right * c_right
+    if not split:
+        return [(index, w * rest) for index, w in classes]
+    untouched = [1 << (n - k) for k in range(1, n + 1) if k not in touched]
+    splits = [(0, left), (sum(untouched), right)]
+    if len(untouched) >= 2:
+        splits.append((untouched[0], rest - left - right))
+    return [(index | bits, w * v) for index, w in classes for bits, v in splits]
+
+
+def reference_product_amplitude(product, weights):
+    n = len(weights)
+    classes = reference_label_classes(product, n, weights)
+    for spec in product:
+        classes = [(index, w) for index, w in classes if reference_holds(spec, index, n)]
+    return sum([w for _, w in classes], 0j)
+
+
+def reference_product_table(products, n, weights=None):
+    return [(w, [all(reference_holds(spec, index, n) for spec in product) for product in products])
+            for index, w in reference_label_classes([spec for p in products for spec in p], n,
+                                                    weights)]
+
+
+def reference_entry(terms, index, n):
+    total = 0j
+    for coeff, proj in terms:
+        total += (1 + 0j if reference_holds(proj, index, n) else 0j) * coeff
+    return total
+
+
+def reference_class_diagonals(hamiltonians):
+    n = hamiltonians[0].n_particles
+    classes = reference_label_classes([proj for h in hamiltonians for _, proj in h.terms], n)
+    diagonals = []
+    for h in hamiltonians:
+        entries = [reference_entry(h.terms, index, n) for index, _ in classes]
+        _check_entries(entries)
+        diagonals.append(entries)
+    return diagonals
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_patterns_give_the_list_route_bit_for_bit(n, data):
+    pre_f, post_f = data.draw(near_orthogonal_states(n))
+    weights = _ProductSelection([_single_pair(f) for f in pre_f],
+                                [_single_pair(f) for f in post_f]).weights
+    products = data.draw(product_sets(n))
+    for product in products:
+        assert repr(_product_amplitude(product, weights)) == repr(
+            reference_product_amplitude(product, weights))
+    assert repr(_product_table(products, n)) == repr(reference_product_table(products, n))
+    assert repr(_product_table(products, n, weights)) == repr(
+        reference_product_table(products, n, weights))
+
+    coefficients = st.one_of(FLOATS, COMPLEX_COEFFICIENTS, st.builds(complex, HUGE, HUGE),
+                             st.sampled_from([math.inf, -math.inf]))
+    sums = data.draw(st.lists(hamiltonians(n, coefficients), min_size=1, max_size=3))
+    assert outcome(lambda: _class_diagonals(sums)) == outcome(
+        lambda: reference_class_diagonals(sums))
+    if n <= 8:  # the entry of every label, as an eigenstate residual reads them
+        terms = sums[0].terms
+        assert repr(_entries(terms, range(2**n), n)) == repr(
+            [reference_entry(terms, index, n) for index in range(2**n)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_built_projectors_hold_where_the_bit_tests_hold(n):
+    for spec in specs_on(n):
+        expected = reference_holds(spec, np.arange(2**n), n).astype(np.complex128)
+        assert build_projector(spec).diagonal().tobytes() == expected.tobytes(), spec.label()
