@@ -1,0 +1,135 @@
+"""A standing corpus of command outputs, kept as one SHA-256 digest per output.
+
+    PYTHONPATH=src python tests/corpus.py           compare this tree with corpus.sha256
+    PYTHONPATH=src python tests/corpus.py --write   write corpus.sha256 from this tree
+
+The reports are those of the six builtin scenarios, of ``file_doc(i, Random(s))``
+for i = 0-71 and s = 0-3 and of ``pigeonhole_doc(n, Random(n))`` for n = 3-12
+(both read from ``benchmarks/workloads.py``), each run at four tolerances and
+rendered as JSON and as a table. The check outputs are ``twobox check`` of each
+projector kind alone at 2, 3 and 12 particles, of two- and three-term sums and of
+expression sets, among them the 24 single-box operators at 12 particles, as a
+table and as JSON, each with its exit code and standard error. A change that
+leaves every digest as it was leaves every one of these outputs byte for byte.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().parent / "corpus.sha256"
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "tests"))  # workloads reads the oracle from here
+sys.path.insert(2, str(ROOT / "benchmarks"))
+
+from twobox import cli, scenario_io, scenarios  # noqa: E402
+from workloads import file_doc, pigeonhole_doc  # noqa: E402
+
+TOLERANCES = (1e-12, 0.5, -1, 1e-300)
+FILE_INDICES, FILE_SEEDS, PIGEONHOLE_NS = range(72), range(4), range(3, 13)
+KINDS = ("box(1,L)", "pair_same(1,2)", "pair_diff(1,2)", "all_same", "sd(1,2;3)")
+SUMS = (
+    "pair_same(1,2) + pair_same(2,3)",
+    "box(1,L) - 0.5*all_same",
+    "2*pair_diff(1,2) + (1+2i)*box(2,R)",
+    "pair_same(1,2) + pair_same(2,3) + pair_same(3,1)",
+    "sd(1,2;3) + sd(2,3;1) + sd(3,1;2)",
+    "i*box(3,L) - all_same + 1e300*pair_same(1,3)",
+)
+SETS = (
+    ("sd(1,2;3)", "sd(2,3;1)", "sd(3,1;2)", "all_same"),
+    ("pair_same(1,2)", "pair_diff(1,2)"),
+    ("pair_same(1,2)", "pair_same(2,3)", "pair_same(3,1)"),
+    ("box(1,L)", "0.5*box(1,R) + 0.5*box(1,R)", "box(2,L)"),
+)
+BOXES_12 = tuple(f"box({k},{b})" for k in range(1, 13) for b in "LR")
+
+
+def _scenarios():
+    """(key, Scenario) in corpus order."""
+    for scenario in scenarios.builtin_scenarios():
+        yield f"builtin {scenario.name}", scenario
+    parse = scenario_io.parse_scenario_document
+    for seed in FILE_SEEDS:
+        for index in FILE_INDICES:
+            yield f"file_doc {index} seed {seed}", parse(file_doc(index, random.Random(seed)))
+    for n in PIGEONHOLE_NS:
+        yield f"pigeonhole_doc {n}", parse(pigeonhole_doc(n, random.Random(n)))
+
+
+def _report_outputs():
+    for key, scenario in _scenarios():
+        for tol in TOLERANCES:
+            report = scenarios.run_scenario(scenario, tol)
+            yield f"{key} tol {tol!r} json", scenario_io.render_report_json(report)
+            yield f"{key} tol {tol!r} table", cli.render_report_table(report)
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def _check_outputs():
+    cases = [(expr, n) for expr in KINDS for n in (2, 3, 12)]
+    cases += [(expr, n) for expr in SUMS for n in (3, 12)]
+    cases += [(lines, 3) for lines in SETS] + [(BOXES_12, 12)]
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "expressions.txt"
+        for expr, n in cases:
+            if isinstance(expr, tuple):  # a set: one expression per line of a file
+                path.write_text("\n".join(expr) + "\n", encoding="utf-8")
+                source, key = str(path), "{" + ", ".join(expr) + "}"
+            else:
+                source, key = expr, expr
+            for fmt in ("table", "json"):
+                argv = ["check", source, "--particles", str(n), "--format", fmt]
+                yield f"check {key} particles {n} {fmt}", _cli(argv)
+
+
+def outputs():
+    """(key, output text) of every output of the corpus, in a fixed order."""
+    yield from _report_outputs()
+    yield from _check_outputs()
+
+
+def digests() -> dict[str, str]:
+    return {key: hashlib.sha256(text.encode("utf-8")).hexdigest() for key, text in outputs()}
+
+
+def read_digests(path: Path = DIGESTS) -> dict[str, str]:
+    pairs = (line.split("  ", 1) for line in path.read_text(encoding="utf-8").splitlines())
+    return {key: digest for digest, key in pairs}
+
+
+def moved(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    """The keys whose digests differ, or that only one side has, in corpus order."""
+    keys = list(actual) + [key for key in expected if key not in actual]
+    return [key for key in keys if expected.get(key) != actual.get(key)]
+
+
+def main(argv) -> int:
+    actual = digests()
+    if argv == ["--write"]:
+        DIGESTS.write_text("".join(f"{d}  {k}\n" for k, d in actual.items()), encoding="utf-8")
+        print(f"wrote {len(actual)} digests to {DIGESTS.name}")
+        return 0
+    if argv:
+        print("usage: python tests/corpus.py [--write]", file=sys.stderr)
+        return 2
+    changed = moved(read_digests(), actual)
+    for key in changed:
+        print(f"moved: {key}")
+    print(f"{len(changed)} of {len(actual)} outputs moved")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
