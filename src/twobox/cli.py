@@ -16,13 +16,13 @@ import sys
 
 from .errors import ExpressionError, InvalidArgumentError, ScenarioFileError, TwoBoxError, quoted
 from .hilbert import DEFAULT_TOLERANCE, MAX_PARTICLES
-from .projectors import (PROJECTOR_KINDS, HamiltonianSpec, ProjectorSpec, _are_orthogonal,
-                         _class_diagonals, _idempotency_defect, _is_hermitian, _resolves_identity)
+from .projectors import (_DIGITS, PROJECTOR_KINDS, HamiltonianSpec, ProjectorSpec,
+                         _are_orthogonal, _class_diagonals, _idempotency_defect, _is_hermitian,
+                         _resolves_identity)
 from .scenario_io import load_scenario_file, render_report_json
 from .scenarios import ScenarioReport, builtin_scenarios, lookup_scenario, run_scenario
 
 
-_DIGITS = 6  # significant digits of a number in a table
 _MAX_DENOMINATOR = 64  # the largest denominator an exact-fraction tag names
 
 
@@ -79,7 +79,7 @@ def _render_value_line(value) -> str:
     if isinstance(value.value, complex):
         body = format_complex(value.value)
     else:
-        body = f"{value.value + 0.0:.6g}"
+        body = f"{value.value + 0.0:.{_DIGITS}g}"
     annotation = fraction_annotation(complex(value.value))
     if annotation:
         body = f"{body} {annotation}"
@@ -406,7 +406,7 @@ def _cmd_check(args) -> int:
         defect = entry["idempotency_defect"]
         annotation = fraction_annotation(complex(defect))
         tail = f" {annotation}" if annotation else ""
-        print(f"    idempotency_defect = {defect + 0.0:.6g}{tail}")
+        print(f"    idempotency_defect = {defect + 0.0:.{_DIGITS}g}{tail}")
     if len(parsed) > 1:
         print("pairwise orthogonality:")
         for item in payload["pairwise_orthogonal"]:
@@ -428,19 +428,24 @@ def main(argv=None) -> int:
 
 def console_main() -> int:
     """``main`` for a process of its own (``python -m twobox``, the ``twobox``
-    script). A reader that closes standard output early, as ``| head -1``
-    does, ends the run with exit 1 and one error line, not a traceback."""
+    script). A write to standard output that fails ends the run with exit 1
+    and one error line, not a traceback: a reader that closed it early, as
+    ``| head -1`` does, or any other error, such as a full disk. The commands
+    turn every error of reading their input into a TwoBoxError, so an OSError
+    that reaches here comes from writing the output."""
     try:
         code = main()
         if sys.stdout is not None:  # None when the process starts with stdout closed
             sys.stdout.flush()
         return code
-    except BrokenPipeError:
+    except OSError as exc:
         # the interpreter flushes stdout again at exit, which would fail once more
         # and print "Exception ignored"; what is left of the output goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        message = ("standard output was closed" if isinstance(exc, BrokenPipeError)
+                   else f"cannot write standard output: {exc.strerror}")
         try:
-            print("error: standard output was closed", file=sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
         except OSError:  # stderr is closed too
             pass
         return 1

@@ -12,16 +12,22 @@ only the boxes of the particles it names, and ``all_same`` whether the
 rest are all in L, all in R or mixed, so the patterns tested at one
 representative index per class answer for all its labels. The amplitude
 of a product of specs between two product states is the summed weight of
-its classes on which every spec holds (``_product_amplitude``). One set of
-structural checks (``_is_hermitian``, ``_idempotency_defect``,
-``_are_orthogonal``, ``_resolves_identity``) runs on a class diagonal, one
-entry per class, as the same checks of the built operators would: the
-entries of weighted sums (``_class_diagonals``) for predicates and ``twobox
-check``, and the 0/1 holds of products (``_product_table``) for a
-measurement's completeness and a member sum's projector-ness. Each pass is
-one plain loop over the classes with each spec's pattern formed once, and
-``_entries`` forms the diagonal entries of a weighted sum the same way, for
-the class diagonals and label by label for ``_eigenstate_residual``.
+its classes on which every spec holds (``_product_amplitude``). The classes
+depend on the specs only through their partition (the bits of the particles
+they name, and whether ``all_same`` splits the rest), and a caller may pass a
+cache from partitions to weighted classes, so that a scenario run walks each
+partition once. One set of structural checks (``_is_hermitian``,
+``_idempotency_defect``, ``_are_orthogonal``, ``_resolves_identity``) runs on
+a class diagonal, one entry per class, as the same checks of the built
+operators would, on the entries of weighted sums (``_class_diagonals``) for
+predicates and ``twobox check``. A set of 0/1 products (``_product_table``)
+is judged from how many products hold on each class: its completeness
+(``_counts_resolve_identity``) and whether its sum is a projector
+(``_count_sum_is_projector``) are exactly what those checks return on its
+0/1 columns. Each pass is one plain loop over the classes with each spec's
+pattern formed once, and ``_entries`` forms the diagonal entries of a
+weighted sum the same way, for the class diagonals and label by label for
+``_eigenstate_residual``.
 Built operators (``build_projector``, ``build_hamiltonian``) are numpy
 arrays.
 
@@ -193,8 +199,8 @@ def build_projector(spec: ProjectorSpec) -> Operator:
 
 
 def _label_classes(specs: Sequence[ProjectorSpec], n: int,
-                   weights: Sequence[Sequence[complex]] | None = None
-                   ) -> tuple[list[int], list[complex]]:
+                   weights: Sequence[Sequence[complex]] | None = None,
+                   cache: dict | None = None) -> tuple[list[int], list[complex]]:
     """The label classes of ``specs`` on n particles, as two lists in class
     order: a representative basis index and the weight of each class. This is
     the one place that decides which labels the specs cannot tell apart.
@@ -209,6 +215,12 @@ def _label_classes(specs: Sequence[ProjectorSpec], n: int,
     class's factors, times prod_k (c_k(L) + c_k(R)) over the other particles
     (with the split, their all-L product, their all-R product or what
     remains). Without ``weights``, a class weighs its size.
+
+    The classes depend on the specs only through their partition, the pair
+    (bits of T, whether the split is asked). ``cache`` maps a partition to
+    the lists it gave with these same ``weights``: a partition found there is
+    not walked again, and one walked is stored. The lists are shared, so no
+    caller changes them.
     """
     touched, split = 0, False  # the bits of the particles in T; whether all_same is asked
     for spec in specs:
@@ -218,6 +230,8 @@ def _label_classes(specs: Sequence[ProjectorSpec], n: int,
             touched |= _pattern(spec, n)[0]
     untouched = ((1 << n) - 1) ^ touched
     split = split and untouched != 0
+    if cache is not None and (touched, split) in cache:
+        return cache[touched, split]
     indices, ws = [0], [1]
     left = right = rest = 1
     bit = 1 << n
@@ -232,28 +246,27 @@ def _label_classes(specs: Sequence[ProjectorSpec], n: int,
             rest *= c_left + c_right
             if split:
                 left, right = left * c_left, right * c_right
-    if not split:
-        for t in range(len(ws)):
-            ws[t] *= rest
-        return indices, ws
-    first = 1 << (untouched.bit_length() - 1)  # the first untouched particle
-    splits = [(0, left), (untouched, right)]
-    if untouched != first:  # the mixed labels: all of them but the two uniform ones
-        splits.append((first, rest - left - right))
-    split_indices, split_ws = [], []
-    for index, w in zip(indices, ws):
-        for bits, v in splits:
-            split_indices.append(index | bits)
-            split_ws.append(w * v)
-    return split_indices, split_ws
+    if split:
+        first = 1 << (untouched.bit_length() - 1)  # the first untouched particle
+        splits = [(0, left), (untouched, right)]
+        if untouched != first:  # the mixed labels: all of them but the two uniform ones
+            splits.append((first, rest - left - right))
+        indices = [index | bits for index in indices for bits, _ in splits]
+        ws = [w * v for w in ws for _, v in splits]
+    else:
+        ws = [w * rest for w in ws]
+    if cache is not None:
+        cache[touched, split] = indices, ws
+    return indices, ws
 
 
 def _product_table(products: Sequence[Sequence[ProjectorSpec]], n: int,
-                   weights: Sequence[Sequence[complex]] | None = None):
-    """Per label class of the products: its weight (see :func:`_label_classes`)
-    and whether each product holds there."""
+                   weights: Sequence[Sequence[complex]] | None = None,
+                   cache: dict | None = None):
+    """Per label class of the products: its weight (see :func:`_label_classes`,
+    which reads and fills ``cache``) and whether each product holds there."""
     patterns = [[_pattern(spec, n) for spec in product] for product in products]
-    indices, ws = _label_classes([spec for p in products for spec in p], n, weights)
+    indices, ws = _label_classes([spec for p in products for spec in p], n, weights, cache)
     table = []
     for index, w in zip(indices, ws):
         holds = []
@@ -269,15 +282,16 @@ def _product_table(products: Sequence[Sequence[ProjectorSpec]], n: int,
 
 
 def _product_amplitude(product: Sequence[ProjectorSpec],
-                       weights: Sequence[Sequence[complex]]) -> complex:
+                       weights: Sequence[Sequence[complex]],
+                       cache: dict | None = None) -> complex:
     """<post|P|pre> for the product P of specs between two product states, with
-    ``weights`` as in :func:`_label_classes`: the weights of the label classes
-    of P on which every spec of P holds, added in class order. The empty
-    product gives <post|pre>.
+    ``weights`` and ``cache`` as in :func:`_label_classes`: the weights of the
+    label classes of P on which every spec of P holds, added in class order.
+    The empty product gives <post|pre>.
     """
     n = len(weights)
     patterns = [_pattern(spec, n) for spec in product]
-    indices, ws = _label_classes(product, n, weights)
+    indices, ws = _label_classes(product, n, weights, cache)
     total = 0j
     for index, w in zip(indices, ws):
         for mask, allowed in patterns:
@@ -288,11 +302,14 @@ def _product_amplitude(product: Sequence[ProjectorSpec],
     return total
 
 
+_DIGITS = 6  # significant digits of a number in a label, a table or a check
+
+
 def _format_number(x: float) -> str:
     # integers print in full below 2**53 and in shortest round-trip form above
     if x.is_integer():
         return str(int(x)) if abs(x) < 2**53 else repr(x)
-    return format(x, ".6g")
+    return f"{x:.{_DIGITS}g}"
 
 
 def _format_coefficient(z: complex) -> str:
@@ -452,8 +469,7 @@ def _class_max(entries: Sequence[complex]) -> float:
 
 
 # The structural checks of weighted projector sums, on their class diagonals
-# (:func:`_class_diagonals`, or the 0/1 holds of products from
-# :func:`_product_table`) with no 2**n array and no numpy. Every entry of a
+# (:func:`_class_diagonals`) with no 2**n array and no numpy. Every entry of a
 # diagonal equals its class's entry, so each check returns what the same check
 # of the built operators returns (:func:`is_hermitian` and so on), and raises
 # what it raises. For real coefficients the values are the same bits, and on
@@ -481,6 +497,21 @@ def _resolves_identity(ds: Sequence[Sequence[complex]], tol: float) -> bool:
     return (all(_is_hermitian(d, tol) and _idempotency_defect(d) <= tol for d in ds)
             and all(_are_orthogonal(a, b, tol) for i, a in enumerate(ds) for b in ds[i + 1:])
             and _class_max([z - 1 for z in total]) <= tol)
+
+
+def _counts_resolve_identity(counts: Sequence[int], tol: float) -> bool:
+    """:func:`_resolves_identity` of the 0/1 holds of products (``_product_table``)
+    from how many products hold on each class: each product is then hermitian
+    and idempotent with defect 0, two are orthogonal unless a class holds both
+    (the largest entry of their product is then 1), and the sum is ``counts``."""
+    return tol >= 0 and (tol >= 1 or max(counts) <= 1) and all(abs(c - 1) <= tol for c in counts)
+
+
+def _count_sum_is_projector(counts: Sequence[int], tol: float) -> bool:
+    """:func:`_is_hermitian` and :func:`_idempotency_defect` of a sum of 0/1
+    product holds, given by how many products hold on each class: a count is
+    real, and its defect ``c * c - c`` is never negative."""
+    return max(c * c - c for c in counts) <= tol
 
 
 def _eigenstate_residual(h: HamiltonianSpec, amplitudes: Sequence[complex],

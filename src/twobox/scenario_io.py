@@ -520,18 +520,26 @@ def _json_array(items: list, depth: int) -> str:
     return "[" + _NL[depth + 1] + ("," + _NL[depth + 1]).join(items) + _NL[depth] + "]"
 
 
+# one template per kind of result value: its keys sorted, at depth 4 of a report
+_BOOL_VALUE = _NL[5].join(["{", '"name": %s,', '"value": %s']) + _NL[4] + "}"
+_REAL_VALUE = _NL[5].join(["{", '"name": %s,', '"value": %s,', '"vanishing": %s']) + _NL[4] + "}"
+_COMPLEX_VALUE = _NL[5].join([
+    "{", '"magnitude": %s,', '"magnitude_squared": %s,', '"name": %s,',
+    '"value": [' + _NL[6] + "%s," + _NL[6] + "%s" + _NL[5] + "],", '"vanishing": %s',
+]) + _NL[4] + "}"
+
+
 def _value_json(value: ResultValue) -> str:
-    nl, x = _NL[5], value.value
-    name = f'"name": {_string(value.name)},{nl}"value": '
+    x = value.value
     if isinstance(x, bool):
-        return f"{{{nl}{name}{_WORDS[x]}{_NL[4]}}}"
-    vanishing = f',{nl}"vanishing": {_WORDS[value.vanishing]}{_NL[4]}}}'
+        return _BOOL_VALUE % (_string(value.name), _WORDS[x])
     if isinstance(x, complex):
         m2 = abs2(x)
-        pair = _json_array([_float(x.real), _float(x.imag)], 5)
-        return (f'{{{nl}"magnitude": {_float(math.sqrt(m2))},{nl}"magnitude_squared": '
-                f"{_float(m2)},{nl}{name}{pair}{vanishing}")
-    return f"{{{nl}{name}{_float(x)}{vanishing}"
+        # a finite squared magnitude has finite parts: float.__repr__ spells all four
+        spell = float.__repr__ if math.isfinite(m2) else _float
+        return _COMPLEX_VALUE % (spell(math.sqrt(m2)), spell(m2), _string(value.name),
+                                 spell(x.real), spell(x.imag), _WORDS[value.vanishing])
+    return _REAL_VALUE % (_string(value.name), _float(x), _WORDS[value.vanishing])
 
 
 def _record_json(record: QueryRecord) -> str:

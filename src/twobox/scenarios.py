@@ -28,13 +28,16 @@ the specs name. An amplitude is the summed weight of the classes on which
 its product holds (``projectors._product_amplitude``), added in class order
 with each spec tested as one (mask, allowed) pattern (``projectors._pattern``)
 at a representative index; the cross-check of a weak-value sum reads the
-classes of all the query's specs. Its
-preconditions and the ``is_projector``, ``orthogonal`` and
-``resolution_of_identity`` predicates run one set of structural checks on
-class diagonals, as ``twobox check`` does (``projectors._is_hermitian``
-and its siblings): a measurement set's completeness on the 0/1 holds of
-its products, a member sum's projector-ness on how many members hold per
-class, and a predicate on the entries of its weighted sums. A transition
+classes of all the query's specs. A run walks each partition of the
+particles once: the selection keeps the weighted classes of every partition
+it has met, which the amplitudes and product tables of all its queries
+share. A measurement set's completeness and a member sum's projector-ness
+are judged from how many products hold on each class
+(``projectors._counts_resolve_identity``, ``_count_sum_is_projector``),
+which is what the structural checks return on those 0/1 holds; the
+``is_projector``, ``orthogonal`` and ``resolution_of_identity`` predicates
+run those checks on the entries of their weighted sums, as ``twobox check``
+does (``projectors._is_hermitian`` and its siblings). A transition
 element is always the sum over its terms of coefficient times amplitude;
 its classes only decide whether its built operator would overflow, and so
 be refused. An ``eigenstate`` predicate forms the 2**n amplitudes of its
@@ -77,6 +80,8 @@ from .projectors import (
     ProjectorSpec,
     _are_orthogonal,
     _class_diagonals,
+    _count_sum_is_projector,
+    _counts_resolve_identity,
     _eigenstate_residual,
     _format_coefficient,
     _idempotency_defect,
@@ -116,17 +121,25 @@ class _ProductSelection:
     formed with Python's complex product from the normalized (cL, cR) pairs.
     Every spec-built amplitude is then a sum over the label classes of its
     own specs (``_product_amplitude``), and <post|pre>, the empty product's,
-    is the product of c_k(L) + c_k(R).
+    is the product of c_k(L) + c_k(R). The weighted classes of each partition
+    are walked once per run and kept in ``classes`` (``_label_classes``), which
+    the amplitudes and tables of every query share.
     """
 
     def __init__(self, pre: list[tuple[complex, complex]], post: list[tuple[complex, complex]]):
         self.n_particles = len(pre)
         self.weights = [(post_l.conjugate() * pre_l, post_r.conjugate() * pre_r)
                         for (pre_l, pre_r), (post_l, post_r) in zip(pre, post)]
-        self.overlap = _product_amplitude((), self.weights)
+        self.classes = {}
+        self.overlap = self.amplitude(())
 
     def amplitude(self, product: ProjectorProduct) -> complex:
-        return _product_amplitude(product, self.weights)
+        return _product_amplitude(product, self.weights, self.classes)
+
+    def table(self, products: Sequence[ProjectorProduct]):
+        """``_product_table`` of ``products``: per label class, its weight and
+        whether each product holds there."""
+        return _product_table(products, self.n_particles, self.weights, self.classes)
 
 
 def _collection(values, what: str):
@@ -199,8 +212,8 @@ class AblProbabilitiesQuery(_ProductSet):
     def results(self, selection: _ProductSelection, tol: float):
         if not self.projectors:
             raise InvalidArgumentError("a measurement set needs at least one projector")
-        table = _product_table(self.projectors, selection.n_particles)
-        if not _resolves_identity(list(zip(*(holds for _, holds in table))), tol):
+        counts = [sum(holds) for _, holds in selection.table(self.projectors)]
+        if not _counts_resolve_identity(counts, tol):
             raise IncompleteMeasurementError("incomplete measurement")
         outcome = _abl_result([selection.amplitude(p) for p in self.projectors], tol)
         labels = [_product_label(p) for p in self.projectors]
@@ -224,7 +237,7 @@ class WeakValueSumQuery(_ProductSet):
             total += value
             yield f"weak_value[{_product_label(product)}]", value
         # cross-check: the summed products against conj(post)*pre, class by class
-        table = _product_table(self.projectors, selection.n_particles, selection.weights)
+        table = selection.table(self.projectors)
         via_sum = sum((sum(holds) * w for w, holds in table), 0j) / denominator
         # each largest entry, as in engine.weak_value_sum: 1 unless the product is empty
         scale = sum(map(any, zip(*(holds for _, holds in table)))) / abs(denominator)
@@ -257,8 +270,8 @@ class DetailedVsGlobalQuery(_Record):
         if not self.members:
             raise InvalidArgumentError("global probability needs at least one projector")
         # the class diagonal of the member sum: how many members hold on each class
-        total = [sum(holds) for _, holds in _product_table(self.members, selection.n_particles)]
-        if not (_is_hermitian(total, tol) and _idempotency_defect(total) <= tol):
+        counts = [sum(holds) for _, holds in selection.table(self.members)]
+        if not _count_sum_is_projector(counts, tol):
             raise IllegitimateQuestionError("not a legitimate question")
         yield "global", abs2(sum(amplitudes))
 

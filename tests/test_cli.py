@@ -1,5 +1,6 @@
 """The command line front end, exercised in process through main()."""
 
+import errno
 import io
 import json
 import os
@@ -627,6 +628,19 @@ def test_a_closed_stdout_ends_in_one_error_line(argv, unbuffered):
         os.close(write_end)
     assert result.returncode == 1
     assert result.stderr == "error: standard output was closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["list"], ["run", "pigeonhole3", "--format", "json"]])
+def test_a_failed_write_to_stdout_ends_in_one_error_line(argv, unbuffered):
+    # every write to /dev/full fails with ENOSPC, which is not a broken pipe
+    env = {**_child_env(), "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "twobox", *argv], stdout=full,
+                                stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+    assert result.returncode == 1
+    assert result.stderr == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_a_process_started_without_stdout_runs_as_before():

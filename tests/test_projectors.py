@@ -46,6 +46,7 @@ from twobox import (
 from twobox.hilbert import (_explicit_amplitudes, _product_amplitudes, _single_pair,
                             eigenstate_residual)
 from twobox.projectors import (_are_orthogonal, _check_entries, _class_diagonals,
+                               _count_sum_is_projector, _counts_resolve_identity,
                                _eigenstate_residual, _entries, _idempotency_defect, _is_hermitian,
                                _product_amplitude, _product_table, _resolves_identity)
 from twobox.scenarios import _ProductSelection
@@ -527,6 +528,36 @@ def test_label_classes_give_the_operator_verdicts(n, data):
         assert record.error is None
         assert abs(record.results[-1].value - expected) <= 1e-12 * (
             abs(expected) + len(products)) / overlap
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_class_counts_and_shared_classes_give_the_same_verdicts_and_bits(n, data):
+    """A set of 0/1 products judged from how many products hold on each class
+    gets the verdicts of the class checks on its 0/1 columns, and tables and
+    amplitudes that read their classes from a cache are those formed afresh."""
+    tol = data.draw(st.sampled_from(CLASS_TOLS + [-0.0, math.inf]))
+    products = data.draw(measurement_products(n) if n >= 2 and data.draw(st.booleans())
+                         else product_sets(n))
+    table = _product_table(products, n)
+    counts = [sum(holds) for _, holds in table]
+    assert _counts_resolve_identity(counts, tol) == resolves_identity(table, tol)
+    assert _count_sum_is_projector(counts, tol) == sum_is_projector(counts, tol)
+
+    pre_f, post_f = data.draw(near_orthogonal_states(n))
+    weights = _ProductSelection([_single_pair(f) for f in pre_f],
+                                [_single_pair(f) for f in post_f]).weights
+    fresh_table = repr(_product_table(products, n, weights))
+    fresh_amplitudes = [repr(_product_amplitude(p, weights)) for p in products]
+    for table_first in (True, False):  # the set's classes walked before its products' or after
+        cache = {}
+        for _ in range(2):  # the second round finds every partition in the cache
+            if table_first:
+                assert repr(_product_table(products, n, weights, cache)) == fresh_table
+            assert [repr(_product_amplitude(p, weights, cache)) for p in products] == (
+                fresh_amplitudes)
+            assert repr(_product_table(products, n, weights, cache)) == fresh_table
 
 
 @st.composite

@@ -645,7 +645,8 @@ def test_transition_element_past_the_float_range_matches_the_built_operator(post
 def test_weak_value_sum_cross_checks_the_factorized_amplitudes(monkeypatch):
     exact = scenarios._product_amplitude
     monkeypatch.setattr(scenarios, "_product_amplitude",
-                        lambda product, weights: exact(product, weights) * (1 + 1e-9 * len(product)))
+                        lambda product, weights, cache: exact(product, weights, cache)
+                        * (1 + 1e-9 * len(product)))
     pair = lambda i, j: (ProjectorSpec.pair_same(i, j, 3),)
     scenario = Scenario("skewed", 3, ("+",) * 3, ("+",) * 3,
                         (WeakValueSumQuery((pair(1, 2), pair(2, 3))),))
