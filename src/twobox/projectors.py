@@ -20,14 +20,14 @@ partition once. One set of structural checks (``_is_hermitian``,
 ``_idempotency_defect``, ``_are_orthogonal``, ``_resolves_identity``) runs on
 a class diagonal, one entry per class, as the same checks of the built
 operators would, on the entries of weighted sums (``_class_diagonals``) for
-predicates and ``twobox check``. A set of 0/1 products (``_product_table``)
-is judged from how many products hold on each class: its completeness
-(``_counts_resolve_identity``) and whether its sum is a projector
-(``_count_sum_is_projector``) are exactly what those checks return on its
-0/1 columns. Each pass is one plain loop over the classes with each spec's
-pattern formed once, and ``_entries`` forms the diagonal entries of a
-weighted sum the same way, for the class diagonals and label by label for
-``_eigenstate_residual``.
+predicates and ``twobox check``, and on how many members hold on each class
+for a member sum's projector-ness. A measurement set of 0/1 products
+(``_product_table``) is judged complete from how many products hold on each
+class (``_counts_resolve_identity``), which is exactly what
+``_resolves_identity`` returns on its 0/1 columns. Each pass is one plain
+loop over the classes with each spec's pattern formed once, and ``_entries``
+forms the diagonal entries of a weighted sum the same way, for the class
+diagonals and label by label for ``_eigenstate_residual``.
 Built operators (``build_projector``, ``build_hamiltonian``) are numpy
 arrays.
 
@@ -505,13 +505,6 @@ def _counts_resolve_identity(counts: Sequence[int], tol: float) -> bool:
     and idempotent with defect 0, two are orthogonal unless a class holds both
     (the largest entry of their product is then 1), and the sum is ``counts``."""
     return tol >= 0 and (tol >= 1 or max(counts) <= 1) and all(abs(c - 1) <= tol for c in counts)
-
-
-def _count_sum_is_projector(counts: Sequence[int], tol: float) -> bool:
-    """:func:`_is_hermitian` and :func:`_idempotency_defect` of a sum of 0/1
-    product holds, given by how many products hold on each class: a count is
-    real, and its defect ``c * c - c`` is never negative."""
-    return max(c * c - c for c in counts) <= tol
 
 
 def _eigenstate_residual(h: HamiltonianSpec, amplitudes: Sequence[complex],

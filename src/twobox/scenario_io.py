@@ -535,10 +535,8 @@ def _value_json(value: ResultValue) -> str:
         return _BOOL_VALUE % (_string(value.name), _WORDS[x])
     if isinstance(x, complex):
         m2 = abs2(x)
-        # a finite squared magnitude has finite parts: float.__repr__ spells all four
-        spell = float.__repr__ if math.isfinite(m2) else _float
-        return _COMPLEX_VALUE % (spell(math.sqrt(m2)), spell(m2), _string(value.name),
-                                 spell(x.real), spell(x.imag), _WORDS[value.vanishing])
+        return _COMPLEX_VALUE % (_float(math.sqrt(m2)), _float(m2), _string(value.name),
+                                 _float(x.real), _float(x.imag), _WORDS[value.vanishing])
     return _REAL_VALUE % (_string(value.name), _float(x), _WORDS[value.vanishing])
 
 

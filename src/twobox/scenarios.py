@@ -31,13 +31,13 @@ at a representative index; the cross-check of a weak-value sum reads the
 classes of all the query's specs. A run walks each partition of the
 particles once: the selection keeps the weighted classes of every partition
 it has met, which the amplitudes and product tables of all its queries
-share. A measurement set's completeness and a member sum's projector-ness
-are judged from how many products hold on each class
-(``projectors._counts_resolve_identity``, ``_count_sum_is_projector``),
-which is what the structural checks return on those 0/1 holds; the
-``is_projector``, ``orthogonal`` and ``resolution_of_identity`` predicates
-run those checks on the entries of their weighted sums, as ``twobox check``
-does (``projectors._is_hermitian`` and its siblings). A transition
+share. A measurement set's completeness is judged from how many products
+hold on each class (``projectors._counts_resolve_identity``), which is what
+the structural checks return on those 0/1 holds. A member sum's
+projector-ness runs those checks (``projectors._is_hermitian`` and its
+siblings) on the same counts, and the ``is_projector``, ``orthogonal`` and
+``resolution_of_identity`` predicates on the entries of their weighted sums,
+as ``twobox check`` does. A transition
 element is always the sum over its terms of coefficient times amplitude;
 its classes only decide whether its built operator would overflow, and so
 be refused. An ``eigenstate`` predicate forms the 2**n amplitudes of its
@@ -80,7 +80,6 @@ from .projectors import (
     ProjectorSpec,
     _are_orthogonal,
     _class_diagonals,
-    _count_sum_is_projector,
     _counts_resolve_identity,
     _eigenstate_residual,
     _format_coefficient,
@@ -270,8 +269,8 @@ class DetailedVsGlobalQuery(_Record):
         if not self.members:
             raise InvalidArgumentError("global probability needs at least one projector")
         # the class diagonal of the member sum: how many members hold on each class
-        counts = [sum(holds) for _, holds in selection.table(self.members)]
-        if not _count_sum_is_projector(counts, tol):
+        total = [sum(holds) for _, holds in selection.table(self.members)]
+        if not (_is_hermitian(total, tol) and _idempotency_defect(total) <= tol):
             raise IllegitimateQuestionError("not a legitimate question")
         yield "global", abs2(sum(amplitudes))
 
