@@ -6,28 +6,8 @@ particle k sits in box R, and each spec is one pattern (``_pattern``): a
 mask of the bits it reads and the values it allows there, so the spec holds
 at ``index`` when ``index & mask`` is one of them.
 
-Which path runs: specs are answered without numpy on their label classes,
-and ``_label_classes`` is the one place that decides them. A spec tests
-only the boxes of the particles it names, and ``all_same`` whether the
-rest are all in L, all in R or mixed, so the patterns tested at one
-representative index per class answer for all its labels. The amplitude
-of a product of specs between two product states is the summed weight of
-its classes on which every spec holds (``_product_amplitude``). The classes
-depend on the specs only through their partition (the bits of the particles
-they name, and whether ``all_same`` splits the rest), and a caller may pass a
-cache from partitions to weighted classes, so that a scenario run walks each
-partition once. One set of structural checks (``_is_hermitian``,
-``_idempotency_defect``, ``_are_orthogonal``, ``_resolves_identity``) runs on
-a class diagonal, one entry per class, as the same checks of the built
-operators would, on the entries of weighted sums (``_class_diagonals``) for
-predicates and ``twobox check``, and on how many members hold on each class
-for a member sum's projector-ness. A measurement set of 0/1 products
-(``_product_table``) is judged complete from how many products hold on each
-class (``_counts_resolve_identity``), which is exactly what
-``_resolves_identity`` returns on its 0/1 columns. Each pass is one plain
-loop over the classes with each spec's pattern formed once, and ``_entries``
-forms the diagonal entries of a weighted sum the same way, for the class
-diagonals and label by label for ``_eigenstate_residual``.
+Specs are answered on their label classes in plain Python, with no numpy, by
+one object (:class:`_LabelClasses`), whose docstring states that route.
 Built operators (``build_projector``, ``build_hamiltonian``) are numpy
 arrays.
 
@@ -104,8 +84,9 @@ class ProjectorSpec(_Record):
             if box not in ("L", "R"):
                 raise InvalidArgumentError(f"box must be 'L' or 'R', got {quoted(box)}")
         elif kind in ("pair_same", "pair_diff", "sd"):
-            if n_particles < 2:
-                raise InvalidArgumentError(f"{kind} needs at least two particles")
+            if n_particles < (3 if kind == "sd" else 2):
+                raise InvalidArgumentError(
+                    f"{kind} needs at least {'three' if kind == 'sd' else 'two'} particles")
             try:
                 i, j = pair
             except (TypeError, ValueError):
@@ -117,8 +98,6 @@ class ProjectorSpec(_Record):
                 raise InvalidArgumentError("pair members must be distinct")
             pair = (j, i) if i > j else (i, j)
             if kind == "sd":
-                if n_particles < 3:
-                    raise InvalidArgumentError("sd needs at least three particles")
                 _check_particle(other, n_particles, "other particle")
                 if other in pair:
                     raise InvalidArgumentError("the marked particle must differ from the pair")
@@ -198,108 +177,142 @@ def build_projector(spec: ProjectorSpec) -> Operator:
     return Operator._of(holds.astype(np.complex128), BOX_LABELS)
 
 
-def _label_classes(specs: Sequence[ProjectorSpec], n: int,
-                   weights: Sequence[Sequence[complex]] | None = None,
-                   cache: dict | None = None) -> tuple[list[int], list[complex]]:
-    """The label classes of ``specs`` on n particles, as two lists in class
-    order: a representative basis index and the weight of each class. This is
-    the one place that decides which labels the specs cannot tell apart.
+class _LabelClasses:
+    """The label classes of specs on n particles, weighted per particle: the
+    one place that decides which labels specs cannot tell apart, and the route
+    by which every spec-built question is answered in plain Python, with no
+    2**n array and no numpy.
 
     A spec tests only the boxes of the particles it names (T), and
     ``all_same`` also whether the others are all in L, all in R or mixed. So
     every spec holds or fails on a whole class of labels that agree on T (and
     on that split, if ``all_same`` is among the specs): at most 3 * 2**|T|
-    classes, one representative each. The weight of a class is the sum over
-    its labels of prod_k c_k(b_k), with ``weights[k - 1]`` holding
-    c_k(b) = conj(post_k[b]) pre_k[b] for b = L, R: the product over T of the
-    class's factors, times prod_k (c_k(L) + c_k(R)) over the other particles
-    (with the split, their all-L product, their all-R product or what
-    remains). Without ``weights``, a class weighs its size.
+    classes, each tested as one pattern per spec (``_pattern``) at one
+    representative index. ``weights[k - 1]`` holds (c_k(L), c_k(R)), and the
+    weight of a class is the sum over its labels of prod_k c_k(b_k): the
+    product over T of the class's factors, times prod_k (c_k(L) + c_k(R)) over
+    the other particles (with the split, their all-L product, their all-R
+    product or what remains). With unit weights a class weighs its size.
 
     The classes depend on the specs only through their partition, the pair
-    (bits of T, whether the split is asked). ``cache`` maps a partition to
-    the lists it gave with these same ``weights``: a partition found there is
-    not walked again, and one walked is stored. The lists are shared, so no
-    caller changes them.
+    (bits of T, whether the split is asked), so each partition is walked once
+    per object (``of``) and its lists are shared by every amplitude and table
+    that asks for it; no caller changes them.
+
+    A scenario run makes one object from its product pre- and postselection
+    (``between``), with c_k(b) = conj(post_k[b]) pre_k[b] formed with Python's
+    complex product, and keeps <post|pre> as ``overlap``. Every query built
+    from projector specs is answered on it. An amplitude (``amplitude``) is the
+    summed weight, in class order, of the classes on which its product holds;
+    a transition element is the sum over its terms of coefficient times
+    amplitude. A measurement set, a member sum and the cross-check of a
+    weak-value sum read which products hold on each class (``table``). A set
+    of 0/1 products is judged complete from how many hold on each class
+    (``_counts_resolve_identity``), which is what ``_resolves_identity``
+    returns on its 0/1 columns, and a member sum's projector-ness runs the
+    structural checks on the same counts.
+
+    The structural checks (``_is_hermitian``, ``_idempotency_defect``,
+    ``_are_orthogonal``, ``_resolves_identity``) run on a class diagonal, one
+    entry per class of unit weights, formed term by term from a weighted sum
+    (``_class_diagonals``, ``_entries``): for the ``is_projector``,
+    ``orthogonal`` and ``resolution_of_identity`` predicates, for ``twobox
+    check``, and to decide whether a transition element's built operator would
+    overflow, and so be refused. An ``eigenstate`` predicate forms the 2**n
+    amplitudes of its state in plain Python (``hilbert._product_amplitudes``,
+    ``hilbert._explicit_amplitudes``) and its residual label by label from the
+    same entries (``_eigenstate_residual``). The values match the operator
+    route of :mod:`twobox.engine` up to rounding in the last bits.
     """
-    touched, split = 0, False  # the bits of the particles in T; whether all_same is asked
-    for spec in specs:
-        if spec.kind == "all_same":
-            split = True
-        else:
-            touched |= _pattern(spec, n)[0]
-    untouched = ((1 << n) - 1) ^ touched
-    split = split and untouched != 0
-    if cache is not None and (touched, split) in cache:
-        return cache[touched, split]
-    indices, ws = [0], [1]
-    left = right = rest = 1
-    bit = 1 << n
-    for c_left, c_right in weights or [(1, 1)] * n:  # particle k has bit n - k
-        bit >>= 1
-        if touched & bit:  # every class so far splits into its L and its R half
-            for t in range(len(indices)):
-                indices.append(indices[t] | bit)
-                ws.append(ws[t] * c_right)
-                ws[t] *= c_left
-        else:
-            rest *= c_left + c_right
-            if split:
-                left, right = left * c_left, right * c_right
-    if split:
-        first = 1 << (untouched.bit_length() - 1)  # the first untouched particle
-        splits = [(0, left), (untouched, right)]
-        if untouched != first:  # the mixed labels: all of them but the two uniform ones
-            splits.append((first, rest - left - right))
-        indices = [index | bits for index in indices for bits, _ in splits]
-        ws = [w * v for w in ws for _, v in splits]
-    else:
-        ws = [w * rest for w in ws]
-    if cache is not None:
-        cache[touched, split] = indices, ws
-    return indices, ws
 
+    def __init__(self, weights: Sequence[tuple[complex, complex]]):
+        self.n = len(weights)
+        self.weights = weights
+        self._walked = {}  # partition -> (representative indices, class weights)
 
-def _product_table(products: Sequence[Sequence[ProjectorSpec]], n: int,
-                   weights: Sequence[Sequence[complex]] | None = None,
-                   cache: dict | None = None):
-    """Per label class of the products: its weight (see :func:`_label_classes`,
-    which reads and fills ``cache``) and whether each product holds there."""
-    patterns = [[_pattern(spec, n) for spec in product] for product in products]
-    indices, ws = _label_classes([spec for p in products for spec in p], n, weights, cache)
-    table = []
-    for index, w in zip(indices, ws):
-        holds = []
-        for product in patterns:
-            for mask, allowed in product:
+    @classmethod
+    def between(cls, pre: Sequence[tuple[complex, complex]],
+                post: Sequence[tuple[complex, complex]]) -> "_LabelClasses":
+        """The classes of a run from its normalized (cL, cR) pairs, with
+        <post|pre>, the empty product's amplitude, kept as ``overlap``."""
+        classes = cls([(post_l.conjugate() * pre_l, post_r.conjugate() * pre_r)
+                       for (pre_l, pre_r), (post_l, post_r) in zip(pre, post)])
+        classes.overlap = classes.amplitude(())
+        return classes
+
+    def of(self, specs: Iterable[ProjectorSpec]) -> tuple[list[int], list[complex]]:
+        """The label classes of ``specs``, as two lists in class order: a
+        representative basis index and the weight of each class."""
+        touched, split = 0, False  # the bits of the particles in T; whether all_same is asked
+        for spec in specs:
+            if spec.kind == "all_same":
+                split = True
+            else:
+                touched |= _pattern(spec, self.n)[0]
+        partition = touched, split and touched != (1 << self.n) - 1
+        if partition not in self._walked:
+            self._walked[partition] = self._walk(*partition)
+        return self._walked[partition]
+
+    def _walk(self, touched: int, split: bool) -> tuple[list[int], list[complex]]:
+        indices, ws = [0], [1]
+        left = right = rest = 1
+        bit = 1 << self.n
+        for c_left, c_right in self.weights:  # particle k has bit n - k
+            bit >>= 1
+            if touched & bit:  # every class so far splits into its L and its R half
+                for t in range(len(indices)):
+                    indices.append(indices[t] | bit)
+                    ws.append(ws[t] * c_right)
+                    ws[t] *= c_left
+            else:
+                rest *= c_left + c_right
+                if split:
+                    left, right = left * c_left, right * c_right
+        if split:
+            untouched = ((1 << self.n) - 1) ^ touched
+            first = 1 << (untouched.bit_length() - 1)  # the first untouched particle
+            splits = [(0, left), (untouched, right)]
+            if untouched != first:  # the mixed labels: all of them but the two uniform ones
+                splits.append((first, rest - left - right))
+            indices = [index | bits for index in indices for bits, _ in splits]
+            ws = [w * v for w in ws for _, v in splits]
+        else:
+            ws = [w * rest for w in ws]
+        return indices, ws
+
+    def amplitude(self, product: Sequence[ProjectorSpec]) -> complex:
+        """<post|P|pre> for the product P of specs: the weights of the classes
+        of P on which every spec of P holds, added in class order. The empty
+        product gives <post|pre>."""
+        patterns = [_pattern(spec, self.n) for spec in product]
+        indices, ws = self.of(product)
+        total = 0j
+        for index, w in zip(indices, ws):
+            for mask, allowed in patterns:
                 if index & mask not in allowed:
-                    holds.append(False)
                     break
             else:
-                holds.append(True)
-        table.append((w, holds))
-    return table
+                total += w
+        return total
 
-
-def _product_amplitude(product: Sequence[ProjectorSpec],
-                       weights: Sequence[Sequence[complex]],
-                       cache: dict | None = None) -> complex:
-    """<post|P|pre> for the product P of specs between two product states, with
-    ``weights`` and ``cache`` as in :func:`_label_classes`: the weights of the
-    label classes of P on which every spec of P holds, added in class order.
-    The empty product gives <post|pre>.
-    """
-    n = len(weights)
-    patterns = [_pattern(spec, n) for spec in product]
-    indices, ws = _label_classes(product, n, weights, cache)
-    total = 0j
-    for index, w in zip(indices, ws):
-        for mask, allowed in patterns:
-            if index & mask not in allowed:
-                break
-        else:
-            total += w
-    return total
+    def table(self, products: Sequence[Sequence[ProjectorSpec]]):
+        """Per label class of the products: its weight and whether each
+        product holds there."""
+        patterns = [[_pattern(spec, self.n) for spec in product] for product in products]
+        indices, ws = self.of([spec for p in products for spec in p])
+        table = []
+        for index, w in zip(indices, ws):
+            holds = []
+            for product in patterns:
+                for mask, allowed in product:
+                    if index & mask not in allowed:
+                        holds.append(False)
+                        break
+                else:
+                    holds.append(True)
+            table.append((w, holds))
+        return table
 
 
 _DIGITS = 6  # significant digits of a number in a label, a table or a check
@@ -440,11 +453,11 @@ def _entries(terms: Sequence[tuple[complex, ProjectorSpec]], indices: Iterable[i
 def _class_diagonals(hamiltonians: Sequence[HamiltonianSpec]) -> list[list[complex]]:
     """The diagonals of weighted projector sums on the same n particles, one
     entry (:func:`_entries`) per label class of all their terms, in the order
-    :func:`_label_classes` gives the classes. A diagonal with an entry that is
+    :class:`_LabelClasses` gives the classes. A diagonal with an entry that is
     not finite is refused as :func:`build_hamiltonian` refuses it.
     """
     n = hamiltonians[0].n_particles
-    indices, _ = _label_classes([proj for h in hamiltonians for _, proj in h.terms], n)
+    indices, _ = _LabelClasses([(1, 1)] * n).of([proj for h in hamiltonians for _, proj in h.terms])
     diagonals = []
     for h in hamiltonians:
         entries = _entries(h.terms, indices, n)
@@ -500,7 +513,7 @@ def _resolves_identity(ds: Sequence[Sequence[complex]], tol: float) -> bool:
 
 
 def _counts_resolve_identity(counts: Sequence[int], tol: float) -> bool:
-    """:func:`_resolves_identity` of the 0/1 holds of products (``_product_table``)
+    """:func:`_resolves_identity` of the 0/1 holds of products (``_LabelClasses.table``)
     from how many products hold on each class: each product is then hermitian
     and idempotent with defect 0, two are orthogonal unless a class holds both
     (the largest entry of their product is then 1), and the sum is ``counts``."""

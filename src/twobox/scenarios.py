@@ -19,35 +19,12 @@ needs a row there too. If ``results`` raises a
 TwoBoxError, the record carries its message: an IllegitimateQuestionError
 keeps the results yielded before it, any other error discards them.
 
-Which path runs: the selection of a scenario is a product state, kept as
-each particle's normalized (cL, cR) pair, so every query built from
-projector specs (all but ``predicate``) is computed on the label classes
-of its specs (``projectors._label_classes``) in plain Python, with no
-2**n array and no numpy: at most 3 * 2**|T| classes for the particles T
-the specs name. An amplitude is the summed weight of the classes on which
-its product holds (``projectors._product_amplitude``), added in class order
-with each spec tested as one (mask, allowed) pattern (``projectors._pattern``)
-at a representative index; the cross-check of a weak-value sum reads the
-classes of all the query's specs. A run walks each partition of the
-particles once: the selection keeps the weighted classes of every partition
-it has met, which the amplitudes and product tables of all its queries
-share. A measurement set's completeness is judged from how many products
-hold on each class (``projectors._counts_resolve_identity``), which is what
-the structural checks return on those 0/1 holds. A member sum's
-projector-ness runs those checks (``projectors._is_hermitian`` and its
-siblings) on the same counts, and the ``is_projector``, ``orthogonal`` and
-``resolution_of_identity`` predicates on the entries of their weighted sums,
-as ``twobox check`` does. A transition
-element is always the sum over its terms of coefficient times amplitude;
-its classes only decide whether its built operator would overflow, and so
-be refused. An ``eigenstate`` predicate forms the 2**n amplitudes of its
-state in plain Python, a product state's from its pairs and an explicit
-one checked as ``Ket`` checks it (``hilbert._explicit_amplitudes``), and
-its residual label by label from the entries of its sum, formed as the
-class diagonals' are (``projectors._entries``,
-``projectors._eigenstate_residual``). So no query loads numpy. The values
-match the operator route of :mod:`twobox.engine` and
-:func:`twobox.hilbert.eigenstate_residual` up to rounding in the last bits.
+Which path runs: a scenario's selection is a product state, kept as each
+particle's normalized (cL, cR) pair, so every query built from projector
+specs is computed on the label classes of its specs, with no 2**n array.
+One object per run answers them (``projectors._LabelClasses``, whose
+docstring states the route), and each query's ``results`` calls it
+directly. No query loads numpy.
 ``run_scenario`` checks its tolerance once; each reported value is then
 judged vanishing or not against it with no further check.
 """
@@ -85,8 +62,7 @@ from .projectors import (
     _format_coefficient,
     _idempotency_defect,
     _is_hermitian,
-    _product_amplitude,
-    _product_table,
+    _LabelClasses,
     _resolves_identity,
 )
 
@@ -111,34 +87,6 @@ class ExplicitState(_Record):
 
 
 NParticleState = Union[ProductState, ExplicitState]
-
-
-class _ProductSelection:
-    """The product pre- and postselection of a run, kept particle by particle.
-
-    ``weights[k - 1]`` holds c_k(b) = conj(post_k[b]) pre_k[b] for b = L, R,
-    formed with Python's complex product from the normalized (cL, cR) pairs.
-    Every spec-built amplitude is then a sum over the label classes of its
-    own specs (``_product_amplitude``), and <post|pre>, the empty product's,
-    is the product of c_k(L) + c_k(R). The weighted classes of each partition
-    are walked once per run and kept in ``classes`` (``_label_classes``), which
-    the amplitudes and tables of every query share.
-    """
-
-    def __init__(self, pre: list[tuple[complex, complex]], post: list[tuple[complex, complex]]):
-        self.n_particles = len(pre)
-        self.weights = [(post_l.conjugate() * pre_l, post_r.conjugate() * pre_r)
-                        for (pre_l, pre_r), (post_l, post_r) in zip(pre, post)]
-        self.classes = {}
-        self.overlap = self.amplitude(())
-
-    def amplitude(self, product: ProjectorProduct) -> complex:
-        return _product_amplitude(product, self.weights, self.classes)
-
-    def table(self, products: Sequence[ProjectorProduct]):
-        """``_product_table`` of ``products``: per label class, its weight and
-        whether each product holds there."""
-        return _product_table(products, self.n_particles, self.weights, self.classes)
 
 
 def _collection(values, what: str):
@@ -176,14 +124,14 @@ class _OneProduct(_Record):
 class AblAmplitudeQuery(_OneProduct):
     tag = "abl_amplitude"
 
-    def results(self, selection: _ProductSelection, tol: float):
+    def results(self, selection: _LabelClasses, tol: float):
         yield "amplitude", selection.amplitude(self.projector)
 
 
 class WeakValueQuery(_OneProduct):
     tag = "weak_value"
 
-    def results(self, selection: _ProductSelection, tol: float):
+    def results(self, selection: _LabelClasses, tol: float):
         denominator = _weak_denominator(selection.overlap, tol)
         amplitude = selection.amplitude(self.projector)
         yield "weak_value", amplitude / denominator
@@ -208,7 +156,7 @@ class _ProductSet(_Record):
 class AblProbabilitiesQuery(_ProductSet):
     tag = "abl_probabilities"
 
-    def results(self, selection: _ProductSelection, tol: float):
+    def results(self, selection: _LabelClasses, tol: float):
         if not self.projectors:
             raise InvalidArgumentError("a measurement set needs at least one projector")
         counts = [sum(holds) for _, holds in selection.table(self.projectors)]
@@ -225,7 +173,7 @@ class AblProbabilitiesQuery(_ProductSet):
 class WeakValueSumQuery(_ProductSet):
     tag = "weak_value_sum"
 
-    def results(self, selection: _ProductSelection, tol: float):
+    def results(self, selection: _LabelClasses, tol: float):
         if not self.projectors:
             yield "weak_value_sum", 0j
             return
@@ -258,7 +206,7 @@ class DetailedVsGlobalQuery(_Record):
     def target(self, scheme) -> str:
         return _set_label(self.members)
 
-    def results(self, selection: _ProductSelection, tol: float):
+    def results(self, selection: _LabelClasses, tol: float):
         amplitudes = [selection.amplitude(p) for p in self.members]
         for product, amplitude in zip(self.members, amplitudes):
             yield f"amplitude[{_product_label(product)}]", amplitude
@@ -289,7 +237,7 @@ class TransitionElementQuery(_Record):
     def target(self, scheme) -> str:
         return self.hamiltonian.label()
 
-    def results(self, selection: _ProductSelection, tol: float):
+    def results(self, selection: _LabelClasses, tol: float):
         terms = self.hamiltonian.terms
         if not (math.isfinite(sum(abs(c.real) for c, _ in terms))
                 and math.isfinite(sum(abs(c.imag) for c, _ in terms))):
@@ -358,7 +306,7 @@ class PredicateQuery(_Record):
         return (f"{labels[0]} on {_nstate_display(self.state, scheme)} "
                 f"with eigenvalue {_format_coefficient(complex(self.eigenvalue))}")
 
-    def results(self, selection: _ProductSelection, tol: float):
+    def results(self, selection: _LabelClasses, tol: float):
         diagonals = _class_diagonals(self.operands)  # refuses a diagonal that is not finite
         if self.check == "eigenstate":
             amplitudes = (_product_amplitudes([_single_pair(f) for f in self.state.factors])
@@ -496,8 +444,8 @@ def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOLERANCE) -> Scenario
     expect(scenario, Scenario, "a Scenario")
     expect_tolerance(tol)
     scheme = label_scheme(scenario.labels)
-    selection = _ProductSelection([_single_pair(f) for f in scenario.pre],
-                                  [_single_pair(f) for f in scenario.post])
+    selection = _LabelClasses.between([_single_pair(f) for f in scenario.pre],
+                                      [_single_pair(f) for f in scenario.post])
 
     records = []
     for index, query in enumerate(scenario.queries):

@@ -399,6 +399,21 @@ def test_check_expression_file(capsys, tmp_path):
     assert "[0] vs [1] = true" in out
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_sd_below_three_particles_is_refused_for_its_count(n, capsys, tmp_path):
+    message = "sd needs at least three particles"
+    with pytest.raises(twobox.InvalidArgumentError, match=message):
+        ProjectorSpec("sd", n, pair=(1, 3), other=2)
+    doc = {"name": "short", "particles": n, "pre": ["+"] * n, "post": ["+i"] * n,
+           "queries": [{"type": "abl_amplitude",
+                        "projector": {"kind": "sd", "pair": [1, 3], "other": 2}}]}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(capsys, "run", str(path)) == (1, "", f"error: $.queries[0]: {message}\n")
+    assert run_cli(capsys, "check", "sd(1,3;2)", "--particles", str(n)) == (
+        1, "", f"error: line 1: column 1: {message}\n")
+
+
 def test_check_json_format(capsys):
     code, out, err = run_cli(capsys, "check", "all_same\npair_diff(1,2)",
                              "--format", "json")

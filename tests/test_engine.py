@@ -1,6 +1,9 @@
 """Conditional amplitudes, probabilities, weak values, and transitions."""
 
+import io
+from contextlib import redirect_stdout
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +362,18 @@ def test_measurement_set_basics():
         MeasurementSet([ops[0], Operator.identity(2)])
     with pytest.raises(AttributeError):
         measurement.labels = ()
+
+
+def test_the_readme_library_example_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(example, {})
+    printed = out.getvalue().splitlines()
+    comments = [line.split("#", 1)[1].strip() for line in example.splitlines()
+                if line.startswith("print(")]
+    assert printed == ["0j", "(-0.5-0j)", "(0.25, 0.25, 0.25, 0.25)"]
+    assert len(comments) == len(printed)
+    for line, comment in zip(printed, comments):
+        assert comment.startswith(line)

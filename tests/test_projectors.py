@@ -47,9 +47,8 @@ from twobox.hilbert import (_explicit_amplitudes, _product_amplitudes, _single_p
                             eigenstate_residual)
 from twobox.projectors import (_are_orthogonal, _check_entries, _class_diagonals,
                                _counts_resolve_identity, _eigenstate_residual, _entries,
-                               _idempotency_defect, _is_hermitian,
-                               _product_amplitude, _product_table, _resolves_identity)
-from twobox.scenarios import _ProductSelection
+                               _idempotency_defect, _is_hermitian, _LabelClasses,
+                               _resolves_identity)
 
 
 def sample_specs(n):
@@ -356,7 +355,7 @@ def sum_is_projector(counts, tol):
 @given(data=st.data(), n=st.integers(min_value=2, max_value=5))
 def test_exact_mask_checks_give_the_operator_verdicts(tol, data, n):
     products = data.draw(measurement_products(n))
-    table = _product_table(products, n)
+    table = _LabelClasses([(1, 1)] * n).table(products)
     counts = [sum(holds) for _, holds in table]
     ops = [reduce(lambda a, b: a @ b, map(build_projector, p), Operator.identity(n))
            for p in products]
@@ -502,7 +501,7 @@ def test_label_classes_give_the_operator_verdicts(n, data):
                          else product_sets(n))
     ops = [reduce(lambda a, b: a @ b, map(build_projector, p), Operator.identity(n))
            for p in products]
-    table = _product_table(products, n)
+    table = _LabelClasses([(1, 1)] * n).table(products)
     counts = [sum(holds) for _, holds in table]
     assert resolves_identity(table, tol) == is_resolution_of_identity(ops, tol)
     assert sum_is_projector(counts, tol) == is_projector(sum(ops[1:], start=ops[0]), tol)
@@ -536,28 +535,27 @@ def test_label_classes_give_the_operator_verdicts(n, data):
 def test_class_counts_and_shared_classes_give_the_same_verdicts_and_bits(n, data):
     """A set of 0/1 products judged complete from how many products hold on
     each class gets the verdict of the class check on its 0/1 columns, and
-    tables and amplitudes that read their classes from a cache are those
-    formed afresh."""
+    tables and amplitudes that read their classes from partitions an object
+    has already walked are those formed afresh."""
     tol = data.draw(st.sampled_from(CLASS_TOLS + [-0.0, math.inf]))
     products = data.draw(measurement_products(n) if n >= 2 and data.draw(st.booleans())
                          else product_sets(n))
-    table = _product_table(products, n)
+    table = _LabelClasses([(1, 1)] * n).table(products)
     counts = [sum(holds) for _, holds in table]
     assert _counts_resolve_identity(counts, tol) == resolves_identity(table, tol)
 
     pre_f, post_f = data.draw(near_orthogonal_states(n))
-    weights = _ProductSelection([_single_pair(f) for f in pre_f],
-                                [_single_pair(f) for f in post_f]).weights
-    fresh_table = repr(_product_table(products, n, weights))
-    fresh_amplitudes = [repr(_product_amplitude(p, weights)) for p in products]
+    pre, post = [_single_pair(f) for f in pre_f], [_single_pair(f) for f in post_f]
+    fresh = lambda: _LabelClasses.between(pre, post)
+    fresh_table = repr(fresh().table(products))
+    fresh_amplitudes = [repr(fresh().amplitude(p)) for p in products]
     for table_first in (True, False):  # the set's classes walked before its products' or after
-        cache = {}
-        for _ in range(2):  # the second round finds every partition in the cache
+        shared = fresh()
+        for _ in range(2):  # the second round finds every partition walked
             if table_first:
-                assert repr(_product_table(products, n, weights, cache)) == fresh_table
-            assert [repr(_product_amplitude(p, weights, cache)) for p in products] == (
-                fresh_amplitudes)
-            assert repr(_product_table(products, n, weights, cache)) == fresh_table
+                assert repr(shared.table(products)) == fresh_table
+            assert [repr(shared.amplitude(p)) for p in products] == fresh_amplitudes
+            assert repr(shared.table(products)) == fresh_table
 
 
 @st.composite
@@ -821,14 +819,16 @@ def reference_class_diagonals(hamiltonians):
 @given(data=st.data())
 def test_patterns_give_the_list_route_bit_for_bit(n, data):
     pre_f, post_f = data.draw(near_orthogonal_states(n))
-    weights = _ProductSelection([_single_pair(f) for f in pre_f],
-                                [_single_pair(f) for f in post_f]).weights
+    classes = _LabelClasses.between([_single_pair(f) for f in pre_f],
+                                    [_single_pair(f) for f in post_f])
+    weights = classes.weights
     products = data.draw(product_sets(n))
     for product in products:
-        assert repr(_product_amplitude(product, weights)) == repr(
+        assert repr(classes.amplitude(product)) == repr(
             reference_product_amplitude(product, weights))
-    assert repr(_product_table(products, n)) == repr(reference_product_table(products, n))
-    assert repr(_product_table(products, n, weights)) == repr(
+    assert repr(_LabelClasses([(1, 1)] * n).table(products)) == repr(
+        reference_product_table(products, n))
+    assert repr(classes.table(products)) == repr(
         reference_product_table(products, n, weights))
 
     coefficients = st.one_of(FLOATS, COMPLEX_COEFFICIENTS, st.builds(complex, HUGE, HUGE),

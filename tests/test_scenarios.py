@@ -7,8 +7,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import corpus
 import oracle
-from twobox import scenarios
 from twobox import (
     MAX_PARTICLES,
     AblAmplitudeQuery,
@@ -60,7 +60,8 @@ from twobox import (
     weak_value,
     weak_value_sum,
 )
-from twobox.hilbert import eigenstate_residual
+from twobox.hilbert import _single_pair, eigenstate_residual
+from twobox.projectors import _LabelClasses
 
 TOL = 1e-12
 
@@ -643,13 +644,60 @@ def test_transition_element_past_the_float_range_matches_the_built_operator(post
 
 
 def test_weak_value_sum_cross_checks_the_factorized_amplitudes(monkeypatch):
-    exact = scenarios._product_amplitude
-    monkeypatch.setattr(scenarios, "_product_amplitude",
-                        lambda product, weights, cache: exact(product, weights, cache)
-                        * (1 + 1e-9 * len(product)))
+    exact = _LabelClasses.amplitude
+    monkeypatch.setattr(_LabelClasses, "amplitude",
+                        lambda self, product: exact(self, product) * (1 + 1e-9 * len(product)))
     pair = lambda i, j: (ProjectorSpec.pair_same(i, j, 3),)
     scenario = Scenario("skewed", 3, ("+",) * 3, ("+",) * 3,
                         (WeakValueSumQuery((pair(1, 2), pair(2, 3))),))
     record = run_scenario(scenario).records[0]
     assert record.results == ()
     assert record.error.startswith("weak value linearity cross-check failed")
+
+
+def spec_partition(specs, n):
+    """The partition of ``specs`` read from the specs alone: the particles they
+    name, and whether ``all_same`` splits the others."""
+    named = frozenset(k for spec in specs
+                      for k in (spec.particle, spec.other, *(spec.pair or ())) if k is not None)
+    return named, len(named) < n and any(spec.kind == "all_same" for spec in specs)
+
+
+def asked_partitions(query, n):
+    """The partitions whose classes a query reads from its run's object."""
+    if isinstance(query, (AblAmplitudeQuery, WeakValueQuery)):
+        return {spec_partition(query.projector, n)}
+    if isinstance(query, TransitionElementQuery):
+        return {spec_partition((spec,), n) for _, spec in query.hamiltonian.terms}
+    if isinstance(query, PredicateQuery):
+        return set()  # its class diagonals have unit weights, on an object of their own
+    products = query.members if isinstance(query, DetailedVsGlobalQuery) else query.projectors
+    return {spec_partition(p, n) for p in products} | {
+        spec_partition([spec for p in products for spec in p], n)}
+
+
+def test_a_run_walks_each_partition_of_its_queries_once(monkeypatch):
+    walks = []
+    walk = _LabelClasses._walk
+    monkeypatch.setattr(_LabelClasses, "_walk",
+                        lambda self, touched, split: walks.append((self, touched, split))
+                        or walk(self, touched, split))
+    runs = [(key, scenario) for key, scenario in corpus._scenarios()
+            if key.startswith(("builtin ", "pigeonhole_doc "))]
+    assert len(runs) == 16
+    for key, scenario in runs:
+        n = scenario.n_particles
+        classes = _LabelClasses.between([_single_pair(f) for f in scenario.pre],
+                                        [_single_pair(f) for f in scenario.post])
+        for query in scenario.queries:
+            try:
+                list(query.results(classes, TOL))
+            except TwoBoxError:
+                pass
+        walked = [(frozenset(k for k in range(1, n + 1) if touched >> (n - k) & 1), split)
+                  for obj, touched, split in walks if obj is classes]
+        # the empty product's partition is walked for <post|pre> when the object is made
+        expected = set().union({spec_partition((), n)},
+                               *(asked_partitions(query, n) for query in scenario.queries))
+        assert len(walked) == len(expected), key
+        assert set(walked) == expected, key
