@@ -7,19 +7,8 @@ projectors that are diagonal in the box basis, together with a scenario
 layer and a command line front end.
 """
 
-from .engine import (
-    AblResult,
-    MeasurementSet,
-    PrePostSelection,
-    abl_amplitude,
-    abl_probabilities,
-    detailed_probability,
-    global_probability,
-    transition_element,
-    vanishes,
-    weak_value,
-    weak_value_sum,
-)
+from . import hilbert
+from .engine import AblResult, vanishes
 from .errors import (
     DimensionMismatchError,
     ExpressionError,
@@ -41,33 +30,12 @@ from .hilbert import (
     DEFAULT_TOLERANCE,
     MAX_PARTICLES,
     SPIN_LABELS,
-    Ket,
     LabelScheme,
-    Operator,
-    UnnormalizedKet,
     abs2,
-    apply,
-    basis_state,
     canonical_state_name,
-    inner,
-    is_eigenstate,
     label_scheme,
-    make_single_particle_state,
-    matrix_element,
-    tensor,
 )
-from .projectors import (
-    HamiltonianSpec,
-    ProjectorSpec,
-    are_orthogonal,
-    build_hamiltonian,
-    build_projector,
-    idempotency_defect,
-    is_hermitian,
-    is_projector,
-    is_resolution_of_identity,
-    relabel_to_spin,
-)
+from .projectors import HamiltonianSpec, ProjectorSpec
 from .scenario_io import (
     SCENARIO_SCHEMA,
     document_to_report,
@@ -94,5 +62,15 @@ from .scenarios import (
     lookup_scenario,
     run_scenario,
 )
+
+# the states, operators and functions on them, which twobox.dense holds
+__getattr__, __dir__ = hilbert._forward(__name__, (
+    "Ket", "Operator", "UnnormalizedKet", "apply", "basis_state", "inner", "is_eigenstate",
+    "make_single_particle_state", "matrix_element", "tensor",
+    "are_orthogonal", "build_hamiltonian", "build_projector", "idempotency_defect",
+    "is_hermitian", "is_projector", "is_resolution_of_identity", "relabel_to_spin",
+    "MeasurementSet", "PrePostSelection", "abl_amplitude", "abl_probabilities",
+    "detailed_probability", "global_probability", "transition_element", "weak_value",
+    "weak_value_sum"))
 
 __version__ = "0.1.0"

@@ -7,17 +7,9 @@ mask of the bits it reads and the values it allows there, so the spec holds
 at ``index`` when ``index & mask`` is one of them.
 
 Specs are answered on their label classes in plain Python, with no numpy, by
-one object (:class:`_LabelClasses`), whose docstring states that route.
-Built operators (``build_projector``, ``build_hamiltonian``) are numpy
-arrays.
-
-The structural checks of operators (``is_hermitian``, ``idempotency_defect``,
-``is_projector``, ``are_orthogonal``, ``is_resolution_of_identity``) and
-``build_hamiltonian`` are their definitions in Operator arithmetic
-(``(op @ op - op).max_entry()``, the zero operator plus each
-``coeff * build_projector(proj)`` in term order, and so on). They serve
-library callers and are the reference the label-class checks are tested
-against; no scenario run or command reaches them.
+one object (:class:`_LabelClasses`), whose docstring states that route. The
+operators these specs build, and the structural checks of built operators,
+are in :mod:`twobox.dense`.
 """
 
 from __future__ import annotations
@@ -26,22 +18,8 @@ import cmath
 import math
 from collections.abc import Iterable, Sequence
 
-from .errors import InvalidAmplitudesError, InvalidArgumentError, expect, expect_tolerance, quoted
-from .hilbert import (
-    BOX_LABELS,
-    DEFAULT_TOLERANCE,
-    SPIN_LABELS,
-    Ket,
-    Operator,
-    UnnormalizedKet,
-    _Record,
-    _as_number,
-    _check_particle_count,
-    _norm_sq,
-    _operator,
-    _operator_list,
-    np,
-)
+from .errors import InvalidAmplitudesError, InvalidArgumentError, expect, quoted
+from .hilbert import _as_number, _check_particle_count, _forward, _norm_sq, _Record
 
 # the fields each projector kind names besides n_particles; it takes no others
 _KIND_FIELDS = {
@@ -166,17 +144,6 @@ def _pattern(spec: ProjectorSpec, n: int) -> tuple[int, tuple[int, ...]]:
     return bit_i | bit_j | bit_o, (bit_o, bit_i | bit_j)
 
 
-def build_projector(spec: ProjectorSpec) -> Operator:
-    """Realize a :class:`ProjectorSpec` as its 0/1 diagonal."""
-    n = expect(spec, ProjectorSpec, "a ProjectorSpec").n_particles
-    mask, allowed = _pattern(spec, n)
-    masked = np.arange(2**n) & mask
-    holds = masked == allowed[0]
-    for value in allowed[1:]:
-        holds |= masked == value
-    return Operator._of(holds.astype(np.complex128), BOX_LABELS)
-
-
 class _LabelClasses:
     """The label classes of specs on n particles, weighted per particle: the
     one place that decides which labels specs cannot tell apart, and the route
@@ -222,7 +189,7 @@ class _LabelClasses:
     amplitudes of its state in plain Python (``hilbert._product_amplitudes``,
     ``hilbert._explicit_amplitudes``) and its residual label by label from the
     same entries (``_eigenstate_residual``). The values match the operator
-    route of :mod:`twobox.engine` up to rounding in the last bits.
+    route of :mod:`twobox.dense` up to rounding in the last bits.
     """
 
     def __init__(self, weights: Sequence[tuple[complex, complex]]):
@@ -388,58 +355,11 @@ class HamiltonianSpec(_Record):
         return " + ".join(parts)
 
 
-def build_hamiltonian(spec: HamiltonianSpec) -> Operator:
-    """Realize a weighted projector sum, adding the terms in order to the zero
-    operator; an empty term list gives the zero operator."""
-    spec = expect(spec, HamiltonianSpec, "a HamiltonianSpec")
-    return sum((coeff * build_projector(proj) for coeff, proj in spec.terms),
-               start=Operator.zero(spec.n_particles))
-
-
-def is_hermitian(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """Whether the operator equals its own adjoint, max-entry norm."""
-    op, tol = _operator(op), expect_tolerance(tol)
-    return (op - op.dagger()).max_entry() <= tol
-
-
-def idempotency_defect(op: Operator) -> float:
-    """Max-entry norm of op@op - op; zero for exact projectors."""
-    op = _operator(op)
-    return (op @ op - op).max_entry()
-
-
-def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """Hermitian and idempotent within ``tol`` (max-entry norm on both checks)."""
-    return is_hermitian(op, tol) and idempotency_defect(op) <= tol
-
-
-def are_orthogonal(a: Operator, b: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """Whether both products a@b and b@a vanish within ``tol``."""
-    a, b, tol = _operator(a), _operator(b), expect_tolerance(tol)
-    return (a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol
-
-
-def is_resolution_of_identity(projectors: Iterable[Operator],
-                              tol: float = DEFAULT_TOLERANCE) -> bool:
-    """Whether the operators are mutually orthogonal projectors summing to one.
-
-    Accepts any iterable of operators, including a
-    :class:`~twobox.engine.MeasurementSet`.
-    """
-    ops, tol = _operator_list(projectors), expect_tolerance(tol)
-    if not ops:
-        raise InvalidArgumentError("resolution check needs at least one operator")
-    total = sum(ops[1:], start=ops[0])
-    return (all(is_projector(op, tol) for op in ops)
-            and all(are_orthogonal(a, b, tol) for i, a in enumerate(ops) for b in ops[i + 1:])
-            and (total - Operator.identity(total.n_particles)).max_entry() <= tol)
-
-
 def _entries(terms: Sequence[tuple[complex, ProjectorSpec]], indices: Iterable[int],
              n: int) -> list[complex]:
     """The diagonal entries at the basis indices ``indices`` of the weighted
     projector sum of ``terms`` on n particles, each formed as
-    :func:`build_hamiltonian` forms it: term by term, in order."""
+    :func:`~twobox.dense.build_hamiltonian` forms it: term by term, in order."""
     patterns = [(coeff, *_pattern(proj, n)) for coeff, proj in terms]
     entries = []
     for index in indices:
@@ -454,7 +374,7 @@ def _class_diagonals(hamiltonians: Sequence[HamiltonianSpec]) -> list[list[compl
     """The diagonals of weighted projector sums on the same n particles, one
     entry (:func:`_entries`) per label class of all their terms, in the order
     :class:`_LabelClasses` gives the classes. A diagonal with an entry that is
-    not finite is refused as :func:`build_hamiltonian` refuses it.
+    not finite is refused as :func:`~twobox.dense.build_hamiltonian` refuses it.
     """
     n = hamiltonians[0].n_particles
     indices, _ = _LabelClasses([(1, 1)] * n).of([proj for h in hamiltonians for _, proj in h.terms])
@@ -484,7 +404,7 @@ def _class_max(entries: Sequence[complex]) -> float:
 # The structural checks of weighted projector sums, on their class diagonals
 # (:func:`_class_diagonals`) with no 2**n array and no numpy. Every entry of a
 # diagonal equals its class's entry, so each check returns what the same check
-# of the built operators returns (:func:`is_hermitian` and so on), and raises
+# of the built operators returns (:func:`~twobox.dense.is_hermitian` and so on), and raises
 # what it raises. For real coefficients the values are the same bits, and on
 # 0/1 holds they are exact integers. Complex ones may differ in the last bits,
 # as numpy's complex product may be fused and Python's is not; for the same
@@ -522,7 +442,7 @@ def _counts_resolve_identity(counts: Sequence[int], tol: float) -> bool:
 
 def _eigenstate_residual(h: HamiltonianSpec, amplitudes: Sequence[complex],
                          eigenvalue: complex) -> float:
-    """:func:`~twobox.hilbert.eigenstate_residual` of ``h`` on the state with
+    """:func:`~twobox.dense.eigenstate_residual` of ``h`` on the state with
     these 2**n checked amplitudes: each label takes its entry (:func:`_entries`),
     the bits its class has, and an image entry that is not finite is refused
     as the built operator's image is. The norm is summed exactly
@@ -536,10 +456,6 @@ def _eigenstate_residual(h: HamiltonianSpec, amplitudes: Sequence[complex],
     return math.sqrt(_norm_sq([z - eigenvalue * a for z, a in zip(image, amplitudes)]))
 
 
-def relabel_to_spin(value: Ket | UnnormalizedKet | Operator):
-    """Present a box-labeled value in spin language: L as up, R as down,
-    the box superpositions as x and y spin states. Amplitudes and entries
-    are carried over untouched."""
-    if isinstance(value, (Ket, UnnormalizedKet, Operator)):
-        return value.with_labels(SPIN_LABELS)
-    raise InvalidArgumentError(f"cannot relabel {type(value).__name__}")
+__getattr__, __dir__ = _forward(__name__, (
+    "build_projector", "build_hamiltonian", "is_hermitian", "idempotency_defect", "is_projector",
+    "are_orthogonal", "is_resolution_of_identity", "relabel_to_spin"))

@@ -44,8 +44,8 @@ import os
 from json.encoder import encode_basestring as _string
 from typing import Any, get_args
 
-from .errors import (InvalidAmplitudesError, ScenarioFileError, UnnormalizableStateError,
-                     capped, expect, quoted)
+from .errors import (InvalidAmplitudesError, InvalidArgumentError, ScenarioFileError,
+                     UnnormalizableStateError, capped, expect, quoted)
 from .hilbert import (MAX_PARTICLES, _SCHEMES, _STATE_ALIASES, _explicit_amplitudes, _single_pair,
                       abs2)
 from .projectors import _KIND_FIELDS, HamiltonianSpec, ProjectorSpec
@@ -436,17 +436,40 @@ def _encode_value(value: ResultValue) -> dict:
     return {"name": value.name, "value": value.value, "vanishing": value.vanishing}
 
 
-def _decode_value(doc: dict) -> ResultValue:
-    raw = doc["value"]
+# the keys of a report document, of a record and of a result value, each with
+# the JSON types its value may take (a bool is no int)
+_REPORT_KEYS = {"scenario": (str,), "description": (str,), "labels": (str,),
+                "n_particles": (int,), "pre": (list,), "post": (list,), "notes": (list,),
+                "tolerance": (int, float), "queries": (list,)}
+_RECORD_KEYS = {"index": (int,), "type": (str,), "kind": (str,), "target": (str,),
+                "claim": (str, type(None)), "results": (list,), "error": (str, type(None))}
+_VALUE_KEYS = {"name": (str,), "value": (bool, int, float, list)}
+
+
+def _keyed(doc, keys: dict, path: str) -> dict:
+    """``doc``, refused with the path of the first of ``keys`` it lacks or mistypes."""
+    for key, types in keys.items():
+        if (not isinstance(doc, dict) or key not in doc or not isinstance(doc[key], types)
+                or (type(doc[key]) is bool and bool not in types)):
+            raise InvalidArgumentError(f"report document: {path}.{key} is missing or mistyped")
+    return doc
+
+
+def _decode_value(doc: dict, path: str) -> ResultValue:
+    raw = _keyed(doc, _VALUE_KEYS, path)["value"]
     if isinstance(raw, bool):
         return ResultValue(doc["name"], raw, None)
-    if isinstance(raw, list):
-        return ResultValue(doc["name"], complex(raw[0], raw[1]), doc["vanishing"])
-    return ResultValue(doc["name"], float(raw), doc["vanishing"])
+    if doc.get("vanishing") not in (True, False):  # numpy's bool_ too, as a numpy tolerance gives
+        raise InvalidArgumentError(f"report document: {path}.vanishing is missing or mistyped")
+    if isinstance(raw, list) and (len(raw) != 2 or not all(type(x) in (int, float) for x in raw)):
+        raise InvalidArgumentError(f"report document: {path}.value is mistyped")
+    value = complex(*raw) if isinstance(raw, list) else float(raw)
+    return ResultValue(doc["name"], value, doc["vanishing"])
 
 
 def report_to_document(report: ScenarioReport) -> dict:
     """Encode a report as plain JSON-ready data; complex values become [re, im]."""
+    expect(report, ScenarioReport, "a ScenarioReport")
     return {
         "scenario": report.scenario,
         "description": report.description,
@@ -472,29 +495,23 @@ def report_to_document(report: ScenarioReport) -> dict:
 
 
 def document_to_report(doc: dict) -> ScenarioReport:
-    """Rebuild the in-memory report from its document form, value for value."""
-    return ScenarioReport(
-        scenario=doc["scenario"],
-        description=doc["description"],
-        labels=doc["labels"],
-        n_particles=doc["n_particles"],
-        pre=tuple(doc["pre"]),
-        post=tuple(doc["post"]),
-        notes=tuple(doc["notes"]),
-        tolerance=doc["tolerance"],
-        records=tuple(
-            QueryRecord(
-                index=q["index"],
-                query_type=q["type"],
-                kind=q["kind"],
-                target=q["target"],
-                claim=q["claim"],
-                results=tuple(_decode_value(v) for v in q["results"]),
-                error=q["error"],
-            )
-            for q in doc["queries"]
-        ),
-    )
+    """Rebuild the in-memory report from its document form, value for value. A
+    document without a key ``report_to_document`` writes, or with a value of
+    another type or a list entry that is not a string there, is refused."""
+    doc = _keyed(doc, _REPORT_KEYS, "$")
+    for key in ("pre", "post", "notes"):
+        if not all(type(text) is str for text in doc[key]):
+            raise InvalidArgumentError(f"report document: $.{key} holds a non-string")
+    records = []
+    for k, q in enumerate(doc["queries"]):
+        path = f"$.queries[{k}]"
+        results = tuple(_decode_value(v, f"{path}.results[{j}]")
+                        for j, v in enumerate(_keyed(q, _RECORD_KEYS, path)["results"]))
+        records.append(QueryRecord(q["index"], q["type"], q["kind"], q["target"], q["claim"],
+                                   results, q["error"]))
+    return ScenarioReport(doc["scenario"], doc["description"], doc["labels"], doc["n_particles"],
+                          tuple(doc["pre"]), tuple(doc["post"]), tuple(doc["notes"]),
+                          doc["tolerance"], tuple(records))
 
 
 # writing reports --------------------------------------------------------------------
@@ -562,6 +579,7 @@ def render_report_json(report: ScenarioReport) -> str:
     two to each other on generated reports.
     """
     nl = _NL[1]
+    expect(report, ScenarioReport, "a ScenarioReport")
     notes, post, pre = (_json_array([_string(s) for s in items], 1)
                         for items in (report.notes, report.post, report.pre))
     records = _json_array([_record_json(record) for record in report.records], 1)

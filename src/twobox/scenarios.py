@@ -186,7 +186,7 @@ class WeakValueSumQuery(_ProductSet):
         # cross-check: the summed products against conj(post)*pre, class by class
         table = selection.table(self.projectors)
         via_sum = sum((sum(holds) * w for w, holds in table), 0j) / denominator
-        # each largest entry, as in engine.weak_value_sum: 1 unless the product is empty
+        # each largest entry, as in dense.weak_value_sum: 1 unless the product is empty
         scale = sum(map(any, zip(*(holds for _, holds in table)))) / abs(denominator)
         yield "weak_value_sum", _linearity_checked(total, via_sum, scale,
                                                    len(table) + len(self.projectors))

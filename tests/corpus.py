@@ -1,7 +1,8 @@
 """A standing corpus of command outputs, kept as one SHA-256 digest per output.
 
-    PYTHONPATH=src python tests/corpus.py           compare this tree with corpus.sha256
-    PYTHONPATH=src python tests/corpus.py --write   write corpus.sha256 from this tree
+    PYTHONPATH=src python tests/corpus.py                compare this tree with corpus.sha256
+    PYTHONPATH=src python tests/corpus.py --write        write corpus.sha256 from this tree
+    PYTHONPATH=src python tests/corpus.py --against REV  list what moved since git revision REV
 
 The reports are those of the six builtin scenarios, of ``file_doc(i, Random(s))``
 for i = 0-71 and s = 0-3 and of ``pigeonhole_doc(n, Random(n))`` for n = 3-12
@@ -11,13 +12,23 @@ projector kind alone at 2, 3 and 12 particles, of two- and three-term sums and o
 expression sets, among them the 24 single-box operators at 12 particles, as a
 table and as JSON, each with its exit code and standard error. A change that
 leaves every digest as it was leaves every one of these outputs byte for byte.
+
+``--against REV`` runs the corpus of REV as well, in a fresh interpreter on a
+``git archive`` of it in a temporary directory, and lists each output that
+differs: every value that moved, by its path in the output (a report's query
+and result, a check's operator and field, or a line of a table), with the old
+and the new value and the relative change of a number.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import os
 import random
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -115,14 +126,92 @@ def moved(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
     return [key for key in keys if expected.get(key) != actual.get(key)]
 
 
+def outputs_at(rev: str) -> dict[str, str]:
+    """Every output of the corpus of git revision ``rev``, run from a ``git
+    archive`` of it in a temporary directory by a fresh interpreter."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"git archive {rev}: {archive.stderr.decode().strip()}")
+    with tempfile.TemporaryDirectory() as folder:
+        tarfile.open(fileobj=io.BytesIO(archive.stdout)).extractall(folder, filter="data")
+        code = ("import json, sys; sys.path.insert(0, 'tests'); import corpus; "
+                "json.dump(dict(corpus.outputs()), sys.stdout)")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, "-c", code], cwd=folder, env=env,
+                              capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"the corpus of {rev} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def _leaves(node, path: str):
+    """(path, value) of each scalar in a JSON document. A list entry that names
+    itself (a record's ``target``, a result's ``name``, an operator's
+    ``expression``) carries that name after its index."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            label = next((f" {value[key]}" for key in ("target", "name", "expression")
+                          if isinstance(value, dict) and key in value), "")
+            yield from _leaves(value, f"{path}[{i}]{label}")
+    else:
+        yield path, node
+
+
+def _values(text: str) -> dict:
+    """The values of one output by path: a check's exit code and standard error
+    apart from its output, and the scalars of a JSON text or else its lines."""
+    exit_line, checked, rest = text.partition("\n--- stdout\n")
+    if checked:
+        out, _, err = rest.rpartition("--- stderr\n")
+        return {"exit": exit_line, **_values(out), "stderr": err}
+    try:
+        return dict(_leaves(json.loads(text), ""))
+    except ValueError:
+        return {f"line {n}": line for n, line in enumerate(text.splitlines(), 1)}
+
+
+def _relative(old, new) -> str:
+    if not all(type(x) in (int, float) for x in (old, new)):
+        return "-"
+    if old == 0:
+        return "0" if new == 0 else "inf"
+    return f"{abs(new - old) / abs(old):.3g}"
+
+
+def changes(old: str, new: str):
+    """(path, old value, new value, relative change) of each value that differs
+    between two texts of one output, compared by repr, so that NaN equals NaN and
+    -0.0 differs from 0.0; None stands for a value one side lacks."""
+    old, new = _values(old), _values(new)
+    for path in list(new) + [path for path in old if path not in new]:
+        a, b = old.get(path), new.get(path)
+        if repr(a) != repr(b):
+            yield path, a, b, _relative(a, b)
+
+
 def main(argv) -> int:
+    if argv[:1] == ["--against"] and len(argv) == 2:
+        theirs, ours = outputs_at(argv[1]), dict(outputs())
+        changed = moved(theirs, ours)
+        for key in changed:
+            print(f"moved: {key}")
+            if key in theirs and key in ours:
+                for path, a, b, rel in changes(theirs[key], ours[key]):
+                    print(f"    {path}: {a!r} -> {b!r} (relative change {rel})")
+            else:
+                print(f"    only {'at ' + argv[1] if key in theirs else 'in this tree'}")
+        print(f"{len(changed)} of {len(ours)} outputs moved against {argv[1]}")
+        return 1 if changed else 0
     actual = digests()
     if argv == ["--write"]:
         DIGESTS.write_text("".join(f"{d}  {k}\n" for k, d in actual.items()), encoding="utf-8")
         print(f"wrote {len(actual)} digests to {DIGESTS.name}")
         return 0
     if argv:
-        print("usage: python tests/corpus.py [--write]", file=sys.stderr)
+        print("usage: python tests/corpus.py [--write | --against REV]", file=sys.stderr)
         return 2
     changed = moved(read_digests(), actual)
     for key in changed:

@@ -588,12 +588,11 @@ UNUSED_STDLIB = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
 
 
 def test_spec_built_commands_load_neither_numpy_nor_jsonschema(tmp_path):
-    # numpy runs only on first array use: its deferred module sits in sys.modules
-    # from the start, so the test looks for a submodule that only running it imports.
-    # Scenario files are checked by the package's own parser, never by jsonschema.
-    # Eigenstate predicates and explicit states are computed in plain Python too,
-    # so no command loads numpy. The value types are plain classes, so no command
-    # loads dataclasses or what it imports either.
+    # no command loads the dense reference layer (twobox.dense), and so none loads
+    # numpy: scenario queries, eigenstate predicates and explicit states are computed
+    # in plain Python. Scenario files are checked by the package's own parser, never
+    # by jsonschema. The value types are plain classes, so no command loads
+    # dataclasses or what it imports either.
     spec_built, explicit = tmp_path / "spec-built.json", tmp_path / "explicit.json"
     spec_built.write_text(json.dumps(SPEC_BUILT_DOC), encoding="utf-8")
     explicit.write_text(json.dumps(EXPLICIT_DOC), encoding="utf-8")
@@ -604,28 +603,35 @@ def test_spec_built_commands_load_neither_numpy_nor_jsonschema(tmp_path):
         for argv in json.loads(sys.argv[1]):
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(main(argv))
-        print(json.dumps([codes, "numpy._core" in sys.modules, "jsonschema" in sys.modules,
+        print(json.dumps([codes, [m for m in ("numpy", "twobox.dense") if m in sys.modules],
+                          "jsonschema" in sys.modules,
                           [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
     """
     # the benchmark's five commands: list, a builtin as JSON and as a table, check, a file
     commands = SPEC_BUILT_COMMANDS + [["run", "eigenspace-degeneracy"], ["run", str(spec_built)]]
     result = _child(code, json.dumps(commands), json.dumps(UNUSED_STDLIB))
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0, 0, 2, 0, 0, 0], False, False, []]
+    assert json.loads(result.stdout) == [[0, 0, 2, 0, 0, 0], [], False, []]
     result = _child(code, json.dumps([["run", str(explicit)]]), json.dumps(UNUSED_STDLIB))
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0], False, False, []]
+    assert json.loads(result.stdout) == [[0], [], False, []]
 
 
 def test_importing_the_cli_loads_every_module_the_benchmark_trace_reads():
-    # the traced cli benchmark imports twobox.cli and then wraps functions it finds
-    # in these modules by name, so none of them may load later than the cli
-    modules = ["twobox.hilbert", "twobox.projectors", "twobox.engine", "twobox.scenarios",
-               "twobox.scenario_io"]
-    code = "import json, sys, twobox.cli; print(json.dumps([m in sys.modules for m in sys.argv[1:]]))"
-    result = _child(code, *modules)
+    # the traced cli benchmark imports twobox.cli and then looks up each of its
+    # targets by getattr on an imported module, so every one must resolve then
+    code = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        import tracing, twobox.cli
+        missing = [(m, a) for m, a, _ in tracing.TARGETS
+                   if m not in sys.modules or not callable(getattr(sys.modules[m], a, None))]
+        print(json.dumps([len(tracing.TARGETS), missing]))
+    """
+    result = _child(code, str(Path(__file__).resolve().parent.parent / "benchmarks"))
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [True] * len(modules)
+    count, missing = json.loads(result.stdout)
+    assert count > 0 and missing == []
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -2,6 +2,8 @@
 
 import io
 from contextlib import redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from twobox import (
     IllegitimateQuestionError,
     ImpossiblePostselectionError,
     IncompleteMeasurementError,
+    InvalidArgumentError,
     Ket,
     LinearityCheckError,
     MeasurementSet,
@@ -204,8 +207,8 @@ def test_weak_value_sum_cross_check_scales_with_the_magnitudes(monkeypatch):
     assert weak_value_sum(sel, ops, tol=1e-20) == sum(members)
 
     # a real disagreement between the routes is a library error, not a bare ArithmeticError
-    import twobox.engine as engine
-    monkeypatch.setattr(engine, "weak_value",
+    import twobox.dense as dense
+    monkeypatch.setattr(dense, "weak_value",
                         lambda selection, op, tol=TOL: weak_value(selection, op, tol) + 1e-9)
     with pytest.raises(LinearityCheckError, match="linearity cross-check failed") as info:
         weak_value_sum(sel, ops)
@@ -345,6 +348,19 @@ def test_vanishes_threshold():
     assert vanishes(1e-13 + 1e-13j)
     assert not vanishes(1e-9)
     assert vanishes(0.5, tol=1.0)
+
+
+def test_vanishes_refuses_a_non_number_and_keeps_every_number_verdict():
+    for value in ("a", None, [0.0], {}):
+        with pytest.raises(InvalidArgumentError, match="value must be a number") as info:
+            vanishes(value)
+        assert isinstance(info.value, TwoBoxError)
+    numbers = [0, 1, True, False, 1e-13, -1e-12, 1e-12 + 1e-15, 1e-13j, complex(1e300, 1e300),
+               Fraction(1, 10**13), Decimal("1e-13"), np.float64(1e-13), np.complex128(1e-9j),
+               np.int64(0), float("inf"), float("nan")]
+    verdicts = [True, False, False, True, True, True, False, True, False,
+                True, True, True, False, True, False, False]
+    assert [vanishes(value) for value in numbers] == verdicts
 
 
 def test_measurement_set_basics():

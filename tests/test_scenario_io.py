@@ -298,6 +298,40 @@ def test_round_trip_keeps_error_records():
     assert back.has_errors()
 
 
+@pytest.mark.parametrize("encode", [render_report_json, report_to_document])
+def test_encoding_refuses_what_is_not_a_report(encode):
+    for value in (3, None, report_to_document(run_scenario(lookup_scenario("pigeonhole3")))):
+        with pytest.raises(InvalidArgumentError, match="^expected a ScenarioReport, got "):
+            encode(value)
+
+
+def test_decoding_names_the_first_missing_or_mistyped_key():
+    doc = json.loads(render_report_json(run_scenario(lookup_scenario("detailed-vs-global"))))
+    record = doc["queries"][0]
+    complex_value, real_value = record["results"][0], record["results"][2]
+    cases = [
+        ({}, "$.scenario is missing or mistyped"),
+        (3, "$.scenario is missing or mistyped"),
+        ({**doc, "pre": "+"}, "$.pre is missing or mistyped"),
+        ({**doc, "notes": ["a", 1]}, "$.notes holds a non-string"),
+        ({key: doc[key] for key in doc if key != "tolerance"}, "$.tolerance is missing"),
+        ({**doc, "n_particles": True}, "$.n_particles is missing or mistyped"),
+        ({**doc, "queries": [record, []]}, "$.queries[1].index is missing or mistyped"),
+        ({**doc, "queries": [{**record, "claim": 1}]}, "$.queries[0].claim is missing"),
+        ({**doc, "queries": [{**record, "results": [{**complex_value, "value": [1.0]}]}]},
+         "$.queries[0].results[0].value is mistyped"),
+        ({**doc, "queries": [{**record, "results": [{"name": "x", "value": 0.5}]}]},
+         "$.queries[0].results[0].vanishing is missing"),
+        ({**doc, "queries": [{**record, "results": [{**real_value, "value": "0.5"}]}]},
+         "$.queries[0].results[0].value is missing or mistyped"),
+    ]
+    for bad, message in cases:
+        pattern = "^" + re.escape(f"report document: {message}")
+        with pytest.raises(InvalidArgumentError, match=pattern):
+            document_to_report(bad)
+    assert report_to_document(document_to_report(doc)) == doc
+
+
 def test_rendered_json_is_deterministic():
     a = render_report_json(run_scenario(lookup_scenario("pigeonhole3")))
     b = render_report_json(run_scenario(lookup_scenario("pigeonhole3")))
