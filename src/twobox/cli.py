@@ -14,11 +14,11 @@ import os
 import re
 import sys
 
-from .errors import ExpressionError, InvalidArgumentError, ScenarioFileError, TwoBoxError, quoted
+from .errors import (ExpressionError, InvalidArgumentError, ScenarioFileError, TwoBoxError, expect,
+                     quoted)
 from .hilbert import DEFAULT_TOLERANCE, MAX_PARTICLES
 from .projectors import (_DIGITS, PROJECTOR_KINDS, HamiltonianSpec, ProjectorSpec,
-                         _are_orthogonal, _class_diagonals, _idempotency_defect, _is_hermitian,
-                         _resolves_identity)
+                         _are_orthogonal, _class_diagonals, _projector_results, _resolves_identity)
 from .scenario_io import load_scenario_file, render_report_json
 from .scenarios import ScenarioReport, builtin_scenarios, lookup_scenario, run_scenario
 
@@ -73,19 +73,16 @@ def fraction_annotation(z: complex) -> str | None:
     return None
 
 
-def _render_value_line(value) -> str:
-    if isinstance(value.value, bool):
-        return f"{value.name} = {'true' if value.value else 'false'}"
-    if isinstance(value.value, complex):
-        body = format_complex(value.value)
-    else:
-        body = f"{value.value + 0.0:.{_DIGITS}g}"
-    annotation = fraction_annotation(complex(value.value))
+def _render_value_line(name: str, value, vanishing: bool | None = None) -> str:
+    if isinstance(value, bool):
+        return f"{name} = {'true' if value else 'false'}"
+    body = format_complex(value) if isinstance(value, complex) else f"{value + 0.0:.{_DIGITS}g}"
+    annotation = fraction_annotation(complex(value))
     if annotation:
         body = f"{body} {annotation}"
-    if value.vanishing:
+    if vanishing:
         body = f"{body}  [vanishing]"
-    return f"{value.name} = {body}"
+    return f"{name} = {body}"
 
 
 def render_report_table(report: ScenarioReport) -> str:
@@ -105,7 +102,7 @@ def render_report_table(report: ScenarioReport) -> str:
         if record.claim:
             lines.append(f"    claim: {record.claim}")
         for value in record.results:
-            lines.append(f"    {_render_value_line(value)}")
+            lines.append(f"    {_render_value_line(value.name, value.value, value.vanishing)}")
         if record.error is not None:
             lines.append(f"    error: {record.error}")
     return "\n".join(lines)
@@ -233,7 +230,7 @@ def _parse_atom(tokens: _Tokens, particles: int) -> ProjectorSpec:
 
 def parse_operator_expression(text: str, particles: int) -> HamiltonianSpec:
     """Parse one weighted sum such as "pair_same(1,2) + 2*all_same"."""
-    tokens = _Tokens(text)
+    tokens = _Tokens(expect(text, str, "an operator expression (str)"))
     if tokens.peek() is None:
         raise ExpressionError("column 1: empty expression")
     terms = []
@@ -258,7 +255,7 @@ def parse_operator_expression(text: str, particles: int) -> HamiltonianSpec:
 def parse_operator_expressions(text: str, particles: int) -> list[tuple[str, HamiltonianSpec]]:
     """Parse one expression per non-blank line; '#' starts a comment line."""
     parsed = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(expect(text, str, "operator expressions (str)").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -362,38 +359,26 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    source = args.expression
-    if os.path.isfile(source):
+    text = args.expression
+    if os.path.isfile(text):
         try:
-            with open(source, encoding="utf-8") as handle:
+            with open(text, encoding="utf-8") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ExpressionError(f"cannot read expression file: {exc}") from exc
-    else:
-        text = source
     parsed = parse_operator_expressions(text, args.particles)
     if not parsed:
         raise ExpressionError("no operator expressions found")
     diagonals = _class_diagonals([spec for _, spec in parsed])
     tol = args.tolerance
 
-    entries = []
-    for (expr, _), diagonal in zip(parsed, diagonals):
-        hermitian, defect = _is_hermitian(diagonal, tol), _idempotency_defect(diagonal)
-        entries.append({"expression": expr, "hermitian": hermitian,
-                        "is_projector": hermitian and defect <= tol,
-                        "idempotency_defect": defect})
-    payload = {
-        "particles": args.particles,
-        "tolerance": tol,
-        "operators": entries,
-    }
+    entries = [{"expression": expr, **dict(_projector_results(diagonal, tol))}
+               for (expr, _), diagonal in zip(parsed, diagonals)]
+    payload = {"particles": args.particles, "tolerance": tol, "operators": entries}
     if len(parsed) > 1:
         payload["pairwise_orthogonal"] = [
             {"pair": [i, j], "orthogonal": _are_orthogonal(diagonals[i], diagonals[j], tol)}
-            for i in range(len(parsed))
-            for j in range(i + 1, len(parsed))
-        ]
+            for i in range(len(parsed)) for j in range(i + 1, len(parsed))]
         payload["resolution_of_identity"] = _resolves_identity(diagonals, tol)
 
     if args.format == "json":
@@ -401,19 +386,14 @@ def _cmd_check(args) -> int:
         return 0
     for entry in entries:
         print(f"operator: {entry['expression']}   [particles: {args.particles}]")
-        print(f"    hermitian = {'true' if entry['hermitian'] else 'false'}")
-        print(f"    is_projector = {'true' if entry['is_projector'] else 'false'}")
-        defect = entry["idempotency_defect"]
-        annotation = fraction_annotation(complex(defect))
-        tail = f" {annotation}" if annotation else ""
-        print(f"    idempotency_defect = {defect + 0.0:.{_DIGITS}g}{tail}")
+        for name in ("hermitian", "is_projector", "idempotency_defect"):
+            print(f"    {_render_value_line(name, entry[name])}")
     if len(parsed) > 1:
         print("pairwise orthogonality:")
         for item in payload["pairwise_orthogonal"]:
             i, j = item["pair"]
-            print(f"    [{i}] vs [{j}] = {'true' if item['orthogonal'] else 'false'}")
-        verdict = payload["resolution_of_identity"]
-        print(f"resolution_of_identity = {'true' if verdict else 'false'}")
+            print(f"    {_render_value_line(f'[{i}] vs [{j}]', item['orthogonal'])}")
+        print(_render_value_line("resolution_of_identity", payload["resolution_of_identity"]))
     return 0
 
 

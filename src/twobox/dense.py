@@ -38,7 +38,7 @@ from .errors import (DimensionMismatchError, IllegitimateQuestionError, Incomple
 from .hilbert import (_NAMED_STATES, BOX_LABELS, DEFAULT_TOLERANCE, MAX_PARTICLES, SPIN_LABELS,
                       LabelScheme, _check_particle_count, _Record, _single_pair, abs2,
                       canonical_state_name)
-from .projectors import HamiltonianSpec, ProjectorSpec, _pattern
+from .projectors import HamiltonianSpec, ProjectorSpec, _finite_eigenvalue, _pattern
 
 
 def _scheme(labels) -> LabelScheme:
@@ -429,7 +429,8 @@ def eigenstate_residual(op: Operator, ket: Ket, eigenvalue: complex) -> float:
     """The Euclidean norm of op|ket> - eigenvalue|ket>."""
     if not isinstance(ket, Ket):
         raise InvalidArgumentError("an eigenstate test expects a normalized Ket")
-    return float(np.linalg.norm(apply(op, ket).amplitudes - complex(eigenvalue) * ket.amplitudes))
+    eigenvalue = _finite_eigenvalue(eigenvalue)
+    return float(np.linalg.norm(apply(op, ket).amplitudes - eigenvalue * ket.amplitudes))
 
 
 def is_eigenstate(op: Operator, ket: Ket, eigenvalue: complex,

@@ -176,20 +176,18 @@ class _LabelClasses:
     weak-value sum read which products hold on each class (``table``). A set
     of 0/1 products is judged complete from how many hold on each class
     (``_counts_resolve_identity``), which is what ``_resolves_identity``
-    returns on its 0/1 columns, and a member sum's projector-ness runs the
-    structural checks on the same counts.
+    returns on its 0/1 columns, and a member sum is ``_is_projector`` or not.
 
-    The structural checks (``_is_hermitian``, ``_idempotency_defect``,
+    The structural checks (``_is_projector``, ``_projector_results``,
     ``_are_orthogonal``, ``_resolves_identity``) run on a class diagonal, one
     entry per class of unit weights, formed term by term from a weighted sum
-    (``_class_diagonals``, ``_entries``): for the ``is_projector``,
-    ``orthogonal`` and ``resolution_of_identity`` predicates, for ``twobox
-    check``, and to decide whether a transition element's built operator would
-    overflow, and so be refused. An ``eigenstate`` predicate forms the 2**n
-    amplitudes of its state in plain Python (``hilbert._product_amplitudes``,
-    ``hilbert._explicit_amplitudes``) and its residual label by label from the
-    same entries (``_eigenstate_residual``). The values match the operator
-    route of :mod:`twobox.dense` up to rounding in the last bits.
+    (``_class_diagonals``, ``_entries``): for the predicates, for ``twobox
+    check`` and to refuse a transition element whose built operator would
+    overflow. An ``eigenstate`` predicate forms the 2**n amplitudes of its state
+    in plain Python (``hilbert._product_amplitudes``, ``_explicit_amplitudes``)
+    and its residual from each label's entry, formed term by term
+    (``_eigenstate_residual``). The values match :mod:`twobox.dense` up to
+    rounding in the last bits.
     """
 
     def __init__(self, weights: Sequence[tuple[complex, complex]]):
@@ -418,6 +416,18 @@ def _idempotency_defect(d: Sequence[complex]) -> float:
     return _class_max([z * z - z for z in d])
 
 
+def _is_projector(d: Sequence[complex], tol: float) -> bool:
+    # the defect of a diagonal that is not hermitian is not formed: it may overflow
+    return _is_hermitian(d, tol) and _idempotency_defect(d) <= tol
+
+
+def _projector_results(d: Sequence[complex], tol: float):
+    hermitian, defect = _is_hermitian(d, tol), _idempotency_defect(d)
+    yield "is_projector", hermitian and defect <= tol
+    yield "hermitian", hermitian
+    yield "idempotency_defect", defect
+
+
 def _are_orthogonal(a: Sequence[complex], b: Sequence[complex], tol: float) -> bool:
     return _class_max([x * y for x, y in zip(a, b)]) <= tol
 
@@ -427,7 +437,7 @@ def _resolves_identity(ds: Sequence[Sequence[complex]], tol: float) -> bool:
     for entries in ds[1:]:
         total = [a + b for a, b in zip(total, entries)]
         _check_entries(total)
-    return (all(_is_hermitian(d, tol) and _idempotency_defect(d) <= tol for d in ds)
+    return (all(_is_projector(d, tol) for d in ds)
             and all(_are_orthogonal(a, b, tol) for i, a in enumerate(ds) for b in ds[i + 1:])
             and _class_max([z - 1 for z in total]) <= tol)
 
@@ -440,19 +450,25 @@ def _counts_resolve_identity(counts: Sequence[int], tol: float) -> bool:
     return tol >= 0 and (tol >= 1 or max(counts) <= 1) and all(abs(c - 1) <= tol for c in counts)
 
 
+def _finite_eigenvalue(eigenvalue) -> complex:
+    if not cmath.isfinite(eigenvalue := complex(eigenvalue)):
+        raise InvalidArgumentError("eigenvalue must be finite")
+    return eigenvalue
+
+
 def _eigenstate_residual(h: HamiltonianSpec, amplitudes: Sequence[complex],
                          eigenvalue: complex) -> float:
     """:func:`~twobox.dense.eigenstate_residual` of ``h`` on the state with
-    these 2**n checked amplitudes: each label takes its entry (:func:`_entries`),
-    the bits its class has, and an image entry that is not finite is refused
-    as the built operator's image is. The norm is summed exactly
-    (``hilbert._norm_sq``), so it may differ from numpy's in the last bit."""
+    these 2**n checked amplitudes: each label's entry is formed term by term
+    (:func:`_entries`), the bits its class has, and an image entry that is not
+    finite is refused as the built operator's image is. The norm is summed
+    exactly (``hilbert._norm_sq``), so it may differ from numpy's in the last bit."""
+    eigenvalue = _finite_eigenvalue(eigenvalue)
     image = _entries(h.terms, range(len(amplitudes)), h.n_particles)
     for index, a in enumerate(amplitudes):
         image[index] *= a
     if not all(map(cmath.isfinite, image)):
         raise InvalidAmplitudesError("amplitudes must be finite")
-    eigenvalue = complex(eigenvalue)
     return math.sqrt(_norm_sq([z - eigenvalue * a for z, a in zip(image, amplitudes)]))
 
 

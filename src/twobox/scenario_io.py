@@ -459,7 +459,7 @@ def _decode_value(doc: dict, path: str) -> ResultValue:
     raw = _keyed(doc, _VALUE_KEYS, path)["value"]
     if isinstance(raw, bool):
         return ResultValue(doc["name"], raw, None)
-    if doc.get("vanishing") not in (True, False):  # numpy's bool_ too, as a numpy tolerance gives
+    if doc.get("vanishing") not in (True, False):  # numpy's bool_ too, in a report built by hand
         raise InvalidArgumentError(f"report document: {path}.vanishing is missing or mistyped")
     if isinstance(raw, list) and (len(raw) != 2 or not all(type(x) in (int, float) for x in raw)):
         raise InvalidArgumentError(f"report document: {path}.value is mistyped")

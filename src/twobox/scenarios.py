@@ -39,7 +39,7 @@ from typing import Union
 from .engine import _abl_result, _linearity_checked, _vanishes, _weak_denominator
 from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, InvalidArgumentError,
                      NotAProjectorError, ScenarioNotFoundError, TwoBoxError, expect,
-                     expect_tolerance)
+                     expect_tolerance, quoted)
 from .hilbert import (
     DEFAULT_TOLERANCE,
     _Record,
@@ -60,9 +60,9 @@ from .projectors import (
     _counts_resolve_identity,
     _eigenstate_residual,
     _format_coefficient,
-    _idempotency_defect,
-    _is_hermitian,
+    _is_projector,
     _LabelClasses,
+    _projector_results,
     _resolves_identity,
 )
 
@@ -218,7 +218,7 @@ class DetailedVsGlobalQuery(_Record):
             raise InvalidArgumentError("global probability needs at least one projector")
         # the class diagonal of the member sum: how many members hold on each class
         total = [sum(holds) for _, holds in selection.table(self.members)]
-        if not (_is_hermitian(total, tol) and _idempotency_defect(total) <= tol):
+        if not _is_projector(total, tol):
             raise IllegitimateQuestionError("not a legitimate question")
         yield "global", abs2(sum(amplitudes))
 
@@ -317,10 +317,7 @@ class PredicateQuery(_Record):
             yield "residual_norm", residual
             return
         if self.check == "is_projector":
-            hermitian, defect = _is_hermitian(diagonals[0], tol), _idempotency_defect(diagonals[0])
-            yield "is_projector", hermitian and defect <= tol
-            yield "hermitian", hermitian
-            yield "idempotency_defect", defect
+            yield from _projector_results(diagonals[0], tol)
         elif self.check == "orthogonal":
             yield "orthogonal", _are_orthogonal(*diagonals, tol)
         else:
@@ -401,9 +398,8 @@ class ScenarioReport(_Record):
 def _result(name: str, value, tol: float) -> ResultValue:
     if isinstance(value, bool):
         return ResultValue(name, value, None)
-    if isinstance(value, complex):
-        return ResultValue(name, value, _vanishes(value, tol))
-    return ResultValue(name, float(value), _vanishes(float(value), tol))
+    value = value if isinstance(value, complex) else float(value)
+    return ResultValue(name, value, _vanishes(value, tol))
 
 
 def _product_label(product: ProjectorProduct) -> str:
@@ -439,10 +435,15 @@ def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOLERANCE) -> Scenario
     domain error becomes a record with the error text; the remaining
     queries still run, and partial results follow the rule in the
     module docstring. ``tol`` must be a real number other than NaN; a
-    negative one is allowed.
+    negative one is allowed. One that is not an int or a float (a bool, a
+    numpy scalar) runs as its ``float()``, so that verdicts stay bools.
     """
     expect(scenario, Scenario, "a Scenario")
-    expect_tolerance(tol)
+    if type(expect_tolerance(tol)) not in (int, float):
+        try:
+            tol = float(tol)
+        except OverflowError:  # a Fraction beyond the float range, say
+            raise InvalidArgumentError(f"tolerance beyond float range: {quoted(tol)}") from None
     scheme = label_scheme(scenario.labels)
     selection = _LabelClasses.between([_single_pair(f) for f in scenario.pre],
                                       [_single_pair(f) for f in scenario.post])

@@ -9,9 +9,10 @@ for i = 0-71 and s = 0-3 and of ``pigeonhole_doc(n, Random(n))`` for n = 3-12
 (both read from ``benchmarks/workloads.py``), each run at four tolerances and
 rendered as JSON and as a table. The check outputs are ``twobox check`` of each
 projector kind alone at 2, 3 and 12 particles, of two- and three-term sums and of
-expression sets, among them the 24 single-box operators at 12 particles, as a
-table and as JSON, each with its exit code and standard error. A change that
-leaves every digest as it was leaves every one of these outputs byte for byte.
+expression sets, among them the 24 single-box operators at 12 particles, at the
+default tolerance and at ``--tolerance 2.5``, as a table and as JSON, each with its
+exit code and standard error. A change that leaves every digest as it was leaves
+every one of these outputs byte for byte.
 
 ``--against REV`` runs the corpus of REV as well, in a fresh interpreter on a
 ``git archive`` of it in a temporary directory, and lists each output that
@@ -59,6 +60,8 @@ SETS = (
     ("box(1,L)", "0.5*box(1,R) + 0.5*box(1,R)", "box(2,L)"),
 )
 BOXES_12 = tuple(f"box({k},{b})" for k in range(1, 13) for b in "LR")
+# the default, then one at which the verdicts of some sums and sets flip
+CHECK_TOLERANCES = (None, "2.5")
 
 
 def _scenarios():
@@ -94,15 +97,17 @@ def _check_outputs():
     cases += [(lines, 3) for lines in SETS] + [(BOXES_12, 12)]
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "expressions.txt"
-        for expr, n in cases:
-            if isinstance(expr, tuple):  # a set: one expression per line of a file
-                path.write_text("\n".join(expr) + "\n", encoding="utf-8")
-                source, key = str(path), "{" + ", ".join(expr) + "}"
-            else:
-                source, key = expr, expr
-            for fmt in ("table", "json"):
-                argv = ["check", source, "--particles", str(n), "--format", fmt]
-                yield f"check {key} particles {n} {fmt}", _cli(argv)
+        for tol in CHECK_TOLERANCES:
+            option, at = ([], "") if tol is None else (["--tolerance", tol], f" tolerance {tol}")
+            for expr, n in cases:
+                if isinstance(expr, tuple):  # a set: one expression per line of a file
+                    path.write_text("\n".join(expr) + "\n", encoding="utf-8")
+                    source, key = str(path), "{" + ", ".join(expr) + "}"
+                else:
+                    source, key = expr, expr
+                for fmt in ("table", "json"):
+                    argv = ["check", source, "--particles", str(n), "--format", fmt, *option]
+                    yield f"check {key} particles {n}{at} {fmt}", _cli(argv)
 
 
 def outputs():

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import twobox
 from test_scenario_io import MUTATIONS, mutated, nodes, scenario_documents
-from twobox import ExpressionError, HamiltonianSpec, ProjectorSpec
+from twobox import (ExpressionError, HamiltonianSpec, PredicateQuery, ProjectorSpec, Scenario,
+                    run_scenario)
 from twobox.cli import (
     format_complex,
     fraction_annotation,
@@ -425,6 +427,38 @@ def test_check_json_format(capsys):
     assert doc["pairwise_orthogonal"][0]["pair"] == [0, 1]
 
 
+@pytest.mark.parametrize("tol", ["1e-12", "2.5"])
+def test_check_reports_what_the_predicate_queries_report(capsys, tmp_path, tol):
+    def predicate(check, specs, n):
+        scenario = Scenario("check", n, ("+",) * n, ("+",) * n, (PredicateQuery(check, specs),))
+        return run_scenario(scenario, float(tol)).records[0]
+
+    path = tmp_path / "expressions.txt"
+    cases = [((expr,), n) for expr in corpus.SUMS for n in (3, 12)]
+    for lines, n in cases + [(lines, 3) for lines in corpus.SETS]:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", str(path), "--particles", str(n),
+                                 "--format", "json", "--tolerance", tol)
+        specs = [parse_operator_expression(line, n) for line in lines]
+        expected = [predicate("is_projector", (spec,), n) for spec in specs]
+        if len(specs) > 1:
+            expected += [predicate("orthogonal", (specs[i], specs[j]), n)
+                         for i in range(len(specs)) for j in range(i + 1, len(specs))]
+            expected.append(predicate("resolution_of_identity", tuple(specs), n))
+        errors = [record.error for record in expected if record.error is not None]
+        if errors:  # a refused check is refused by a predicate with the same words
+            assert (code, out, err) == (1, "", f"error: {errors[0]}\n")
+            continue
+        values = [{v.name: v.value for v in record.results} for record in expected]
+        doc = json.loads(out)
+        assert [{key: op[key] for key in op if key != "expression"}
+                for op in doc["operators"]] == values[:len(specs)]
+        if len(specs) > 1:
+            assert [item["orthogonal"] for item in doc["pairwise_orthogonal"]] == [
+                v["orthogonal"] for v in values[len(specs):-1]]
+            assert doc["resolution_of_identity"] == values[-1]["resolution_of_identity"]
+
+
 def test_check_error_reporting(capsys):
     code, out, err = run_cli(capsys, "check", "pair_same(1,5)")
     assert code == 1
@@ -492,6 +526,11 @@ def test_expression_parser_rejections():
         parse_operator_expression("pair_same(1,", 3)
     with pytest.raises(ExpressionError, match="line 2"):
         parse_operator_expressions("all_same\npair_same(9,9)", 3)
+    # an argument that is not text is refused with one line, not a bare TypeError
+    for parse, what in [(parse_operator_expression, "an operator expression"),
+                        (parse_operator_expressions, "operator expressions")]:
+        with pytest.raises(twobox.TwoBoxError, match=f"^expected {what} \\(str\\), got NoneType$"):
+            parse(None, 3)
 
 
 # what label() prints: at most 6 significant digits per part, or an integral

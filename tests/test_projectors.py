@@ -17,11 +17,13 @@ from twobox import (
     DetailedVsGlobalQuery,
     DimensionMismatchError,
     HamiltonianSpec,
+    InvalidAmplitudesError,
     InvalidArgumentError,
     Ket,
     Operator,
     PredicateQuery,
     PrePostSelection,
+    ProductState,
     ProjectorSpec,
     SPIN_LABELS,
     Scenario,
@@ -34,6 +36,7 @@ from twobox import (
     build_hamiltonian,
     build_projector,
     idempotency_defect,
+    is_eigenstate,
     is_hermitian,
     is_projector,
     is_resolution_of_identity,
@@ -47,8 +50,8 @@ from twobox.hilbert import (_explicit_amplitudes, _product_amplitudes, _single_p
                             eigenstate_residual)
 from twobox.projectors import (_are_orthogonal, _check_entries, _class_diagonals,
                                _counts_resolve_identity, _eigenstate_residual, _entries,
-                               _idempotency_defect, _is_hermitian, _LabelClasses,
-                               _resolves_identity)
+                               _idempotency_defect, _is_hermitian, _is_projector,
+                               _LabelClasses, _projector_results, _resolves_identity)
 
 
 def sample_specs(n):
@@ -735,6 +738,38 @@ def test_eigenstate_residual_on_label_classes_matches_the_built_operator(n, data
     entries = [*build_hamiltonian(h).diagonal(), complex(eigenvalue)]
     scale = max(1.0, *(abs(x) for z in entries for x in (z.real, z.imag)))
     assert abs(v - w) <= 1e-14 * scale
+
+
+def test_an_eigenvalue_that_is_not_finite_is_refused_on_both_routes():
+    # on this draw Python's product gives the third amplitude a real part of 0.0 and
+    # numpy's gives -2.29e-19, so an infinite eigenvalue read NaN on one route, -inf on the other
+    h = HamiltonianSpec((), 2)
+    factors = ((1, 0.5 + 0.5j), (0.5 + 0.5j, 1 + 2.2e-309j))
+    amplitudes = _product_amplitudes([_single_pair(f) for f in factors])
+    op, ket = build_hamiltonian(h), tensor([make_single_particle_state(f) for f in factors])
+    for eigenvalue in (math.inf, complex(1, -math.inf), math.nan):
+        for call in (lambda: _eigenstate_residual(h, amplitudes, eigenvalue),
+                     lambda: eigenstate_residual(op, ket, eigenvalue),
+                     lambda: is_eigenstate(op, ket, eigenvalue)):
+            with pytest.raises(InvalidArgumentError, match="^eigenvalue must be finite$"):
+                call()
+        query = PredicateQuery("eigenstate", (h,), state=ProductState(factors),
+                               eigenvalue=eigenvalue)
+        record = run_scenario(Scenario("x", 2, ("+", "+"), ("+", "+"), (query,))).records[0]
+        assert (record.results, record.error) == ((), "eigenvalue must be finite")
+
+
+def test_the_projector_verdict_forms_no_defect_of_a_diagonal_that_is_not_hermitian():
+    # the square of 1e200j overflows, so its defect is refused; the verdict needs none
+    d = [1e200j, 1 + 0j]
+    with pytest.raises(InvalidAmplitudesError, match="^operator diagonal must be finite$"):
+        _idempotency_defect(d)
+    assert _is_projector(d, 1e-12) is False
+    assert _resolves_identity([d, [0j, 0j]], 1e-12) is False
+    ops = [Operator.from_diagonal(d), Operator.from_diagonal([0, 0])]
+    assert is_resolution_of_identity(ops, 1e-12) is False
+    with pytest.raises(InvalidAmplitudesError, match="^operator diagonal must be finite$"):
+        list(_projector_results(d, 1e-12))  # a report names the defect, so it forms it
 
 
 # the (mask, allowed) patterns against the list route they replaced -------------------

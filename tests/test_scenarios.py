@@ -1,7 +1,9 @@
 """Builtin scenarios and the report machinery."""
 
+import json
 import time
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -61,6 +63,7 @@ from twobox import (
     weak_value_sum,
 )
 from twobox.hilbert import _single_pair, eigenstate_residual
+from twobox.scenario_io import render_report_json, report_to_document
 from twobox.projectors import _LabelClasses
 
 TOL = 1e-12
@@ -513,6 +516,27 @@ def test_identity_product_target():
 def test_tolerance_is_recorded():
     report = run_scenario(lookup_scenario("pigeonhole3"), tol=1e-9)
     assert report.tolerance == 1e-9
+
+
+@pytest.mark.parametrize("tol, used", [
+    (np.float64(1e-12), 1e-12), (np.float32(0.5), 0.5), (np.int64(-1), -1.0),
+    (Fraction(1, 2), 0.5), (True, 1.0), (-1, -1), (0.5, 0.5)])
+def test_a_real_tolerance_of_another_type_runs_as_its_float(tol, used):
+    # an int or a float is kept as given, so the int -1 is still written as -1
+    for scenario in builtin_scenarios():
+        report, reference = run_scenario(scenario, tol), run_scenario(scenario, used)
+        assert type(report.tolerance) is type(used) and report == reference
+        for record in report.records:
+            for value in record.results:
+                assert type(value.value) in (bool, float, complex)
+                assert value.vanishing is None or type(value.vanishing) is bool
+        assert render_report_json(report) == json.dumps(
+            report_to_document(report), indent=2, sort_keys=True, ensure_ascii=False)
+
+
+def test_a_tolerance_with_no_float_is_refused():
+    with pytest.raises(InvalidArgumentError, match="^tolerance beyond float range: Fraction"):
+        run_scenario(lookup_scenario("pigeonhole3"), Fraction(10**400))
 
 
 def test_every_query_type_runs_at_the_particle_limit():
