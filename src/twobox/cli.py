@@ -1,4 +1,5 @@
-"""Command line front end: list scenarios, run them, check operator expressions.
+"""Command line front end: list scenarios, run them, and check operator
+expressions by asking them the predicate queries of a scenario (``PredicateQuery``).
 
 Exit codes: 0 all queries computed, 1 the request could not be run at
 all (unknown scenario, unreadable or invalid file, bad expression),
@@ -17,10 +18,10 @@ import sys
 from .errors import (ExpressionError, InvalidArgumentError, ScenarioFileError, TwoBoxError, expect,
                      quoted)
 from .hilbert import DEFAULT_TOLERANCE, MAX_PARTICLES
-from .projectors import (_DIGITS, PROJECTOR_KINDS, HamiltonianSpec, ProjectorSpec,
-                         _are_orthogonal, _class_diagonals, _projector_results, _resolves_identity)
+from .projectors import _DIGITS, PROJECTOR_KINDS, HamiltonianSpec, ProjectorSpec
 from .scenario_io import load_scenario_file, render_report_json
-from .scenarios import ScenarioReport, builtin_scenarios, lookup_scenario, run_scenario
+from .scenarios import (PredicateQuery, ScenarioReport, builtin_scenarios, lookup_scenario,
+                        run_scenario)
 
 
 _MAX_DENOMINATOR = 64  # the largest denominator an exact-fraction tag names
@@ -369,17 +370,18 @@ def _cmd_check(args) -> int:
     parsed = parse_operator_expressions(text, args.particles)
     if not parsed:
         raise ExpressionError("no operator expressions found")
-    diagonals = _class_diagonals([spec for _, spec in parsed])
-    tol = args.tolerance
+    ops, tol = tuple(spec for _, spec in parsed), args.tolerance
 
-    entries = [{"expression": expr, **dict(_projector_results(diagonal, tol))}
-               for (expr, _), diagonal in zip(parsed, diagonals)]
+    def ask(check, operands):
+        return dict(PredicateQuery(check, operands).results(None, tol))
+
+    entries = [{"expression": expr, **ask("is_projector", (op,))} for expr, op in parsed]
     payload = {"particles": args.particles, "tolerance": tol, "operators": entries}
-    if len(parsed) > 1:
+    if len(ops) > 1:
         payload["pairwise_orthogonal"] = [
-            {"pair": [i, j], "orthogonal": _are_orthogonal(diagonals[i], diagonals[j], tol)}
-            for i in range(len(parsed)) for j in range(i + 1, len(parsed))]
-        payload["resolution_of_identity"] = _resolves_identity(diagonals, tol)
+            {"pair": [i, j], **ask("orthogonal", (ops[i], ops[j]))}
+            for i in range(len(ops)) for j in range(i + 1, len(ops))]
+        payload.update(ask("resolution_of_identity", ops))
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
@@ -388,7 +390,7 @@ def _cmd_check(args) -> int:
         print(f"operator: {entry['expression']}   [particles: {args.particles}]")
         for name in ("hermitian", "is_projector", "idempotency_defect"):
             print(f"    {_render_value_line(name, entry[name])}")
-    if len(parsed) > 1:
+    if len(ops) > 1:
         print("pairwise orthogonality:")
         for item in payload["pairwise_orthogonal"]:
             i, j = item["pair"]

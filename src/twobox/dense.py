@@ -445,7 +445,7 @@ def is_eigenstate(op: Operator, ket: Ket, eigenvalue: complex,
 def build_projector(spec: ProjectorSpec) -> Operator:
     """Realize a :class:`~twobox.projectors.ProjectorSpec` as its 0/1 diagonal."""
     n = expect(spec, ProjectorSpec, "a ProjectorSpec").n_particles
-    mask, allowed = _pattern(spec, n)
+    mask, allowed = _pattern(spec)
     masked = np.arange(2**n) & mask
     holds = masked == allowed[0]
     for value in allowed[1:]:
@@ -475,7 +475,7 @@ def idempotency_defect(op: Operator) -> float:
 
 def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Hermitian and idempotent within ``tol`` (max-entry norm on both checks)."""
-    return is_hermitian(op, tol) and idempotency_defect(op) <= tol
+    return is_hermitian(op, tol) and idempotency_defect(op) <= expect_tolerance(tol)
 
 
 def are_orthogonal(a: Operator, b: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
@@ -627,7 +627,7 @@ def abl_probabilities(selection: PrePostSelection, measurement: MeasurementSet,
         the postselection is unreachable from the preselection.
     """
     measurement = expect(measurement, MeasurementSet, "a MeasurementSet")
-    expect_tolerance(tol)
+    tol = expect_tolerance(tol)
     if measurement.dim != _selection(selection).dim:
         raise DimensionMismatchError(
             f"measurement dimension {measurement.dim} does not match the selection dimension {selection.dim}")

@@ -83,11 +83,14 @@ def expect(value, kind: type, what: str):
 
 
 def expect_tolerance(tol):
-    """``tol`` if it is a real number other than NaN, else an InvalidArgumentError:
-    the one check of a tolerance argument. A negative one is allowed. A float
-    skips the ``numbers.Real`` test, an ABC check that costs several times the
-    comparison it guards. A scenario run checks its tolerance once, and its
-    reported values are then judged without this check."""
+    """``tol`` as a tolerance, or an InvalidArgumentError if it is not a real number
+    other than NaN: the one check of a tolerance argument. A negative one is allowed.
+    An int or a float is kept as given, any other real runs as its ``float()`` (so
+    verdicts are bools), and one beyond the float range is refused. A float skips the
+    ``numbers.Real`` test, an ABC check that costs several times the comparison it guards."""
     if (type(tol) is not float and not isinstance(tol, numbers.Real)) or tol != tol:  # NaN
         raise InvalidArgumentError(f"tolerance must be a real number, got {quoted(tol)}")
-    return tol
+    try:
+        return tol if type(tol) in (int, float) else float(tol)
+    except OverflowError:  # a Fraction beyond the float range, say
+        raise InvalidArgumentError(f"tolerance beyond float range: {quoted(tol)}") from None

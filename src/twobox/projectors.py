@@ -125,10 +125,11 @@ class ProjectorSpec(_Record):
         return "all_same"
 
 
-def _pattern(spec: ProjectorSpec, n: int) -> tuple[int, tuple[int, ...]]:
-    """``(mask, allowed)`` of ``spec`` on n particles: it holds at basis index
+def _pattern(spec: ProjectorSpec) -> tuple[int, tuple[int, ...]]:
+    """``(mask, allowed)`` of ``spec`` on its n particles: it holds at basis index
     ``index`` exactly when ``index & mask`` is in ``allowed``. ``mask`` has the
     bits of the particles the spec names (of every particle for ``all_same``)."""
+    n = spec.n_particles
     if spec.kind == "box":
         bit = 1 << (n - spec.particle)
         return bit, ((0,) if spec.box == "L" else (bit,))
@@ -178,16 +179,16 @@ class _LabelClasses:
     (``_counts_resolve_identity``), which is what ``_resolves_identity``
     returns on its 0/1 columns, and a member sum is ``_is_projector`` or not.
 
-    The structural checks (``_is_projector``, ``_projector_results``,
-    ``_are_orthogonal``, ``_resolves_identity``) run on a class diagonal, one
-    entry per class of unit weights, formed term by term from a weighted sum
-    (``_class_diagonals``, ``_entries``): for the predicates, for ``twobox
-    check`` and to refuse a transition element whose built operator would
-    overflow. An ``eigenstate`` predicate forms the 2**n amplitudes of its state
-    in plain Python (``hilbert._product_amplitudes``, ``_explicit_amplitudes``)
-    and its residual from each label's entry, formed term by term
-    (``_eigenstate_residual``). The values match :mod:`twobox.dense` up to
-    rounding in the last bits.
+    The structural checks (``_is_hermitian``, ``_idempotency_defect``,
+    ``_is_projector``, ``_are_orthogonal``, ``_resolves_identity``) run on the
+    class diagonals of weighted sums, one entry per class of unit weights of the
+    sums' own terms, formed term by term (``_class_diagonals``, ``_entries``):
+    for the predicate queries, which ``twobox check`` asks as well, and to refuse
+    a transition element whose built operator would overflow. An ``eigenstate``
+    predicate forms the 2**n amplitudes of its state in plain Python
+    (``hilbert._product_amplitudes``, ``_explicit_amplitudes``) and its residual
+    from each label's entry, formed term by term (``_eigenstate_residual``). The
+    values match :mod:`twobox.dense` up to rounding in the last bits.
     """
 
     def __init__(self, weights: Sequence[tuple[complex, complex]]):
@@ -213,7 +214,7 @@ class _LabelClasses:
             if spec.kind == "all_same":
                 split = True
             else:
-                touched |= _pattern(spec, self.n)[0]
+                touched |= _pattern(spec)[0]
         partition = touched, split and touched != (1 << self.n) - 1
         if partition not in self._walked:
             self._walked[partition] = self._walk(*partition)
@@ -250,7 +251,7 @@ class _LabelClasses:
         """<post|P|pre> for the product P of specs: the weights of the classes
         of P on which every spec of P holds, added in class order. The empty
         product gives <post|pre>."""
-        patterns = [_pattern(spec, self.n) for spec in product]
+        patterns = [_pattern(spec) for spec in product]
         indices, ws = self.of(product)
         total = 0j
         for index, w in zip(indices, ws):
@@ -264,7 +265,7 @@ class _LabelClasses:
     def table(self, products: Sequence[Sequence[ProjectorSpec]]):
         """Per label class of the products: its weight and whether each
         product holds there."""
-        patterns = [[_pattern(spec, self.n) for spec in product] for product in products]
+        patterns = [[_pattern(spec) for spec in product] for product in products]
         indices, ws = self.of([spec for p in products for spec in p])
         table = []
         for index, w in zip(indices, ws):
@@ -353,12 +354,12 @@ class HamiltonianSpec(_Record):
         return " + ".join(parts)
 
 
-def _entries(terms: Sequence[tuple[complex, ProjectorSpec]], indices: Iterable[int],
-             n: int) -> list[complex]:
+def _entries(terms: Sequence[tuple[complex, ProjectorSpec]],
+             indices: Iterable[int]) -> list[complex]:
     """The diagonal entries at the basis indices ``indices`` of the weighted
-    projector sum of ``terms`` on n particles, each formed as
+    projector sum of ``terms``, each formed as
     :func:`~twobox.dense.build_hamiltonian` forms it: term by term, in order."""
-    patterns = [(coeff, *_pattern(proj, n)) for coeff, proj in terms]
+    patterns = [(coeff, *_pattern(proj)) for coeff, proj in terms]
     entries = []
     for index in indices:
         total = 0j
@@ -378,7 +379,7 @@ def _class_diagonals(hamiltonians: Sequence[HamiltonianSpec]) -> list[list[compl
     indices, _ = _LabelClasses([(1, 1)] * n).of([proj for h in hamiltonians for _, proj in h.terms])
     diagonals = []
     for h in hamiltonians:
-        entries = _entries(h.terms, indices, n)
+        entries = _entries(h.terms, indices)
         _check_entries(entries)
         diagonals.append(entries)
     return diagonals
@@ -421,13 +422,6 @@ def _is_projector(d: Sequence[complex], tol: float) -> bool:
     return _is_hermitian(d, tol) and _idempotency_defect(d) <= tol
 
 
-def _projector_results(d: Sequence[complex], tol: float):
-    hermitian, defect = _is_hermitian(d, tol), _idempotency_defect(d)
-    yield "is_projector", hermitian and defect <= tol
-    yield "hermitian", hermitian
-    yield "idempotency_defect", defect
-
-
 def _are_orthogonal(a: Sequence[complex], b: Sequence[complex], tol: float) -> bool:
     return _class_max([x * y for x, y in zip(a, b)]) <= tol
 
@@ -464,7 +458,7 @@ def _eigenstate_residual(h: HamiltonianSpec, amplitudes: Sequence[complex],
     finite is refused as the built operator's image is. The norm is summed
     exactly (``hilbert._norm_sq``), so it may differ from numpy's in the last bit."""
     eigenvalue = _finite_eigenvalue(eigenvalue)
-    image = _entries(h.terms, range(len(amplitudes)), h.n_particles)
+    image = _entries(h.terms, range(len(amplitudes)))
     for index, a in enumerate(amplitudes):
         image[index] *= a
     if not all(map(cmath.isfinite, image)):

@@ -39,7 +39,7 @@ from typing import Union
 from .engine import _abl_result, _linearity_checked, _vanishes, _weak_denominator
 from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, InvalidArgumentError,
                      NotAProjectorError, ScenarioNotFoundError, TwoBoxError, expect,
-                     expect_tolerance, quoted)
+                     expect_tolerance)
 from .hilbert import (
     DEFAULT_TOLERANCE,
     _Record,
@@ -60,9 +60,10 @@ from .projectors import (
     _counts_resolve_identity,
     _eigenstate_residual,
     _format_coefficient,
+    _idempotency_defect,
+    _is_hermitian,
     _is_projector,
     _LabelClasses,
-    _projector_results,
     _resolves_identity,
 )
 
@@ -250,7 +251,8 @@ PREDICATE_CHECKS = ("is_projector", "orthogonal", "resolution_of_identity", "eig
 
 
 class PredicateQuery(_Record):
-    """Structural checks: projector-ness, orthogonality, completeness, eigenstates."""
+    """Structural checks (projector-ness, orthogonality, completeness, eigenstates)
+    of the operands alone: ``results`` reads no selection, so it may be given None."""
 
     tag = "predicate"
     kind = "predicate"
@@ -306,7 +308,7 @@ class PredicateQuery(_Record):
         return (f"{labels[0]} on {_nstate_display(self.state, scheme)} "
                 f"with eigenvalue {_format_coefficient(complex(self.eigenvalue))}")
 
-    def results(self, selection: _LabelClasses, tol: float):
+    def results(self, selection: _LabelClasses | None, tol: float):
         diagonals = _class_diagonals(self.operands)  # refuses a diagonal that is not finite
         if self.check == "eigenstate":
             amplitudes = (_product_amplitudes([_single_pair(f) for f in self.state.factors])
@@ -316,8 +318,11 @@ class PredicateQuery(_Record):
             yield "is_eigenstate", residual <= tol
             yield "residual_norm", residual
             return
-        if self.check == "is_projector":
-            yield from _projector_results(diagonals[0], tol)
+        if self.check == "is_projector":  # a report names the defect, so it is always formed
+            hermitian, defect = _is_hermitian(diagonals[0], tol), _idempotency_defect(diagonals[0])
+            yield "is_projector", hermitian and defect <= tol
+            yield "hermitian", hermitian
+            yield "idempotency_defect", defect
         elif self.check == "orthogonal":
             yield "orthogonal", _are_orthogonal(*diagonals, tol)
         else:
@@ -434,16 +439,11 @@ def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOLERANCE) -> Scenario
     Identical inputs always produce equal reports. A query that raises a
     domain error becomes a record with the error text; the remaining
     queries still run, and partial results follow the rule in the
-    module docstring. ``tol`` must be a real number other than NaN; a
-    negative one is allowed. One that is not an int or a float (a bool, a
-    numpy scalar) runs as its ``float()``, so that verdicts stay bools.
+    module docstring. ``tol`` is checked and converted as every tolerance is
+    (:func:`~twobox.errors.expect_tolerance`).
     """
     expect(scenario, Scenario, "a Scenario")
-    if type(expect_tolerance(tol)) not in (int, float):
-        try:
-            tol = float(tol)
-        except OverflowError:  # a Fraction beyond the float range, say
-            raise InvalidArgumentError(f"tolerance beyond float range: {quoted(tol)}") from None
+    tol = expect_tolerance(tol)
     scheme = label_scheme(scenario.labels)
     selection = _LabelClasses.between([_single_pair(f) for f in scenario.pre],
                                       [_single_pair(f) for f in scenario.post])

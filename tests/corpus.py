@@ -9,9 +9,9 @@ for i = 0-71 and s = 0-3 and of ``pigeonhole_doc(n, Random(n))`` for n = 3-12
 (both read from ``benchmarks/workloads.py``), each run at four tolerances and
 rendered as JSON and as a table. The check outputs are ``twobox check`` of each
 projector kind alone at 2, 3 and 12 particles, of two- and three-term sums and of
-expression sets, among them the 24 single-box operators at 12 particles, at the
-default tolerance and at ``--tolerance 2.5``, as a table and as JSON, each with its
-exit code and standard error. A change that leaves every digest as it was leaves
+expression sets, among them the 24 single-box operators at 12 particles and a set
+refused at its second line, at the default tolerance and at ``--tolerance 2.5``, as
+a table and as JSON, each with its exit code and standard error. A change that leaves every digest as it was leaves
 every one of these outputs byte for byte.
 
 ``--against REV`` runs the corpus of REV as well, in a fresh interpreter on a
@@ -58,6 +58,7 @@ SETS = (
     ("pair_same(1,2)", "pair_diff(1,2)"),
     ("pair_same(1,2)", "pair_same(2,3)", "pair_same(3,1)"),
     ("box(1,L)", "0.5*box(1,R) + 0.5*box(1,R)", "box(2,L)"),
+    ("pair_same(1,2)", "1e308*pair_same(1,2) + 1e308*pair_same(1,2)"),  # a refused second line
 )
 BOXES_12 = tuple(f"box({k},{b})" for k in range(1, 13) for b in "LR")
 # the default, then one at which the verdicts of some sums and sets flip

@@ -459,6 +459,22 @@ def test_check_reports_what_the_predicate_queries_report(capsys, tmp_path, tol):
             assert doc["resolution_of_identity"] == values[-1]["resolution_of_identity"]
 
 
+def test_check_asks_the_predicate_queries(capsys, tmp_path, monkeypatch):
+    asked = []
+    results = PredicateQuery.results
+
+    def recorded(self, selection, tol):
+        asked.append((self.check, len(self.operands)))
+        return results(self, selection, tol)
+
+    monkeypatch.setattr(PredicateQuery, "results", recorded)
+    path = tmp_path / "expressions.txt"
+    path.write_text("pair_same(1,2)\npair_same(2,3)\npair_same(3,1)\n", encoding="utf-8")
+    assert run_cli(capsys, "check", str(path))[0] == 0
+    assert asked == [("is_projector", 1)] * 3 + [("orthogonal", 2)] * 3 + [
+        ("resolution_of_identity", 3)]
+
+
 def test_check_error_reporting(capsys):
     code, out, err = run_cli(capsys, "check", "pair_same(1,5)")
     assert code == 1
