@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .engine import AblResult, _abl_result, _linearity_checked, _weak_denominator
+from .engine import AblResult, _abl_result, _linearity_checked, _sum_abs2, _weak_denominator
 from .errors import (DimensionMismatchError, IllegitimateQuestionError, IncompleteMeasurementError,
                      InvalidAmplitudesError, InvalidArgumentError, NotAProjectorError,
                      UnnormalizableStateError, expect, expect_tolerance)
@@ -689,7 +689,7 @@ def detailed_probability(selection: PrePostSelection, projectors: ProjectorSet,
     for op in ops:
         if not is_projector(op, tol):
             raise NotAProjectorError("non-projector member")
-    return sum(abs2(abl_amplitude(selection, op)) for op in ops)
+    return _sum_abs2(abl_amplitude(selection, op) for op in ops)
 
 
 def global_probability(selection: PrePostSelection, projectors: ProjectorSet,

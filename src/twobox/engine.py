@@ -15,14 +15,15 @@ A scenario run computes these quantities on the label classes of its specs
 between the factors of its product selection (:mod:`twobox.scenarios`), and
 the functions on built operators (:mod:`twobox.dense`) compute them on
 arrays. Both go through the rules written once here over plain amplitudes:
-the ABL normalization (``_abl_result``), the weak-value denominator
-(``_weak_denominator``) and the linearity bound (``_linearity_checked``).
+the ABL normalization (``_abl_result``) with its sum of squared magnitudes
+(``_sum_abs2``), the weak-value denominator (``_weak_denominator``) and the
+linearity bound (``_linearity_checked``).
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (ImpossiblePostselectionError, InvalidArgumentError, LinearityCheckError,
                      OrthogonalSelectionError, expect_tolerance, quoted)
@@ -54,6 +55,15 @@ class AblResult(_Record):
                              normalization=normalization)
 
 
+def _sum_abs2(amplitudes: Iterable[complex]) -> float:
+    """The sum of |a|**2 added left to right from 0, as ``sum`` adds floats before
+    Python 3.12 and does not after: so report bits do not depend on the version."""
+    total = 0
+    for a in amplitudes:
+        total += abs2(a)
+    return total
+
+
 def _abl_result(amplitudes: Sequence[complex], tol: float) -> AblResult:
     """The ABL rule on the outcome amplitudes of a complete measurement.
 
@@ -61,11 +71,10 @@ def _abl_result(amplitudes: Sequence[complex], tol: float) -> AblResult:
     to at most tol**2.
     """
     amplitudes = tuple(amplitudes)
-    weights = [abs2(a) for a in amplitudes]
-    normalization = sum(weights)
+    normalization = _sum_abs2(amplitudes)
     if normalization <= tol * tol:
         raise ImpossiblePostselectionError("impossible postselection")
-    probabilities = tuple(w / normalization for w in weights)
+    probabilities = tuple(abs2(a) / normalization for a in amplitudes)
     return AblResult(amplitudes, probabilities, normalization)
 
 

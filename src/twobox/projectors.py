@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Sequence
+from itertools import compress
 
 from .errors import InvalidAmplitudesError, InvalidArgumentError, expect, quoted
 from .hilbert import _as_number, _check_particle_count, _forward, _norm_sq, _Record
@@ -155,8 +156,8 @@ class _LabelClasses:
     ``all_same`` also whether the others are all in L, all in R or mixed. So
     every spec holds or fails on a whole class of labels that agree on T (and
     on that split, if ``all_same`` is among the specs): at most 3 * 2**|T|
-    classes, each tested as one pattern per spec (``_pattern``) at one
-    representative index. ``weights[k - 1]`` holds (c_k(L), c_k(R)), and the
+    classes, each tested at one representative index by ``_column``, the one
+    test of specs at labels. ``weights[k - 1]`` holds (c_k(L), c_k(R)), and the
     weight of a class is the sum over its labels of prod_k c_k(b_k): the
     product over T of the class's factors, times prod_k (c_k(L) + c_k(R)) over
     the other particles (with the split, their all-L product, their all-R
@@ -171,10 +172,10 @@ class _LabelClasses:
     (``between``), with c_k(b) = conj(post_k[b]) pre_k[b] formed with Python's
     complex product, and keeps <post|pre> as ``overlap``. Every query built
     from projector specs is answered on it. An amplitude (``amplitude``) is the
-    summed weight, in class order, of the classes on which its product holds;
-    a transition element is the sum over its terms of coefficient times
+    summed weight, in class order, of the classes where its product's column
+    holds; a transition element is the sum over its terms of coefficient times
     amplitude. A measurement set, a member sum and the cross-check of a
-    weak-value sum read which products hold on each class (``table``). A set
+    weak-value sum read one column per product (``table``). A set
     of 0/1 products is judged complete from how many hold on each class
     (``_counts_resolve_identity``), which is what ``_resolves_identity``
     returns on its 0/1 columns, and a member sum is ``_is_projector`` or not.
@@ -251,34 +252,32 @@ class _LabelClasses:
         """<post|P|pre> for the product P of specs: the weights of the classes
         of P on which every spec of P holds, added in class order. The empty
         product gives <post|pre>."""
-        patterns = [_pattern(spec) for spec in product]
         indices, ws = self.of(product)
         total = 0j
-        for index, w in zip(indices, ws):
-            for mask, allowed in patterns:
-                if index & mask not in allowed:
-                    break
-            else:
-                total += w
+        for w in compress(ws, _column(product, indices)):
+            total += w
         return total
 
     def table(self, products: Sequence[Sequence[ProjectorSpec]]):
         """Per label class of the products: its weight and whether each
         product holds there."""
-        patterns = [[_pattern(spec) for spec in product] for product in products]
         indices, ws = self.of([spec for p in products for spec in p])
-        table = []
-        for index, w in zip(indices, ws):
-            holds = []
-            for product in patterns:
-                for mask, allowed in product:
-                    if index & mask not in allowed:
-                        holds.append(False)
-                        break
-                else:
-                    holds.append(True)
-            table.append((w, holds))
-        return table
+        columns = [_column(product, indices) for product in products]
+        return [(w, list(holds)) for w, holds in zip(ws, zip(*columns))]
+
+
+def _column(product: Sequence[ProjectorSpec], indices: Iterable[int]) -> list[bool]:
+    """Whether every spec of ``product`` holds at each basis index of ``indices``."""
+    patterns = [_pattern(spec) for spec in product]
+    column = []
+    for index in indices:
+        for mask, allowed in patterns:
+            if index & mask not in allowed:
+                column.append(False)
+                break
+        else:
+            column.append(True)
+    return column
 
 
 _DIGITS = 6  # significant digits of a number in a label, a table or a check
@@ -355,17 +354,15 @@ class HamiltonianSpec(_Record):
 
 
 def _entries(terms: Sequence[tuple[complex, ProjectorSpec]],
-             indices: Iterable[int]) -> list[complex]:
+             indices: Sequence[int]) -> list[complex]:
     """The diagonal entries at the basis indices ``indices`` of the weighted
     projector sum of ``terms``, each formed as
     :func:`~twobox.dense.build_hamiltonian` forms it: term by term, in order."""
-    patterns = [(coeff, *_pattern(proj)) for coeff, proj in terms]
-    entries = []
-    for index in indices:
-        total = 0j
-        for coeff, mask, allowed in patterns:
-            total += (1 + 0j if index & mask in allowed else 0j) * coeff
-        entries.append(total)
+    entries = [0j] * len(indices)
+    for coeff, proj in terms:
+        on, off = (1 + 0j) * coeff, 0j * coeff  # what a held and a failed label add
+        entries = [total + (on if holds else off)
+                   for total, holds in zip(entries, _column((proj,), indices))]
     return entries
 
 

@@ -36,7 +36,7 @@ from collections.abc import Collection, Iterable, Sequence
 from functools import cache
 from typing import Union
 
-from .engine import _abl_result, _linearity_checked, _vanishes, _weak_denominator
+from .engine import _abl_result, _linearity_checked, _sum_abs2, _vanishes, _weak_denominator
 from .errors import (IllegitimateQuestionError, IncompleteMeasurementError, InvalidArgumentError,
                      NotAProjectorError, ScenarioNotFoundError, TwoBoxError, expect,
                      expect_tolerance)
@@ -214,7 +214,7 @@ class DetailedVsGlobalQuery(_Record):
         # a product of 0/1 diagonals is a projector, whose defects are exactly 0
         if self.members and not tol >= 0:
             raise NotAProjectorError("non-projector member")
-        yield "detailed", sum(abs2(a) for a in amplitudes)
+        yield "detailed", _sum_abs2(amplitudes)
         if not self.members:
             raise InvalidArgumentError("global probability needs at least one projector")
         # the class diagonal of the member sum: how many members hold on each class

@@ -3,6 +3,7 @@
 import errno
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,8 +21,7 @@ from hypothesis import strategies as st
 import corpus
 import twobox
 from test_scenario_io import MUTATIONS, mutated, nodes, scenario_documents
-from twobox import (ExpressionError, HamiltonianSpec, PredicateQuery, ProjectorSpec, Scenario,
-                    run_scenario)
+from twobox import ExpressionError, HamiltonianSpec, PredicateQuery, ProjectorSpec, dense
 from twobox.cli import (
     format_complex,
     fraction_annotation,
@@ -429,9 +429,21 @@ def test_check_json_format(capsys):
 
 @pytest.mark.parametrize("tol", ["1e-12", "2.5"])
 def test_check_reports_what_the_predicate_queries_report(capsys, tmp_path, tol):
-    def predicate(check, specs, n):
-        scenario = Scenario("check", n, ("+",) * n, ("+",) * n, (PredicateQuery(check, specs),))
-        return run_scenario(scenario, float(tol)).records[0]
+    """``twobox check`` gives the verdicts that :mod:`twobox.dense` gives on the
+    built operators, refuses with the same words, and reports each idempotency
+    defect within 4 ulps of its magnitude."""
+    def built(specs):
+        t, ops, entries = float(tol), [], []
+        for spec in specs:  # built and checked line by line, in the order the command asks
+            ops.append(op := dense.build_hamiltonian(spec))
+            entries.append({"hermitian": dense.is_hermitian(op, t),
+                            "is_projector": dense.is_projector(op, t),
+                            "idempotency_defect": dense.idempotency_defect(op)})
+        if len(ops) == 1:
+            return entries, None, None
+        pairs = [dense.are_orthogonal(ops[i], ops[j], t)
+                 for i in range(len(ops)) for j in range(i + 1, len(ops))]
+        return entries, pairs, dense.is_resolution_of_identity(ops, t)
 
     path = tmp_path / "expressions.txt"
     cases = [((expr,), n) for expr in corpus.SUMS for n in (3, 12)]
@@ -440,23 +452,21 @@ def test_check_reports_what_the_predicate_queries_report(capsys, tmp_path, tol):
         code, out, err = run_cli(capsys, "check", str(path), "--particles", str(n),
                                  "--format", "json", "--tolerance", tol)
         specs = [parse_operator_expression(line, n) for line in lines]
-        expected = [predicate("is_projector", (spec,), n) for spec in specs]
-        if len(specs) > 1:
-            expected += [predicate("orthogonal", (specs[i], specs[j]), n)
-                         for i in range(len(specs)) for j in range(i + 1, len(specs))]
-            expected.append(predicate("resolution_of_identity", tuple(specs), n))
-        errors = [record.error for record in expected if record.error is not None]
-        if errors:  # a refused check is refused by a predicate with the same words
-            assert (code, out, err) == (1, "", f"error: {errors[0]}\n")
+        try:
+            entries, pairs, complete = built(specs)
+        except twobox.TwoBoxError as exc:  # a refused check is refused with the same words
+            assert (code, out, err) == (1, "", f"error: {exc}\n"), lines
             continue
-        values = [{v.name: v.value for v in record.results} for record in expected]
+        assert code == 0, (lines, err)
         doc = json.loads(out)
-        assert [{key: op[key] for key in op if key != "expression"}
-                for op in doc["operators"]] == values[:len(specs)]
-        if len(specs) > 1:
-            assert [item["orthogonal"] for item in doc["pairwise_orthogonal"]] == [
-                v["orthogonal"] for v in values[len(specs):-1]]
-            assert doc["resolution_of_identity"] == values[-1]["resolution_of_identity"]
+        for entry, expected in zip(doc["operators"], entries, strict=True):
+            assert entry["hermitian"] == expected["hermitian"], lines
+            assert entry["is_projector"] == expected["is_projector"], lines
+            defect, want = entry["idempotency_defect"], expected["idempotency_defect"]
+            assert defect == want or abs(defect - want) <= 4 * math.ulp(want), (lines, defect)
+        if pairs is not None:
+            assert [item["orthogonal"] for item in doc["pairwise_orthogonal"]] == pairs, lines
+            assert doc["resolution_of_identity"] == complete, lines
 
 
 def test_check_asks_the_predicate_queries(capsys, tmp_path, monkeypatch):

@@ -47,6 +47,7 @@ from twobox import (
     vanishes,
     weak_value_sum,
 )
+from twobox import projectors
 from twobox.hilbert import (_explicit_amplitudes, _product_amplitudes, _single_pair,
                             eigenstate_residual)
 from twobox.projectors import (_are_orthogonal, _check_entries, _class_diagonals,
@@ -905,6 +906,27 @@ def test_patterns_give_the_list_route_bit_for_bit(n, data):
         terms = sums[0].terms
         assert repr(_entries(terms, range(2**n))) == repr(
             [reference_entry(terms, index, n) for index in range(2**n)])
+
+
+def test_amplitudes_tables_and_class_entries_read_one_column(monkeypatch):
+    same, box = ProjectorSpec.pair_same(1, 2, 3), ProjectorSpec.box_occupation(3, "R", 3)
+    h = HamiltonianSpec.of([(2, same), (1, box)])
+    classes = _LabelClasses([(1, 1)] * 3)
+    asked = []
+    column = projectors._column
+    monkeypatch.setattr(projectors, "_column", lambda product, indices: asked.append(
+        tuple(product)) or column(product, indices))
+
+    def reached(ask):
+        asked.clear()
+        ask()
+        return asked
+
+    assert reached(lambda: classes.amplitude((same, box))) == [(same, box)]
+    assert reached(lambda: classes.table([(same,), (box,)])) == [(same,), (box,)]
+    assert reached(lambda: _class_diagonals([h])) == [(same,), (box,)]
+    query = PredicateQuery("eigenstate", (h,), state=ProductState(("L", "L", "R")), eigenvalue=3)
+    assert reached(lambda: list(query.results(None, 1e-12))) == [(same,), (box,)] * 2
 
 
 @pytest.mark.parametrize("n", range(1, 9))
