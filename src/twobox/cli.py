@@ -412,20 +412,25 @@ def console_main() -> int:
     """``main`` for a process of its own (``python -m twobox``, the ``twobox``
     script). A write to standard output that fails ends the run with exit 1
     and one error line, not a traceback: a reader that closed it early, as
-    ``| head -1`` does, or any other error, such as a full disk. The commands
-    turn every error of reading their input into a TwoBoxError, so an OSError
-    that reaches here comes from writing the output."""
+    ``| head -1`` does, text its encoding cannot encode, or any other error,
+    such as a full disk. The commands turn every error of reading their input
+    into a TwoBoxError, so an OSError or a UnicodeEncodeError that reaches here
+    comes from writing the output."""
     try:
         code = main()
         if sys.stdout is not None:  # None when the process starts with stdout closed
             sys.stdout.flush()
         return code
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         # the interpreter flushes stdout again at exit, which would fail once more
         # and print "Exception ignored"; what is left of the output goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        message = ("standard output was closed" if isinstance(exc, BrokenPipeError)
-                   else f"cannot write standard output: {exc.strerror}")
+        if isinstance(exc, UnicodeEncodeError):
+            message = f"cannot encode standard output as {exc.encoding}: {exc.reason}"
+        elif isinstance(exc, BrokenPipeError):
+            message = "standard output was closed"
+        else:
+            message = f"cannot write standard output: {exc.strerror}"
         try:
             print(f"error: {message}", file=sys.stderr)
         except OSError:  # stderr is closed too

@@ -19,7 +19,8 @@ result computed from checked values keeps shape and size by construction, so
 it is only checked for finiteness, which overflow can lose, and made
 read-only. The structural checks and ``build_hamiltonian`` are their
 definitions in Operator arithmetic (``(op @ op - op).max_entry()``, the zero
-operator plus each ``coeff * build_projector(proj)`` in term order), and the
+operator plus each ``coeff * build_projector(proj)`` in term order; a check
+refuses an operator it forms that is not finite as its own overflow), and the
 engine goes through the rules :mod:`twobox.engine` writes once over amplitudes.
 """
 
@@ -38,7 +39,8 @@ from .errors import (DimensionMismatchError, IllegitimateQuestionError, Incomple
 from .hilbert import (_NAMED_STATES, BOX_LABELS, DEFAULT_TOLERANCE, MAX_PARTICLES, SPIN_LABELS,
                       LabelScheme, _check_particle_count, _Record, _single_pair, abs2,
                       canonical_state_name)
-from .projectors import HamiltonianSpec, ProjectorSpec, _finite_eigenvalue, _pattern
+from .projectors import (_CHECK_OVERFLOW, HamiltonianSpec, ProjectorSpec, _finite_eigenvalue,
+                         _pattern)
 
 
 def _scheme(labels) -> LabelScheme:
@@ -461,16 +463,26 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Operator:
                start=Operator.zero(spec.n_particles))
 
 
+def _check_norm(result) -> float:
+    """``max_entry`` of the operator ``result()`` that a structural check forms
+    from checked operators, refused if not finite as the same check on label
+    classes refuses its overflow (``projectors._class_max``)."""
+    try:
+        return result().max_entry()
+    except InvalidAmplitudesError:  # a computed operator that is not finite
+        raise InvalidAmplitudesError(_CHECK_OVERFLOW) from None
+
+
 def is_hermitian(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the operator equals its own adjoint, max-entry norm."""
     op, tol = _operator(op), expect_tolerance(tol)
-    return (op - op.dagger()).max_entry() <= tol
+    return _check_norm(lambda: op - op.dagger()) <= tol
 
 
 def idempotency_defect(op: Operator) -> float:
     """Max-entry norm of op@op - op; zero for exact projectors."""
     op = _operator(op)
-    return (op @ op - op).max_entry()
+    return _check_norm(lambda: op @ op - op)
 
 
 def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
@@ -481,7 +493,7 @@ def is_projector(op: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
 def are_orthogonal(a: Operator, b: Operator, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Whether both products a@b and b@a vanish within ``tol``."""
     a, b, tol = _operator(a), _operator(b), expect_tolerance(tol)
-    return (a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol
+    return _check_norm(lambda: a @ b) <= tol and _check_norm(lambda: b @ a) <= tol
 
 
 def is_resolution_of_identity(projectors: Iterable[Operator],

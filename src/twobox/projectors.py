@@ -157,11 +157,12 @@ class _LabelClasses:
     every spec holds or fails on a whole class of labels that agree on T (and
     on that split, if ``all_same`` is among the specs): at most 3 * 2**|T|
     classes, each tested at one representative index by ``_column``, the one
-    test of specs at labels. ``weights[k - 1]`` holds (c_k(L), c_k(R)), and the
-    weight of a class is the sum over its labels of prod_k c_k(b_k): the
-    product over T of the class's factors, times prod_k (c_k(L) + c_k(R)) over
-    the other particles (with the split, their all-L product, their all-R
-    product or what remains). With unit weights a class weighs its size.
+    test of specs at labels: one pattern per product, one membership test per
+    class. ``weights[k - 1]`` holds (c_k(L), c_k(R)), and the weight of a class
+    is the sum over its labels of prod_k c_k(b_k): the product over T of the
+    class's factors, times prod_k (c_k(L) + c_k(R)) over the other particles
+    (with the split, their all-L product, their all-R product or what remains).
+    With unit weights a class weighs its size.
 
     The classes depend on the specs only through their partition, the pair
     (bits of T, whether the split is asked), so each partition is walked once
@@ -267,17 +268,16 @@ class _LabelClasses:
 
 
 def _column(product: Sequence[ProjectorSpec], indices: Iterable[int]) -> list[bool]:
-    """Whether every spec of ``product`` holds at each basis index of ``indices``."""
-    patterns = [_pattern(spec) for spec in product]
-    column = []
-    for index in indices:
-        for mask, allowed in patterns:
-            if index & mask not in allowed:
-                column.append(False)
-                break
-        else:
-            column.append(True)
-    return column
+    """Whether every spec of ``product`` holds at each basis index of ``indices``,
+    as one pattern: the first spec's ``_pattern`` with each further spec folded
+    in (the masks ORed, and each two values joined that agree on the bits both
+    read). The empty product holds everywhere, a contradictory one nowhere."""
+    mask, allowed = _pattern(product[0]) if product else (0, (0,))
+    for spec in product[1:]:
+        bits, values = _pattern(spec)
+        allowed = {a | v for a in allowed for v in values if a & bits == v & mask}
+        mask |= bits
+    return [index & mask in allowed for index in indices]
 
 
 _DIGITS = 6  # significant digits of a number in a label, a table or a check
@@ -387,10 +387,16 @@ def _check_entries(entries: Sequence[complex]) -> None:
         raise InvalidAmplitudesError("operator diagonal must be finite")
 
 
+# the refusal of a structural check whose own arithmetic leaves the float range
+_CHECK_OVERFLOW = "structural check overflows the float range"
+
+
 def _class_max(entries: Sequence[complex]) -> float:
-    """``Operator.max_entry`` of a diagonal given by its class entries, refused
-    as a built operator is refused if an entry is not finite."""
-    _check_entries(entries)
+    """``Operator.max_entry`` of a diagonal a structural check forms from finite
+    class entries, refused as the check of built operators refuses it if an
+    entry is not finite."""
+    if not all(map(cmath.isfinite, entries)):
+        raise InvalidAmplitudesError(_CHECK_OVERFLOW)
     try:
         return max(map(abs, entries))
     except OverflowError:  # finite parts whose magnitude exceeds the float range

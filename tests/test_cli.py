@@ -729,6 +729,24 @@ def test_a_failed_write_to_stdout_ends_in_one_error_line(argv, unbuffered):
     assert result.stderr == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.parametrize("encoding, description, fmt, reason", [
+    ("ascii", None, "table", "ascii: ordinal not in range(128)"),  # the table's ⊗
+    ("utf-8", "\ud800", "table", "utf-8: surrogates not allowed"),  # a lone surrogate escape
+    ("utf-8", "\ud800", "json", "utf-8: surrogates not allowed"),
+], ids=["ascii-table", "surrogate-table", "surrogate-json"])
+def test_output_that_stdout_cannot_encode_ends_in_one_error_line(tmp_path, encoding, description,
+                                                                  fmt, reason):
+    target = "pigeonhole3"
+    if description is not None:
+        target = str(tmp_path / "surrogate.json")
+        Path(target).write_text(json.dumps({**EXPLICIT_DOC, "description": description}))
+    env = {**_child_env(), "PYTHONIOENCODING": encoding}
+    result = subprocess.run([sys.executable, "-m", "twobox", "run", target, "--format", fmt],
+                            capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 1
+    assert result.stderr == f"error: cannot encode standard output as {reason}\n"
+
+
 def test_a_process_started_without_stdout_runs_as_before():
     # with file descriptor 1 closed from the start, sys.stdout is None and print is a no-op
     result = subprocess.run([sys.executable, "-m", "twobox", "list"], stderr=subprocess.PIPE,

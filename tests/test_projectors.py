@@ -413,11 +413,22 @@ def by_arithmetic(call):
         return outcome(call)
 
 
+def overflow_refused(norm):
+    """``norm()``, the max-entry norm a structural check forms in Operator
+    arithmetic, with an operator it computes that is not finite refused as the
+    checks refuse their own overflow."""
+    try:
+        return norm()
+    except InvalidAmplitudesError:
+        raise InvalidAmplitudesError("structural check overflows the float range") from None
+
+
 def resolution_by_arithmetic(ops, tol):
     total = sum(ops[1:], start=ops[0])
-    return (all((op - op.dagger()).max_entry() <= tol and (op @ op - op).max_entry() <= tol
-                for op in ops)
-            and all((a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol
+    return (all(overflow_refused(lambda: (op - op.dagger()).max_entry()) <= tol
+                and overflow_refused(lambda: (op @ op - op).max_entry()) <= tol for op in ops)
+            and all(overflow_refused(lambda: (a @ b).max_entry()) <= tol
+                    and overflow_refused(lambda: (b @ a).max_entry()) <= tol
                     for i, a in enumerate(ops) for b in ops[i + 1:])
             and (total - Operator.identity(total.n_particles)).max_entry() <= tol)
 
@@ -438,14 +449,15 @@ def test_structural_checks_match_operator_arithmetic(data, dim, tol):
     a, b, c = (data.draw(operators(data.draw(st.sampled_from([dim, dim, dim, 6 - dim]))))
                for _ in range(3))
     ops = [a, b, c][:data.draw(st.integers(1, 3))]
-    assert outcome(lambda: is_hermitian(a, tol)) == by_arithmetic(
-        lambda: (a - a.dagger()).max_entry() <= tol)
-    assert outcome(lambda: idempotency_defect(a)) == by_arithmetic(
-        lambda: (a @ a - a).max_entry())
+    hermitian_norm = lambda: overflow_refused(lambda: (a - a.dagger()).max_entry())
+    defect = lambda: overflow_refused(lambda: (a @ a - a).max_entry())
+    assert outcome(lambda: is_hermitian(a, tol)) == by_arithmetic(lambda: hermitian_norm() <= tol)
+    assert outcome(lambda: idempotency_defect(a)) == by_arithmetic(defect)
     assert outcome(lambda: is_projector(a, tol)) == by_arithmetic(
-        lambda: (a - a.dagger()).max_entry() <= tol and (a @ a - a).max_entry() <= tol)
+        lambda: hermitian_norm() <= tol and defect() <= tol)
     assert outcome(lambda: are_orthogonal(a, b, tol)) == by_arithmetic(
-        lambda: (a @ b).max_entry() <= tol and (b @ a).max_entry() <= tol)
+        lambda: overflow_refused(lambda: (a @ b).max_entry()) <= tol
+        and overflow_refused(lambda: (b @ a).max_entry()) <= tol)
     assert outcome(lambda: is_resolution_of_identity(ops, tol)) == by_arithmetic(
         lambda: resolution_by_arithmetic(ops, tol))
 
@@ -781,7 +793,7 @@ def test_an_eigenvalue_that_is_not_finite_is_refused_on_both_routes():
 def test_the_projector_verdict_forms_no_defect_of_a_diagonal_that_is_not_hermitian():
     # the square of 1e200j overflows, so its defect is refused; the verdict needs none
     d = [1e200j, 1 + 0j]
-    with pytest.raises(InvalidAmplitudesError, match="^operator diagonal must be finite$"):
+    with pytest.raises(InvalidAmplitudesError, match="^structural check overflows the float range$"):
         _idempotency_defect(d)
     assert _is_projector(d, 1e-12) is False
     assert _resolves_identity([d, [0j, 0j]], 1e-12) is False
@@ -789,8 +801,24 @@ def test_the_projector_verdict_forms_no_defect_of_a_diagonal_that_is_not_hermiti
     assert is_resolution_of_identity(ops, 1e-12) is False
     box_l, box_r = ProjectorSpec.box_occupation(1, "L", 1), ProjectorSpec.box_occupation(1, "R", 1)
     query = PredicateQuery("is_projector", (HamiltonianSpec.of([(d[0], box_l), (d[1], box_r)]),))
-    with pytest.raises(InvalidAmplitudesError, match="^operator diagonal must be finite$"):
+    with pytest.raises(InvalidAmplitudesError, match="^structural check overflows the float range$"):
         list(query.results(None, 1e-12))  # a report names the defect, so it forms it
+
+
+@pytest.mark.parametrize("by_classes, built, diagonals", [
+    (lambda d: _is_hermitian(d, 1e-12), is_hermitian, ([1e308j, 0j],)),  # z - conj(z) is 2e308i
+    (_idempotency_defect, idempotency_defect, ([1e200 + 0j, 0j],)),  # z * z is 1e400
+    (lambda a, b: _are_orthogonal(a, b, 1e-12), are_orthogonal,
+     ([1e200 + 0j, 0j], [1e200 + 0j, 1 + 0j])),
+], ids=["hermitian", "idempotency_defect", "orthogonal"])
+def test_a_check_that_overflows_is_refused_in_the_same_words_on_both_routes(by_classes, built,
+                                                                            diagonals):
+    # every entry is finite; only the check's own arithmetic leaves the float range
+    message = "^structural check overflows the float range$"
+    with pytest.raises(InvalidAmplitudesError, match=message):
+        by_classes(*diagonals)
+    with pytest.raises(InvalidAmplitudesError, match=message):
+        built(*map(Operator.from_diagonal, diagonals))
 
 
 @pytest.mark.parametrize("tol", [np.float64(1e-12), np.float32(1e-12), np.int64(0)])
@@ -906,6 +934,41 @@ def test_patterns_give_the_list_route_bit_for_bit(n, data):
         terms = sums[0].terms
         assert repr(_entries(terms, range(2**n))) == repr(
             [reference_entry(terms, index, n) for index in range(2**n)])
+
+
+@st.composite
+def long_products(draw, n):
+    """A product of 4 to max(4, n - 1) specs, all_same among them as often as
+    not (``class_specs``), and as often as not a spec repeated or a
+    contradictory pair: one pair both in one box and not, or one particle in
+    both boxes."""
+    size = draw(st.integers(4, max(4, n - 1)))
+    product = draw(st.lists(class_specs(n), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        product[0] = draw(st.sampled_from(product[1:]))
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        product[-2:] = draw(st.sampled_from([
+            [ProjectorSpec.pair_same(i, j, n), ProjectorSpec.pair_diff(i, j, n)],
+            [ProjectorSpec.box_occupation(i, "L", n), ProjectorSpec.box_occupation(i, "R", n)]]))
+    return tuple(draw(st.permutations(product)))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_long_products_give_the_list_route_bit_for_bit(n, data):
+    pre_f, post_f = data.draw(near_orthogonal_states(n))
+    classes = _LabelClasses.between([_single_pair(f) for f in pre_f],
+                                    [_single_pair(f) for f in post_f])
+    products = data.draw(st.lists(long_products(n), min_size=1, max_size=3))
+    for product in products:
+        assert repr(classes.amplitude(product)) == repr(
+            reference_product_amplitude(product, classes.weights))
+    assert repr(_LabelClasses([(1, 1)] * n).table(products)) == repr(
+        reference_product_table(products, n))
+    assert repr(classes.table(products)) == repr(
+        reference_product_table(products, n, classes.weights))
 
 
 def test_amplitudes_tables_and_class_entries_read_one_column(monkeypatch):

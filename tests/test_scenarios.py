@@ -169,6 +169,64 @@ def test_pigeonhole_amplitudes_match_the_oracle():
         assert abs(mine - ref) <= TOL
 
 
+def refined_outcomes(n):
+    """Each split {A | B} of n particles between the two boxes, particle 1 in A,
+    with its product of pair specs: pair_same(1,k) for k in A, pair_diff(1,k)
+    for k in B."""
+    for bits in range(2 ** (n - 1)):
+        b = tuple(k for k in range(2, n + 1) if bits >> (k - 2) & 1)
+        a = tuple(k for k in range(1, n + 1) if k not in b)
+        yield a, b, tuple(ProjectorSpec.pair_diff(1, k, n) if k in b
+                          else ProjectorSpec.pair_same(1, k, n) for k in range(2, n + 1))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_the_refined_measurement_puts_some_pair_in_one_box_though_no_pair_shares_one(n):
+    outcomes = list(refined_outcomes(n))
+    products = tuple(product for _, _, product in outcomes)
+    pairs = [ProjectorSpec.pair_same(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    # the pair each outcome puts in one box, asked together with the outcome
+    shared = [ProjectorSpec.pair_same(*(a[:2] if len(a) >= 2 else b[:2]), n) for a, b, _ in outcomes]
+    queries = (AblProbabilitiesQuery(products), WeakValueSumQuery(tuple((p,) for p in pairs)),
+               *(AblAmplitudeQuery((pair,)) for pair in pairs),
+               *(AblAmplitudeQuery(product + (pair,)) for product, pair in zip(products, shared)))
+    report = run_scenario(Scenario("refined", n, ("+",) * n, ("+i",) * n, queries))
+    assert not report.has_errors()
+    refined, pair_count, *records = report.records
+    pair_records, shared_records = records[:len(pairs)], records[len(pairs):]
+    amplitudes = [r.value for r in refined.results[0:-1:2]]
+    probabilities = [r.value for r in refined.results[1:-1:2]]
+
+    for (a, b, _), amplitude in zip(outcomes, amplitudes, strict=True):
+        assert abs(amplitude - ((-1j) ** len(a) + (-1j) ** len(b)) / 2**n) <= TOL
+    kept = [r.vanishing is False for r in refined.results[0:-1:2]]
+    assert sum(kept) == 2 ** (2 * ((n - 1) // 2))
+    for keep, probability in zip(kept, probabilities):
+        assert abs(probability - (1 / sum(kept) if keep else 0)) <= TOL
+
+    # no pair question finds a pair in one box, yet every outcome holds only
+    # where its pair is in one box: asked together, the amplitude is the same
+    for record in pair_records:
+        assert values(record)["amplitude"] == 0j and record.results[0].vanishing is True
+    assert values(pair_count)["weak_value_sum"] == 0j  # the weak value of the pair count
+    for amplitude, record in zip(amplitudes, shared_records, strict=True):
+        assert values(record)["amplitude"] == amplitude
+
+    if n == 3:  # the same operators as pigeonhole3's refined set
+        pigeonhole = values(run_scenario(lookup_scenario("pigeonhole3")).records[6])
+        sd_of = {(1, 2, 3): "all_same", (1, 2): "sd(1,2;3)", (1, 3): "sd(1,3;2)", (1,): "sd(2,3;1)"}
+        for (a, _, _), probability in zip(outcomes, probabilities):
+            assert probability == pigeonhole[f"probability[{sd_of[a]}]"]
+    if n <= 8:
+        built = [reduce(Operator.__matmul__, map(build_projector, p)) for p in products]
+        assert is_resolution_of_identity(built)
+    if n <= 6:
+        o_pre, o_post = oracle.product_state(["+"] * n), oracle.product_state(["+i"] * n)
+        for product, amplitude in zip(products, amplitudes):
+            expected = oracle.bracket(o_post, oracle.product_condition(product), o_pre, n)
+            assert abs(amplitude - expected) <= TOL
+
+
 def test_every_record_carries_a_claim():
     report = run_scenario(lookup_scenario("pigeonhole3"))
     assert all(r.claim for r in report.records)
